@@ -49,7 +49,13 @@ from .model import (
     as_boundary_epsilon,
     classify,
 )
-from .scheme import SchemeConfig, gamma_dt, mu, simulate_path, simulate_theta_path
+from .scheme import (
+    SchemeConfig,
+    _plain_factor,
+    _StepFactor,
+    simulate_path,
+    simulate_theta_path,
+)
 from .stochastics import RngStream, gauss_hermite_rule
 
 DEFAULTS = {
@@ -81,12 +87,6 @@ _CONFIG_ALIASES = {
     "lambda": "lam",
     "sigma-range": "sigma_range",
 }
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _coerce(key: str, value):
@@ -173,14 +173,14 @@ def _parse_sigma_range(text: str) -> list[float]:
 
 
 def _provenance_lines(pairs: dict) -> list[str]:
-    return [f"# {key}={_fmt(value)}" for key, value in sorted(pairs.items())]
+    return [f"# {key}={value}" for key, value in sorted(pairs.items())]
 
 
 def _csv_text(pairs: dict, header: list[str], rows: list[list]) -> str:
     lines = _provenance_lines(pairs)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(field) for field in row))
+        lines.append(",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -244,17 +244,14 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     if theta is not None:
         pairs["theta"] = theta
     header = ["t"] + [f"path_{i}" for i in range(n_paths)] + ["mean"]
-    rows = [
-        [float(t[k])] + [float(matrix[k, j]) for j in range(n_paths)] + [float(mean[k])]
-        for k in range(len(t))
-    ]
+    rows = np.column_stack((t, matrix, mean)).tolist()
     if values["format"] == "json":
         obj = {"params": pairs, "columns": header, "rows": rows}
         return _emit(json.dumps(obj) + "\n", ns.out)
     return _emit(_csv_text(pairs, header, rows), ns.out)
 
 
-def _estimator_kwargs(method: Method, values: dict) -> dict:
+def _estimator_kwargs(values: dict) -> dict:
     return {
         "nodes": values["nodes"],
         "theta": values["theta"],
@@ -295,7 +292,7 @@ def _cmd_exponent(ns: argparse.Namespace) -> int:
     method = Method(ns.method if ns.method is not None else "as-quad")
     p = _model(values)
     try:
-        est = estimate(p, values["dt"], method, **_estimator_kwargs(method, values))
+        est = estimate(p, values["dt"], method, **_estimator_kwargs(values))
     except ValueError as exc:
         if values["format"] == "json":
             sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
@@ -320,7 +317,7 @@ def _cmd_exponent(ns: argparse.Namespace) -> int:
             target,
             region.class_.value,
         ]
-        return _emit(_csv_text(_method_pairs(method, values), header, row and [row]), ns.out)
+        return _emit(_csv_text(_method_pairs(method, values), header, [row]), ns.out)
     return _emit(json.dumps(obj) + "\n", ns.out)
 
 
@@ -340,7 +337,7 @@ def _cmd_sweep_dt(ns: argparse.Namespace) -> int:
     dts = _parse_dts(values["dts"])
     p = _model(values)
     target = continuum_target(p, method)
-    kwargs = _estimator_kwargs(method, values)
+    kwargs = _estimator_kwargs(values)
     rows = []
     fit_points = []
     for dt in dts:
@@ -358,13 +355,7 @@ def _cmd_sweep_dt(ns: argparse.Namespace) -> int:
         fit = fit_loglog([d for d, _ in fit_points], [e for _, e in fit_points])
     pairs = _method_pairs(method, values)
     pairs["dts"] = values["dts"]
-    header = ["dt", "discrete_value", "continuum_value", "abs_error"]
-    csv_rows = []
-    for row in rows:
-        if "error" in row:
-            csv_rows.append([row["dt"], "error", target, "error"])
-        else:
-            csv_rows.append([row["dt"], row["discrete_value"], target, row["abs_error"]])
+    csv_sidecar = values["format"] == "csv" and ns.out is not None
 
     if values["format"] == "json":
         json_rows = []
@@ -383,34 +374,33 @@ def _cmd_sweep_dt(ns: argparse.Namespace) -> int:
             "rows": json_rows,
             "fit": None if fit is None else _fit_object(fit),
         }
-        code = _emit(json.dumps(obj) + "\n", ns.out)
-        if code != 0:
-            return code
-        if fit is None:
-            print("error: fewer than 3 usable step sizes, no convergence fit", file=sys.stderr)
-            return 1
-        return 0
-
-    text = _csv_text(pairs, header, csv_rows)
-    if ns.out is None:
-        if fit is not None:
+        text = json.dumps(obj) + "\n"
+    else:
+        header = ["dt", "discrete_value", "continuum_value", "abs_error"]
+        csv_rows = []
+        for row in rows:
+            if "error" in row:
+                csv_rows.append([row["dt"], "error", target, "error"])
+            else:
+                csv_rows.append([row["dt"], row["discrete_value"], target, row["abs_error"]])
+        text = _csv_text(pairs, header, csv_rows)
+        # CSV on stdout carries the fit as a trailing comment; with --out it
+        # goes to a .fit.json sidecar instead.
+        if fit is not None and not csv_sidecar:
             text += f"# fit={json.dumps(_fit_object(fit))}\n"
-        sys.stdout.write(text)
-        if fit is None:
-            print("error: fewer than 3 usable step sizes, no convergence fit", file=sys.stderr)
-            return 1
-        return 0
+
     code = _emit(text, ns.out)
     if code != 0:
         return code
     if fit is None:
         print("error: fewer than 3 usable step sizes, no convergence fit", file=sys.stderr)
         return 1
-    fit_text = json.dumps(_fit_object(fit)) + "\n"
-    code = _emit(fit_text, ns.out + ".fit.json")
-    if code != 0:
-        return code
-    sys.stdout.write(fit_text)
+    if csv_sidecar:
+        fit_text = json.dumps(_fit_object(fit)) + "\n"
+        code = _emit(fit_text, ns.out + ".fit.json")
+        if code != 0:
+            return code
+        sys.stdout.write(fit_text)
     return 0
 
 
@@ -507,7 +497,9 @@ def _suite_moments(values: dict) -> list[dict]:
     mean_ref, second_ref = composite_increment_moments(sigma, dt)
     stream = RngStream(root_seed=values["seed"], stream_id=0)
     dB = math.sqrt(dt) * stream.normals(n)
-    noise = sigma * dB + 0.5 * sigma * sigma * dB * dB
+    # The composite increment is F - c0; a factor with c0 = 0 gives it bit for
+    # bit (only at() is used, so mean_rate plays no part).
+    noise = _StepFactor(c0=0.0, mean_rate=0.0, sigma=sigma, denom=1.0, dt=dt).at(dB)
     z_scores = []
     for data, ref in ((noise, mean_ref), (noise * noise, second_ref)):
         se = float(data.std(ddof=1)) / math.sqrt(n)
@@ -550,11 +542,11 @@ def _suite_closedform(values: dict) -> list[dict]:
     n_steps = 10
     n_paths = 10**5
     datum = InitialDatum(values["x0"], values["y0"])
-    m1 = (2.0 * p.lam + p.epsilon * p.epsilon + p.sigma * p.sigma) * dt + mu(p) * dt * dt
-    base = 1.0 + m1
+    factor = _plain_factor(p, dt)
+    base = 1.0 + factor.ms_base_m1()
     stream = RngStream(root_seed=values["seed"], stream_id=0)
     dB = math.sqrt(dt) * stream.normals(n_paths * n_steps).reshape(n_paths, n_steps)
-    factors = gamma_dt(p, dt) + p.sigma * dB + 0.5 * p.sigma * p.sigma * dB * dB
+    factors = factor.at(dB)
     squared = datum.squared_modulus() * np.prod(factors * factors, axis=1)
     mean = float(squared.mean())
     se = float(squared.std(ddof=1)) / math.sqrt(n_paths)

@@ -1,12 +1,17 @@
 """Discrete Lyapunov exponents of the Milstein and theta-Milstein schemes.
 
+Every estimator is an expectation over the one-step factor F of
+milstab.scheme (plain: c0 = gamma_dt, denom = 1; theta: c0 = eta_dt,
+denom = 1 - lam*theta*dt), and each one is written once against that factor.
+
 Mean-square exponents come in closed form: squaring the scheme gives
-E(Z_n^2) = (x0^2 + y0^2) * base^n with
+E(Z_n^2) = (x0^2 + y0^2) * base^n with base = E F^2, which for the plain
+scheme is
 
     base = 1 + (2*lam + epsilon^2 + sigma^2)*dt + mu*dt^2,
 
 so the exponent of [E|Z_n|^2]^(1/2) is log(base)/(2*dt) exactly, for every n.
-Almost-sure exponents are expectations (1/dt)*E log|factor| evaluated either
+Almost-sure exponents are expectations (1/dt)*E log|F| evaluated either
 by Gauss-Hermite quadrature or by Monte Carlo over i.i.d. increments, with a
 per-path slope estimator retained for trajectory plots. Convergence orders
 against the continuum exponents are measured by log-log regression over
@@ -29,25 +34,32 @@ from .model import (
     continuum_ms_exponent,
 )
 from .scheme import (
-    LOG_CLAMP,
     LogModulusPath,
     SchemeConfig,
-    gamma_dt,
+    _log_modulus,
+    _plain_factor,
+    _StepFactor,
+    _theta_factor,
     mu,
     simulate_path,
-    theta_eta,
 )
 from .stochastics import RngStream, gauss_hermite_rule
 
 #: Sample block size for the Monte Carlo estimator. Each block owns the
-#: substream (seed, block index) and partial sums combine in block order, so
-#: the result is independent of worker count.
+#: substream (seed, block index) and block statistics combine in block order,
+#: so the result is independent of worker count.
 MC_BLOCK = 1 << 18
 
 #: Relative tolerance of the node-doubling convergence check.
 DOUBLING_RTOL = 1e-10
 
 _MAX_NODES = 1024
+
+#: Lower bounds the factor must stay above for the almost-sure estimators:
+#: gamma_dt - 1/2 > 1/4 (gamma_dt > 3/4) for the plain scheme, and
+#: eta_dt - 1/(2*(1 - lam*theta*dt)) > 0 for the theta scheme.
+_PLAIN_FLOOR = 0.25
+_THETA_FLOOR = 0.0
 
 
 class Method(Enum):
@@ -128,11 +140,14 @@ class RemainderReport:
             )
 
 
-def _ms_base_minus_one(p: ModelParams, dt: float) -> float:
-    # base - 1 evaluated directly, so log1p keeps full relative precision in
-    # the exponent; base itself is E[factor^2] >= 0 and vanishes only in the
-    # degenerate deterministic case factor = 0.
-    return (2.0 * p.lam + p.epsilon * p.epsilon + p.sigma * p.sigma) * dt + mu(p) * dt * dt
+def _ms(f: _StepFactor, method: Method) -> ExponentEstimate:
+    # base - 1 is formed directly, so log1p keeps full relative precision in
+    # the exponent; base itself is E F^2 >= 0 and vanishes only in the
+    # degenerate deterministic case F = 0.
+    m1 = f.ms_base_m1()
+    if m1 <= -1.0:
+        raise ValueError(f"squared-modulus base 1 + {m1!r} must be positive")
+    return ExponentEstimate(value=math.log1p(m1) / (2.0 * f.dt), method=method, dt=f.dt)
 
 
 def ms_exponent_exact(p: ModelParams, dt: float) -> ExponentEstimate:
@@ -142,12 +157,7 @@ def ms_exponent_exact(p: ModelParams, dt: float) -> ExponentEstimate:
     attained at every step. Errors out when base <= 0 (dt too large for the
     positivity restriction).
     """
-    if not (0.0 < dt < 1.0):
-        raise ValueError(f"dt must lie in (0, 1), got {dt!r}")
-    m1 = _ms_base_minus_one(p, dt)
-    if m1 <= -1.0:
-        raise ValueError(f"squared-modulus base 1 + {m1!r} must be positive")
-    return ExponentEstimate(value=math.log1p(m1) / (2.0 * dt), method=Method.MS_EXACT, dt=dt)
+    return _ms(_plain_factor(p, dt), Method.MS_EXACT)
 
 
 #: Truncation rule of the remainder series: stop before a term smaller than
@@ -197,34 +207,48 @@ def ms_remainder(p: ModelParams, dt: float) -> RemainderReport:
     return RemainderReport(value=value, bound=bound, terms_used=len(terms), converged=converged)
 
 
-def _expected_log_quadratic(c0: float, a1: float, a2: float, dt: float, nodes: int) -> float:
-    """(1/dt) * E log(c0 + a1*Y + a2*Y^2) by Gauss-Hermite, with doubling check.
+def _require_floor(f: _StepFactor, floor: float) -> None:
+    lower = f.lower_bound()
+    if lower > floor:
+        return
+    if floor == _PLAIN_FLOOR:
+        raise ValueError(
+            f"gamma_dt = {f.c0!r} must exceed 3/4 for the almost-sure exponent estimators"
+        )
+    raise ValueError(
+        f"eta - 1/(2*(1 - lam*theta*dt)) = {lower!r} must be positive to keep "
+        "the log argument away from the singularity"
+    )
 
-    The argument must stay positive over the node range (guaranteed by the
-    gamma_dt > 3/4 style preconditions of the callers). Doubling the node
-    count must move the value by less than DOUBLING_RTOL relative; at the
-    1024-node cap the doubled rule is clamped and the check is void.
+
+def _quad(f: _StepFactor, floor: float, nodes: int, method: Method) -> ExponentEstimate:
+    """(1/dt) * E log F by Gauss-Hermite in zeta = dB/sqrt(dt), with doubling check.
+
+    F must stay above floor (see _PLAIN_FLOOR, _THETA_FLOOR), which keeps the
+    log argument positive over the node range. Doubling the node count must
+    move the value by less than DOUBLING_RTOL relative; at the 1024-node cap
+    the doubled rule is clamped and the check is void.
     """
+    _require_floor(f, floor)
+    a1, a2 = f.noise_coefficients()
 
     def at(n: int) -> float:
         rule = gauss_hermite_rule(n)
         y = rule.nodes
-        arg = c0 + a1 * y + a2 * y * y
-        return rule.integrate(np.log(arg)) / dt
+        return rule.integrate(np.log(f.c0 + a1 * y + a2 * y * y)) / f.dt
 
     v1 = at(nodes)
     n2 = min(2 * int(nodes), _MAX_NODES)
-    if n2 == nodes:
-        return v1
-    v2 = at(n2)
-    diff = abs(v2 - v1)
-    denom = max(abs(v1), abs(v2))
-    if diff > DOUBLING_RTOL * denom and diff > 1e-22:
-        raise ValueError(
-            f"quadrature non-convergence: doubling {nodes} nodes moved the value by "
-            f"{diff!r} (relative {diff / denom if denom else math.inf!r})"
-        )
-    return v1
+    if n2 != nodes:
+        v2 = at(n2)
+        diff = abs(v2 - v1)
+        scale = max(abs(v1), abs(v2))
+        if diff > DOUBLING_RTOL * scale and diff > 1e-22:
+            raise ValueError(
+                f"quadrature non-convergence: doubling {nodes} nodes moved the value by "
+                f"{diff!r} (relative {diff / scale if scale else math.inf!r})"
+            )
+    return ExponentEstimate(value=v1, method=method, dt=f.dt)
 
 
 def as_exponent_quadrature(p: ModelParams, dt: float, nodes: int = 201) -> ExponentEstimate:
@@ -235,24 +259,16 @@ def as_exponent_quadrature(p: ModelParams, dt: float, nodes: int = 201) -> Expon
     gamma_dt > 3/4, which keeps the integrand's argument above 1/4 and away
     from the log singularity.
     """
-    gamma = gamma_dt(p, dt)
-    if not gamma > 0.75:
-        raise ValueError(
-            f"gamma_dt = {gamma!r} must exceed 3/4 for the almost-sure exponent estimators"
-        )
-    s = p.sigma * math.sqrt(dt)
-    value = _expected_log_quadratic(gamma, s, 0.5 * s * s, dt, nodes)
-    return ExponentEstimate(value=value, method=Method.AS_QUADRATURE, dt=dt)
+    return _quad(_plain_factor(p, dt), _PLAIN_FLOOR, nodes, Method.AS_QUADRATURE)
 
 
-def _mc_block_sums(gamma: float, sigma: float, dt: float, seed: int, block_id: int, count: int):
+def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int, float, float]:
+    """(count, mean, M2) of log|F| over one block, M2 by a second pass about the mean."""
     stream = RngStream(root_seed=seed, stream_id=block_id)
-    dB = math.sqrt(dt) * stream.normals(count)
-    factors = gamma + sigma * dB + 0.5 * sigma * sigma * dB * dB
-    af = np.abs(factors)
-    zero = af == 0.0
-    logs = np.where(zero, LOG_CLAMP, np.log(np.where(zero, 1.0, af)))
-    return float(np.sum(logs)), float(np.sum(logs * logs))
+    logs, _ = _log_modulus(f.at(math.sqrt(f.dt) * stream.normals(count)))
+    mean = float(np.sum(logs)) / count
+    dev = logs - mean
+    return count, mean, float(np.sum(dev * dev))
 
 
 def as_exponent_mc(
@@ -266,39 +282,34 @@ def as_exponent_mc(
 
     Averages log|factor| over n_samples i.i.d. increments and divides by dt;
     the standard error is the sample standard deviation over sqrt(n_samples),
-    divided by dt. Sampling runs in fixed blocks with per-block substreams and
-    the partial sums combine in block order, so the value is a pure function
-    of (p, dt, n_samples, seed) regardless of threads.
+    divided by dt. Sampling runs in fixed blocks with per-block substreams.
+    Each block reports its count, mean and sum of squared deviations, and the
+    blocks combine in block order by the pairwise update of Chan, Golub and
+    LeVeque (1979), so the error bar does not cancel when the spread of
+    log|factor| is tiny next to its mean, and the value is a pure function of
+    (p, dt, n_samples, seed) regardless of threads.
     """
-    gamma = gamma_dt(p, dt)
-    if not gamma > 0.75:
-        raise ValueError(
-            f"gamma_dt = {gamma!r} must exceed 3/4 for the almost-sure exponent estimators"
-        )
+    f = _plain_factor(p, dt)
+    _require_floor(f, _PLAIN_FLOOR)
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
     if p.sigma == 0.0:
         # Every sample contributes the constant log(gamma); the estimator's
         # value is exact and its sample deviation is identically zero.
         return ExponentEstimate(
-            value=math.log(gamma) / dt,
+            value=math.log(f.c0) / dt,
             method=Method.AS_MONTE_CARLO,
             dt=dt,
             std_error=0.0,
             n_samples=n_samples,
         )
-    blocks = []
-    start = 0
-    block_id = 0
-    while start < n_samples:
-        count = min(MC_BLOCK, n_samples - start)
-        blocks.append((block_id, count))
-        start += count
-        block_id += 1
+    blocks = [
+        (bid, min(MC_BLOCK, n_samples - start))
+        for bid, start in enumerate(range(0, n_samples, MC_BLOCK))
+    ]
 
-    def work(block) -> tuple[float, float]:
-        bid, count = block
-        return _mc_block_sums(gamma, p.sigma, dt, seed, bid, count)
+    def work(block) -> tuple[int, float, float]:
+        return _mc_block(f, seed, *block)
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -306,18 +317,19 @@ def as_exponent_mc(
     else:
         partials = [work(b) for b in blocks]
 
-    total = 0.0
-    total_sq = 0.0
-    for s1, s2 in partials:  # fixed block order
-        total += s1
-        total_sq += s2
-    mean = total / n_samples
-    var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
+    n, mean, m2 = partials[0]
+    for nb, mean_b, m2_b in partials[1:]:  # fixed block order
+        total = n + nb
+        delta = mean_b - mean
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * n * nb / total
+        n = total
+    var = m2 / (n - 1)
     return ExponentEstimate(
         value=mean / dt,
         method=Method.AS_MONTE_CARLO,
         dt=dt,
-        std_error=math.sqrt(var / n_samples) / dt,
+        std_error=math.sqrt(var / n) / dt,
         n_samples=n_samples,
     )
 
@@ -346,37 +358,17 @@ def as_exponent_path_slope(paths: list[LogModulusPath]) -> ExponentEstimate:
     )
 
 
-def _require_scalar(p: ModelParams) -> None:
-    if p.epsilon != 0.0:
-        raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
-
-
 def theta_ms_exponent(p: ModelParams, theta: float, dt: float) -> ExponentEstimate:
     """Exact mean-square exponent of the scalar theta-Milstein scheme.
 
-    E(X_n^2) is geometric with ratio
-
-        M = eta^2 + sigma^2*eta*dt/(1 - lam*theta*dt)
-            + (sigma^2*dt + (3*sigma^4/4)*dt^2) / (1 - lam*theta*dt)^2,
-
-    and the exponent of [E|X_n|^2]^(1/2) is log(M)/(2*dt). M - 1 is formed
-    directly from eta - 1 = (lam - sigma^2/2)*dt / (1 - lam*theta*dt) so the
-    small-dt exponent keeps full precision. The dt^2 moment coefficient is
-    3*sigma^4/4, from E[(sigma*dB + (sigma^2/2)*dB^2)^2].
+    E(X_n^2) is geometric with ratio M = E F^2, F = eta + (sigma*dB +
+    (sigma^2/2)*dB^2)/(1 - lam*theta*dt), and the exponent of
+    [E|X_n|^2]^(1/2) is log(M)/(2*dt). M - 1 is formed directly from
+    E F = 1 + lam*dt/(1 - lam*theta*dt) and
+    Var F = (sigma^2*dt + sigma^4*dt^2/2)/(1 - lam*theta*dt)^2, so the
+    small-dt exponent keeps full precision.
     """
-    _require_scalar(p)
-    eta = theta_eta(p, theta, dt)  # validates theta, dt, and the pole
-    denom = 1.0 - p.lam * theta * dt
-    s2 = p.sigma * p.sigma
-    eta_m1 = (p.lam - 0.5 * s2) * dt / denom
-    m1 = eta_m1 * (eta + 1.0) + s2 * eta * dt / denom + (s2 * dt + 0.75 * s2 * s2 * dt * dt) / (
-        denom * denom
-    )
-    if m1 <= -1.0:
-        raise ValueError(f"squared-modulus ratio 1 + {m1!r} must be positive")
-    return ExponentEstimate(
-        value=math.log1p(m1) / (2.0 * dt), method=Method.THETA_MS_EXACT, dt=dt
-    )
+    return _ms(_theta_factor(p, theta, dt), Method.THETA_MS_EXACT)
 
 
 def theta_as_exponent_quadrature(
@@ -390,17 +382,7 @@ def theta_as_exponent_quadrature(
     scheme. With theta = 0 the evaluation coincides bit for bit with
     as_exponent_quadrature at epsilon = 0.
     """
-    _require_scalar(p)
-    eta = theta_eta(p, theta, dt)
-    denom = 1.0 - p.lam * theta * dt
-    if not eta - 0.5 / denom > 0.0:
-        raise ValueError(
-            f"eta - 1/(2*(1 - lam*theta*dt)) = {eta - 0.5 / denom!r} must be positive to keep "
-            "the log argument away from the singularity"
-        )
-    s = p.sigma * math.sqrt(dt)
-    value = _expected_log_quadratic(eta, s / denom, 0.5 * s * s / denom, dt, nodes)
-    return ExponentEstimate(value=value, method=Method.THETA_AS_QUADRATURE, dt=dt)
+    return _quad(_theta_factor(p, theta, dt), _THETA_FLOOR, nodes, Method.THETA_AS_QUADRATURE)
 
 
 def fit_loglog(dts, errors) -> ConvergenceFit:

@@ -1,19 +1,22 @@
 """Milstein and theta-Milstein recursions for the modulus, in log space.
 
-One step of the Milstein scheme multiplies the modulus by
+Both schemes multiply the modulus each step by one factor
 
-    gamma_dt + sigma*dB + (sigma^2/2)*dB^2,
-    gamma_dt = 1 + (lam + epsilon^2/2 - sigma^2/2)*dt,
+    F = c0 + (sigma*dB + (sigma^2/2)*dB^2) / denom,    dB ~ N(0, dt).
 
-with dB ~ N(0, dt). The drift-implicit theta variant (scalar case,
-epsilon = 0) multiplies by
+The plain Milstein scheme has c0 = gamma_dt and denom = 1, with
 
-    eta_dt + (sigma*dB + (sigma^2/2)*dB^2) / (1 - lam*theta*dt),
+    gamma_dt = 1 + (lam + epsilon^2/2 - sigma^2/2)*dt.
+
+The drift-implicit theta variant (scalar case, epsilon = 0) has c0 = eta_dt
+and denom = 1 - lam*theta*dt, with
+
     eta_dt = (1 + (lam*(1-theta) - sigma^2/2)*dt) / (1 - lam*theta*dt).
 
-Trajectories are accumulated as sums of log|factor|; the raw product would
-overflow within a few hundred steps for blow-up parameters, so |Z_n| itself
-is never materialized.
+_StepFactor holds this factor once for path simulation and for every
+exponent estimator. Trajectories are accumulated as sums of log|factor|; the
+raw product would overflow within a few hundred steps for blow-up
+parameters, so |Z_n| itself is never materialized.
 """
 
 from __future__ import annotations
@@ -86,6 +89,42 @@ class LogModulusPath:
         return self.dt * np.arange(self.n_steps + 1)
 
 
+@dataclass(frozen=True)
+class _StepFactor:
+    """The one-step factor F = c0 + (sigma*dB + (sigma^2/2)*dB^2) / denom.
+
+    mean_rate is r in E F = 1 + r*dt. The noise part is at least
+    -1/(2*denom) for every increment, so F never drops below lower_bound().
+    """
+
+    c0: float
+    mean_rate: float
+    sigma: float
+    denom: float
+    dt: float
+
+    def at(self, dB):
+        """F at the increment(s) dB."""
+        s = self.sigma
+        return self.c0 + (s * dB + 0.5 * s * s * dB * dB) / self.denom
+
+    def noise_coefficients(self) -> tuple[float, float]:
+        """(a1, a2) with F = c0 + a1*zeta + a2*zeta^2, zeta = dB/sqrt(dt)."""
+        s = self.sigma * math.sqrt(self.dt)
+        return s / self.denom, 0.5 * s * s / self.denom
+
+    def ms_base_m1(self) -> float:
+        """E F^2 - 1, formed without cancellation near 1.
+
+        From E F = 1 + r*dt and Var F = (sigma^2*dt + sigma^4*dt^2/2) / denom^2.
+        """
+        r, s2, d2, dt = self.mean_rate, self.sigma * self.sigma, self.denom * self.denom, self.dt
+        return (2.0 * r + s2 / d2) * dt + (r * r + s2 * s2 / (2.0 * d2)) * dt * dt
+
+    def lower_bound(self) -> float:
+        return self.c0 - 0.5 / self.denom
+
+
 def gamma_dt(p: ModelParams, dt: float) -> float:
     """Deterministic part of the one-step Milstein factor."""
     if not (0.0 < dt < 1.0):
@@ -101,45 +140,6 @@ def mu(p: ModelParams) -> float:
     """
     lam, eps, sig = p.lam, p.epsilon, p.sigma
     return lam * lam + lam * eps * eps + 0.25 * eps**4 + 0.5 * sig**4
-
-
-def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
-    """One-step multiplicative factor gamma_dt + sigma*dB + (sigma^2/2)*dB^2.
-
-    The noise part equals ((sigma*dB + 1)^2 - 1) / 2 >= -1/2, so the factor is
-    bounded below by gamma_dt - 1/2 for every increment. In particular it is
-    strictly positive whenever gamma_dt > 3/4.
-    """
-    return gamma_dt(p, dt) + p.sigma * dB + 0.5 * p.sigma * p.sigma * dB * dB
-
-
-def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    af = np.abs(factors)
-    flags = af == 0.0
-    logs = np.where(flags, LOG_CLAMP, np.log(np.where(flags, 1.0, af)))
-    log_values = np.empty(len(factors) + 1)
-    log_values[0] = log0
-    log_values[1:] = log0 + np.cumsum(logs)
-    return log_values, flags
-
-
-def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
-    """Generate one Milstein trajectory of log|Z_n|.
-
-    Draws n_steps increments dB = sqrt(dt)*zeta from the stream, accumulates
-    log|factor| step by step, and flags (without aborting) any step whose
-    factor underflows to zero.
-    """
-    if cfg.theta is not None:
-        raise ValueError("cfg.theta must be absent for the plain Milstein scheme")
-    dt = cfg.dt
-    gamma = gamma_dt(p, dt)
-    dB = math.sqrt(dt) * stream.normals(cfg.n_steps)
-    noise = p.sigma * dB + 0.5 * p.sigma * p.sigma * dB * dB
-    factors = gamma + noise
-    log0 = 0.5 * math.log(cfg.initial.squared_modulus())
-    log_values, flags = _accumulate(log0, factors)
-    return LogModulusPath(dt=dt, log_values=log_values, flags=flags)
 
 
 def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
@@ -160,6 +160,69 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     return (1.0 + (p.lam * (1.0 - theta) - 0.5 * p.sigma * p.sigma) * dt) / denom
 
 
+def _plain_factor(p: ModelParams, dt: float) -> _StepFactor:
+    return _StepFactor(
+        c0=gamma_dt(p, dt),
+        mean_rate=p.lam + 0.5 * p.epsilon * p.epsilon,
+        sigma=p.sigma,
+        denom=1.0,
+        dt=dt,
+    )
+
+
+def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
+    """The scalar theta-Milstein factor; with theta = 0 it equals the plain one."""
+    if p.epsilon != 0.0:
+        raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
+    eta = theta_eta(p, theta, dt)  # validates theta, dt, and the pole
+    denom = 1.0 - p.lam * theta * dt
+    return _StepFactor(c0=eta, mean_rate=p.lam / denom, sigma=p.sigma, denom=denom, dt=dt)
+
+
+def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
+    """One-step multiplicative factor gamma_dt + sigma*dB + (sigma^2/2)*dB^2.
+
+    The noise part equals ((sigma*dB + 1)^2 - 1) / 2 >= -1/2, so the factor is
+    bounded below by gamma_dt - 1/2 for every increment. In particular it is
+    strictly positive whenever gamma_dt > 3/4.
+    """
+    return _plain_factor(p, dt).at(dB)
+
+
+def _log_modulus(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|factors|, with exact zeros flagged and clamped to LOG_CLAMP."""
+    af = np.abs(factors)
+    flags = af == 0.0
+    return np.where(flags, LOG_CLAMP, np.log(np.where(flags, 1.0, af))), flags
+
+
+def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    logs, flags = _log_modulus(factors)
+    log_values = np.empty(len(factors) + 1)
+    log_values[0] = log0
+    log_values[1:] = log0 + np.cumsum(logs)
+    return log_values, flags
+
+
+def _simulate(f: _StepFactor, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
+    dB = math.sqrt(f.dt) * stream.normals(cfg.n_steps)
+    log0 = 0.5 * math.log(cfg.initial.squared_modulus())
+    log_values, flags = _accumulate(log0, f.at(dB))
+    return LogModulusPath(dt=f.dt, log_values=log_values, flags=flags)
+
+
+def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
+    """Generate one Milstein trajectory of log|Z_n|.
+
+    Draws n_steps increments dB = sqrt(dt)*zeta from the stream, accumulates
+    log|factor| step by step, and flags (without aborting) any step whose
+    factor underflows to zero.
+    """
+    if cfg.theta is not None:
+        raise ValueError("cfg.theta must be absent for the plain Milstein scheme")
+    return _simulate(_plain_factor(p, cfg.dt), cfg, stream)
+
+
 def simulate_theta_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
     """Generate one theta-Milstein trajectory of log|X_n| (scalar case).
 
@@ -167,16 +230,6 @@ def simulate_theta_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) ->
     With theta = 0 the per-step factor coincides bit for bit with the plain
     Milstein factor on shared increments.
     """
-    if p.epsilon != 0.0:
-        raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
     if cfg.theta is None:
         raise ValueError("cfg.theta is required for the theta scheme")
-    dt = cfg.dt
-    eta = theta_eta(p, cfg.theta, dt)
-    denom = 1.0 - p.lam * cfg.theta * dt
-    dB = math.sqrt(dt) * stream.normals(cfg.n_steps)
-    noise = p.sigma * dB + 0.5 * p.sigma * p.sigma * dB * dB
-    factors = eta + noise / denom
-    log0 = 0.5 * math.log(cfg.initial.squared_modulus())
-    log_values, flags = _accumulate(log0, factors)
-    return LogModulusPath(dt=dt, log_values=log_values, flags=flags)
+    return _simulate(_theta_factor(p, cfg.theta, cfg.dt), cfg, stream)

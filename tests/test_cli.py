@@ -3,11 +3,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from milstab.cli import main
 from milstab.exponents import as_exponent_quadrature, ms_exponent_exact
-from milstab.model import ModelParams
+from milstab.model import InitialDatum, ModelParams
+from milstab.scheme import SchemeConfig, simulate_path
+from milstab.stochastics import RngStream
 
 
 def run_cli(capsys, *args):
@@ -96,6 +99,27 @@ class TestSimulateCommand:
             vals = [float(v) for v in row]
             assert vals[4] == pytest.approx(sum(vals[1:4]) / 3.0, rel=1e-12, abs=1e-15)
         assert [float(r[0]) for r in rows[:3]] == pytest.approx([0.0, 1e-3, 2e-3])
+
+    def test_csv_cells_are_repr_of_path_values(self, capsys):
+        # reference: each cell is repr of the float it holds, built cell by cell
+        code, out, _ = run_cli(
+            capsys, "simulate", "--steps", "40", "--paths", "3", "--seed", "9"
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        cfg = SchemeConfig(dt=1e-3, n_steps=40, initial=InitialDatum(1.0, 0.0), seed=9)
+        p = ModelParams(8.0, 2.0, 4.0)
+        paths = [simulate_path(p, cfg, RngStream(root_seed=9, stream_id=i)) for i in range(3)]
+        matrix = np.column_stack([path.log_values for path in paths])
+        mean = matrix.mean(axis=1)
+        times = paths[0].times()
+        expect = [
+            [repr(float(times[k]))]
+            + [repr(float(matrix[k, j])) for j in range(3)]
+            + [repr(float(mean[k]))]
+            for k in range(41)
+        ]
+        assert rows == expect
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

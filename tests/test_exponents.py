@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from milstab.exponents import (
+    MC_BLOCK,
     ConvergenceFit,
     ExponentEstimate,
     Method,
@@ -183,6 +184,53 @@ class TestAlmostSureMonteCarlo:
         assert est.std_error > 0.0
 
 
+def _centred_log_std(lam: float, sigma: float, dt: float) -> float:
+    """Standard deviation of log F / dt for the plain factor at epsilon = 0.
+
+    Independent oracle: log F - log c0 = log1p((a1*y + a2*y^2)/c0) under
+    numpy's Gauss-Hermite rule, so a tiny noise term never cancels against
+    log c0.
+    """
+    y, w = np.polynomial.hermite_e.hermegauss(100)
+    w = w / w.sum()
+    c0 = 1.0 + (lam - 0.5 * sigma * sigma) * dt
+    s = sigma * math.sqrt(dt)
+    g = np.log1p((s * y + 0.5 * s * s * y * y) / c0)
+    mean = float(g @ w)
+    return math.sqrt(float((g - mean) ** 2 @ w)) / dt
+
+
+class TestMonteCarloErrorBar:
+    """The error bar must not cancel when log|F| barely varies about its mean."""
+
+    @pytest.mark.parametrize(
+        "lam, sigma", [(8.0, 1e-9), (-100.0, 1e-10), (100.0, 1e-9)]
+    )
+    def test_small_noise_std_error(self, lam, sigma):
+        p = ModelParams(lam=lam, epsilon=0.0, sigma=sigma)
+        n = 10**6
+        est = as_exponent_mc(p, 1e-3, n_samples=n, seed=3)
+        expected = _centred_log_std(lam, sigma, 1e-3) / math.sqrt(n)
+        assert est.std_error == pytest.approx(expected, rel=0.1)
+        two = as_exponent_mc(p, 1e-3, n_samples=n, seed=3, threads=2)
+        assert (two.value, two.std_error) == (est.value, est.std_error)
+
+    def test_block_combination_matches_pooled_samples(self):
+        # three blocks, the last one partial; pooled two-pass statistics of
+        # the same draws are the reference
+        n, seed, dt = 600_000, 5, 1e-3
+        est = as_exponent_mc(P_REF, dt, n_samples=n, seed=seed)
+        g, s = gamma_dt(P_REF, dt), P_REF.sigma
+        logs = []
+        for bid, start in enumerate(range(0, n, MC_BLOCK)):
+            zeta = RngStream(root_seed=seed, stream_id=bid).normals(min(MC_BLOCK, n - start))
+            dB = math.sqrt(dt) * zeta
+            logs.append(np.log(g + s * dB + 0.5 * s * s * dB * dB))
+        logs = np.concatenate(logs)
+        assert est.value == pytest.approx(logs.mean() / dt, rel=1e-12)
+        assert est.std_error == pytest.approx(logs.std(ddof=1) / math.sqrt(n) / dt, rel=1e-10)
+
+
 class TestPathSlope:
     def _path(self, slope: float, dt: float = 0.1, n: int = 10) -> LogModulusPath:
         values = slope * dt * np.arange(n + 1, dtype=float)
@@ -239,6 +287,22 @@ class TestThetaFamily:
             assert theta_as_exponent_quadrature(self.P0, theta, 1e-7).value == pytest.approx(
                 -2.0, abs=1e-3
             )
+
+    @pytest.mark.parametrize("lam, sigma", [(6.0, 4.0), (-3.0, 1.0)])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_ms_against_second_moment(self, lam, sigma, theta, dt):
+        # independent route: E F^2 = c0^2 + 2*c0*a2 + a1^2 + 3*a2^2 for
+        # F = c0 + a1*Y + a2*Y^2, Y ~ N(0, 1), with c0 - 1 formed exactly
+        d = 1.0 - lam * theta * dt
+        c0_m1 = (lam - 0.5 * sigma * sigma) * dt / d
+        c0 = 1.0 + c0_m1
+        a1 = sigma * math.sqrt(dt) / d
+        a2 = 0.5 * sigma * sigma * dt / d
+        base_m1 = c0_m1 * (c0 + 1.0) + 2.0 * c0 * a2 + a1 * a1 + 3.0 * a2 * a2
+        ref = math.log1p(base_m1) / (2.0 * dt)
+        got = theta_ms_exponent(ModelParams(lam=lam, epsilon=0.0, sigma=sigma), theta, dt).value
+        assert got == pytest.approx(ref, rel=1e-13)
 
     def test_epsilon_rejected(self):
         with pytest.raises(ValueError):
