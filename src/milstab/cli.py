@@ -11,7 +11,8 @@ Subcommands:
 Parameter precedence is built-in defaults, then --config JSON, then explicit
 flags. All randomness derives from (--seed, stream index) pairs and partial
 results combine in index order, so outputs are byte-identical across runs and
-across --threads settings. CSV output is UTF-8 with LF line endings, a header
+across --threads settings; --threads splits simulate paths, Monte Carlo blocks
+and as-slope paths. CSV output is UTF-8 with LF line endings, a header
 row, floats rendered by repr, and '# key=value' provenance comments above the
 header (sorted by key; --threads and --out are execution detail and excluded).
 
@@ -25,13 +26,13 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .exponents import (
     MS_METHODS,
     Method,
+    _map_indexed,
     continuum_target,
     estimate,
     fit_loglog,
@@ -90,22 +91,26 @@ _CONFIG_ALIASES = {
 
 
 def _coerce(key: str, value):
-    if key == "theta":
-        if value is None:
-            return None
-        return float(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        iv = int(value)
-        if iv != value:
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-        return iv
+    if key == "theta" and value is None:
+        return None
     if key in _STR_KEYS:
         if not isinstance(value, str):
             raise ValueError(f"config key {key!r} must be a string, got {value!r}")
         return value
-    raise ValueError(f"unknown config key {key!r}")
+    if key in _INT_KEYS:
+        cast, kind = int, "an integer"
+    elif key in _FLOAT_KEYS or key == "theta":
+        cast, kind = float, "a number"
+    else:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        # JSON true/false would otherwise read as 1/0.
+        number = None if isinstance(value, bool) else cast(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (cast is int and number != value):
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+    return number
 
 
 def _load_config(path: str) -> dict:
@@ -140,7 +145,7 @@ def _resolve(ns: argparse.Namespace, default_format: str) -> dict:
         values["format"] = default_format
     if values["format"] not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {values['format']!r}")
-    if values["suite"] not in ("lemmas", "moments", "closedform", "all"):
+    if values["suite"] not in _SUITE_CHOICES:
         raise ValueError(f"unknown verify suite {values['suite']!r}")
     threads = getattr(ns, "threads", None)
     values["threads"] = 1 if threads is None else int(threads)
@@ -176,6 +181,18 @@ def _provenance_lines(pairs: dict) -> list[str]:
     return [f"# {key}={value}" for key, value in sorted(pairs.items())]
 
 
+def _provenance(values: dict, keys) -> dict:
+    """The model under its flag names, then the given config keys in order."""
+    pairs = {"lambda": values["lam"], "epsilon": values["epsilon"], "sigma": values["sigma"]}
+    pairs.update((key, values[key]) for key in keys)
+    return pairs
+
+
+def _cells(row: dict, header: list[str], missing: str = "") -> list:
+    """A row dict as CSV cells in header order, absent or None values as missing."""
+    return [missing if row.get(key) is None else row[key] for key in header]
+
+
 def _csv_text(pairs: dict, header: list[str], rows: list[list]) -> str:
     lines = _provenance_lines(pairs)
     lines.append(",".join(header))
@@ -195,13 +212,6 @@ def _emit(text: str, out: str | None) -> int:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def _map_indexed(fn, count: int, threads: int) -> list:
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
 
 
 def _model(values: dict) -> ModelParams:
@@ -230,17 +240,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     matrix = np.column_stack([path.log_values for path in paths])
     t = paths[0].times()
     mean = matrix.mean(axis=1)
-    pairs = {
-        "lambda": values["lam"],
-        "epsilon": values["epsilon"],
-        "sigma": values["sigma"],
-        "dt": values["dt"],
-        "steps": values["steps"],
-        "paths": n_paths,
-        "seed": values["seed"],
-        "x0": values["x0"],
-        "y0": values["y0"],
-    }
+    pairs = _provenance(values, ("dt", "steps", "paths", "seed", "x0", "y0"))
     if theta is not None:
         pairs["theta"] = theta
     header = ["t"] + [f"path_{i}" for i in range(n_paths)] + ["mean"]
@@ -264,27 +264,19 @@ def _estimator_kwargs(values: dict) -> dict:
     }
 
 
+#: The config keys each method's output records, after the method and the model.
+_METHOD_KEYS = {
+    Method.MS_EXACT: (),
+    Method.AS_QUADRATURE: ("nodes",),
+    Method.AS_MONTE_CARLO: ("samples", "seed"),
+    Method.AS_PATH_SLOPE: ("paths", "steps", "seed", "x0", "y0"),
+    Method.THETA_MS_EXACT: ("theta",),
+    Method.THETA_AS_QUADRATURE: ("nodes", "theta"),
+}
+
+
 def _method_pairs(method: Method, values: dict) -> dict:
-    pairs = {
-        "method": method.value,
-        "lambda": values["lam"],
-        "epsilon": values["epsilon"],
-        "sigma": values["sigma"],
-    }
-    if method in (Method.AS_QUADRATURE, Method.THETA_AS_QUADRATURE):
-        pairs["nodes"] = values["nodes"]
-    if method is Method.AS_MONTE_CARLO:
-        pairs["samples"] = values["samples"]
-        pairs["seed"] = values["seed"]
-    if method is Method.AS_PATH_SLOPE:
-        pairs["paths"] = values["paths"]
-        pairs["steps"] = values["steps"]
-        pairs["seed"] = values["seed"]
-        pairs["x0"] = values["x0"]
-        pairs["y0"] = values["y0"]
-    if method in (Method.THETA_MS_EXACT, Method.THETA_AS_QUADRATURE):
-        pairs["theta"] = values["theta"]
-    return pairs
+    return {"method": method.value, **_provenance(values, _METHOD_KEYS[method])}
 
 
 def _cmd_exponent(ns: argparse.Namespace) -> int:
@@ -299,25 +291,21 @@ def _cmd_exponent(ns: argparse.Namespace) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-    target = continuum_target(p, method)
     sense = Sense.MEAN_SQUARE if method in MS_METHODS else Sense.ALMOST_SURE
-    region = classify(p, sense)
-    obj = {"method": method.value, "dt": values["dt"], "value": est.value}
-    if est.std_error is not None:
-        obj["std_error"] = est.std_error
-    obj["continuum_value"] = target
-    obj["region_class"] = region.class_.value
+    obj = {
+        "method": method.value,
+        "dt": values["dt"],
+        "value": est.value,
+        "std_error": est.std_error,
+        "continuum_value": continuum_target(p, method),
+        "region_class": classify(p, sense).class_.value,
+    }
     if values["format"] == "csv":
-        header = ["method", "dt", "value", "std_error", "continuum_value", "region_class"]
-        row = [
-            method.value,
-            values["dt"],
-            est.value,
-            "" if est.std_error is None else est.std_error,
-            target,
-            region.class_.value,
-        ]
-        return _emit(_csv_text(_method_pairs(method, values), header, [row]), ns.out)
+        header = list(obj)
+        text = _csv_text(_method_pairs(method, values), header, [_cells(obj, header)])
+        return _emit(text, ns.out)
+    if est.std_error is None:
+        del obj["std_error"]
     return _emit(json.dumps(obj) + "\n", ns.out)
 
 
@@ -341,13 +329,15 @@ def _cmd_sweep_dt(ns: argparse.Namespace) -> int:
     rows = []
     fit_points = []
     for dt in dts:
+        row = {"dt": dt, "continuum_value": target, "discrete_value": None, "abs_error": None}
+        rows.append(row)
         try:
             value = estimate(p, dt, method, **kwargs).value
         except ValueError as exc:
-            rows.append({"dt": dt, "error": str(exc)})
+            row["error"] = str(exc)
             continue
         err = abs(value - target)
-        rows.append({"dt": dt, "discrete_value": value, "abs_error": err})
+        row.update(discrete_value=value, abs_error=err)
         if err > 0.0:
             fit_points.append((dt, err))
     fit = None
@@ -358,32 +348,11 @@ def _cmd_sweep_dt(ns: argparse.Namespace) -> int:
     csv_sidecar = values["format"] == "csv" and ns.out is not None
 
     if values["format"] == "json":
-        json_rows = []
-        for row in rows:
-            entry = {"dt": row["dt"], "continuum_value": target}
-            if "error" in row:
-                entry["discrete_value"] = None
-                entry["abs_error"] = None
-                entry["error"] = row["error"]
-            else:
-                entry["discrete_value"] = row["discrete_value"]
-                entry["abs_error"] = row["abs_error"]
-            json_rows.append(entry)
-        obj = {
-            "params": pairs,
-            "rows": json_rows,
-            "fit": None if fit is None else _fit_object(fit),
-        }
+        obj = {"params": pairs, "rows": rows, "fit": None if fit is None else _fit_object(fit)}
         text = json.dumps(obj) + "\n"
     else:
         header = ["dt", "discrete_value", "continuum_value", "abs_error"]
-        csv_rows = []
-        for row in rows:
-            if "error" in row:
-                csv_rows.append([row["dt"], "error", target, "error"])
-            else:
-                csv_rows.append([row["dt"], row["discrete_value"], target, row["abs_error"]])
-        text = _csv_text(pairs, header, csv_rows)
+        text = _csv_text(pairs, header, [_cells(row, header, "error") for row in rows])
         # CSV on stdout carries the fit as a trailing comment; with --out it
         # goes to a .fit.json sidecar instead.
         if fit is not None and not csv_sidecar:
@@ -409,43 +378,24 @@ def _cmd_region(ns: argparse.Namespace) -> int:
     lam = values["lam"]
     sigmas = _parse_sigma_range(values["sigma_range"])
     pairs = {"lambda": lam, "sigma-range": values["sigma_range"]}
-    header = ["sigma", "epsilon_boundary_plus", "epsilon_boundary_minus", "class_at_epsilon_0"]
     rows = []
     for sigma in sigmas:
+        # zero, one (a double root) or two boundary points, ascending
         boundary = as_boundary_epsilon(lam, sigma)
-        if len(boundary) == 2:
-            minus, plus = boundary
-        elif len(boundary) == 1:
-            minus = plus = boundary[0]
-        else:
-            minus = plus = None
+        minus, plus = (boundary[0], boundary[-1]) if boundary else (None, None)
         at_zero = ModelParams(lam=lam, epsilon=0.0, sigma=sigma)
-        label = classify(at_zero, Sense.ALMOST_SURE).class_.value
-        rows.append({"sigma": sigma, "plus": plus, "minus": minus, "label": label})
+        rows.append(
+            {
+                "sigma": sigma,
+                "epsilon_boundary_plus": plus,
+                "epsilon_boundary_minus": minus,
+                "class_at_epsilon_0": classify(at_zero, Sense.ALMOST_SURE).class_.value,
+            }
+        )
     if values["format"] == "json":
-        obj = {
-            "params": pairs,
-            "rows": [
-                {
-                    "sigma": row["sigma"],
-                    "epsilon_boundary_plus": row["plus"],
-                    "epsilon_boundary_minus": row["minus"],
-                    "class_at_epsilon_0": row["label"],
-                }
-                for row in rows
-            ],
-        }
-        return _emit(json.dumps(obj) + "\n", ns.out)
-    csv_rows = [
-        [
-            row["sigma"],
-            "" if row["plus"] is None else row["plus"],
-            "" if row["minus"] is None else row["minus"],
-            row["label"],
-        ]
-        for row in rows
-    ]
-    return _emit(_csv_text(pairs, header, csv_rows), ns.out)
+        return _emit(json.dumps({"params": pairs, "rows": rows}) + "\n", ns.out)
+    header = list(rows[0])
+    return _emit(_csv_text(pairs, header, [_cells(row, header) for row in rows]), ns.out)
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -567,6 +517,7 @@ _SUITES = {
     "moments": _suite_moments,
     "closedform": _suite_closedform,
 }
+_SUITE_CHOICES = [*_SUITES, "all"]
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
@@ -602,7 +553,17 @@ def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, help="worker threads (output is thread-invariant)")
 
 
-_METHOD_SLUGS = [m.value for m in Method]
+def _add_estimator_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "method", nargs="?", choices=[m.value for m in Method], help="estimator (default as-quad)"
+    )
+    _add_model_flags(sub)
+    _add_io_flags(sub)
+    sub.add_argument("--steps", type=int, help="steps per path for as-slope")
+    sub.add_argument("--paths", type=int, help="paths for as-slope")
+    sub.add_argument("--theta", type=float, help="implicitness parameter for theta methods")
+    sub.add_argument("--nodes", type=int, help="quadrature node count")
+    sub.add_argument("--samples", type=int, help="Monte Carlo sample count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,28 +583,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     exp = commands.add_parser("exponent", help="one exponent estimate as JSON")
-    exp.add_argument("method", nargs="?", choices=_METHOD_SLUGS, help="estimator (default as-quad)")
-    _add_model_flags(exp)
-    _add_io_flags(exp)
-    exp.add_argument("--steps", type=int, help="steps per path for as-slope")
-    exp.add_argument("--paths", type=int, help="paths for as-slope")
-    exp.add_argument("--theta", type=float, help="implicitness parameter for theta methods")
-    exp.add_argument("--nodes", type=int, help="quadrature node count")
-    exp.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    _add_estimator_flags(exp)
     exp.add_argument("--format", choices=["csv", "json"], help="output format (default json)")
     exp.set_defaults(func=_cmd_exponent)
 
     sweep = commands.add_parser("sweep-dt", help="estimates across step sizes with a fit")
-    sweep.add_argument(
-        "method", nargs="?", choices=_METHOD_SLUGS, help="estimator (default as-quad)"
-    )
-    _add_model_flags(sweep)
-    _add_io_flags(sweep)
-    sweep.add_argument("--steps", type=int, help="steps per path for as-slope")
-    sweep.add_argument("--paths", type=int, help="paths for as-slope")
-    sweep.add_argument("--theta", type=float, help="implicitness parameter for theta methods")
-    sweep.add_argument("--nodes", type=int, help="quadrature node count")
-    sweep.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    _add_estimator_flags(sweep)
     sweep.add_argument("--dts", help="comma separated step sizes")
     sweep.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
     sweep.set_defaults(func=_cmd_sweep_dt)
@@ -656,9 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     region.set_defaults(func=_cmd_region)
 
     verify = commands.add_parser("verify", help="run self-check suites")
-    verify.add_argument(
-        "--suite", choices=["lemmas", "moments", "closedform", "all"], help="which checks to run"
-    )
+    verify.add_argument("--suite", choices=_SUITE_CHOICES, help="which checks to run")
     _add_model_flags(verify)
     _add_io_flags(verify)
     verify.add_argument("--nodes", type=int, help="quadrature node count")

@@ -50,6 +50,19 @@ from .stochastics import RngStream, gauss_hermite_rule
 #: so the result is independent of worker count.
 MC_BLOCK = 1 << 18
 
+
+def _map_indexed(fn, count: int, threads: int) -> list:
+    """[fn(0), ..., fn(count - 1)], spread over up to `threads` worker threads.
+
+    Callers give each index its own substream and combine the results in
+    index order, so the output does not depend on `threads`.
+    """
+    if threads > 1 and count > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(count)))
+    return [fn(i) for i in range(count)]
+
+
 #: Relative tolerance of the node-doubling convergence check.
 DOUBLING_RTOL = 1e-10
 
@@ -303,19 +316,11 @@ def as_exponent_mc(
             std_error=0.0,
             n_samples=n_samples,
         )
-    blocks = [
-        (bid, min(MC_BLOCK, n_samples - start))
-        for bid, start in enumerate(range(0, n_samples, MC_BLOCK))
-    ]
-
-    def work(block) -> tuple[int, float, float]:
-        return _mc_block(f, seed, *block)
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, blocks))
-    else:
-        partials = [work(b) for b in blocks]
+    partials = _map_indexed(
+        lambda b: _mc_block(f, seed, b, min(MC_BLOCK, n_samples - b * MC_BLOCK)),
+        -(-n_samples // MC_BLOCK),
+        threads,
+    )
 
     n, mean, m2 = partials[0]
     for nb, mean_b, m2_b in partials[1:]:  # fixed block order
@@ -430,9 +435,11 @@ def estimate(
     if method is Method.AS_PATH_SLOPE:
         datum = initial if initial is not None else InitialDatum(1.0, 0.0)
         cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=datum, seed=seed)
-        paths = [
-            simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)) for i in range(n_paths)
-        ]
+        paths = _map_indexed(
+            lambda i: simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)),
+            n_paths,
+            threads,
+        )
         return as_exponent_path_slope(paths)
     if theta is None:
         raise ValueError(f"method {method.value} requires theta")

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams
-from .scheme import gamma_dt
+from .scheme import _plain_factor
 from .stochastics import _legendre_table, gauss_hermite_rule
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -214,18 +214,19 @@ def xi_expectation(p: ModelParams, dt: float, nodes: int = 201) -> float:
     The result is <= 0 (both branches of xi are) and decays like
     |s|^3/gamma^3 for small s.
     """
-    gamma = gamma_dt(p, dt)
+    factor = _plain_factor(p, dt)
+    gamma = factor.c0
     if not gamma > 0.75:
         raise ValueError(
             f"gamma_dt = {gamma!r} must exceed 3/4 for the xi expectation to be defined"
         )
-    s = p.sigma * math.sqrt(dt)
+    s, a2 = factor.noise_coefficients()
     if s == 0.0:
         return 0.0
     g4 = gamma**4
     rule = gauss_hermite_rule(nodes)
     y = rule.nodes
-    n_comp = s * y + 0.5 * s * s * y * y
+    n_comp = s * y + a2 * y * y
     full = rule.integrate(-(n_comp**4) / (4.0 * g4))
 
     lo, hi = min(0.0, -2.0 / s), max(0.0, -2.0 / s)
@@ -235,7 +236,7 @@ def xi_expectation(p: ModelParams, dt: float, nodes: int = 201) -> float:
     xg, wg = _legendre_table(int(nodes))
     yy = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
     ww = 0.5 * (hi - lo) * wg
-    nn = s * yy + 0.5 * s * s * yy * yy
+    nn = s * yy + a2 * yy * yy
     phi = np.exp(-0.5 * yy * yy) / _SQRT_2PI
     correction = float(np.sum(ww * (9.0 * nn**3 / gamma**3 + nn**4 / (4.0 * g4)) * phi))
     return full + correction

@@ -6,8 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from milstab.cli import main
-from milstab.exponents import as_exponent_quadrature, ms_exponent_exact
+from milstab.cli import _METHOD_KEYS, DEFAULTS, main
+from milstab.exponents import (
+    Method,
+    as_exponent_quadrature,
+    continuum_target,
+    ms_exponent_exact,
+)
 from milstab.model import InitialDatum, ModelParams
 from milstab.scheme import SchemeConfig, simulate_path
 from milstab.stochastics import RngStream
@@ -317,6 +322,30 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"steps": Infinity}',
+            '{"steps": 1e400}',
+            '{"steps": NaN}',
+            '{"steps": null}',
+            '{"lam": null}',
+            '{"lam": [1]}',
+            '{"seed": true}',
+            '{"lambda": false}',
+            '{"theta": true}',
+        ],
+    )
+    def test_values_of_the_wrong_json_type(self, capsys, tmp_path, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config key ")
+
 
 def test_module_entry_point():
     proc = subprocess.run(
@@ -334,3 +363,120 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Parameters under which every method runs; the as-slope and as-mc counts are
+# small so the pins stay cheap.
+_LAYOUT_FLAGS = (
+    "--lambda", "-3", "--epsilon", "0", "--sigma", "1", "--dt", "1e-3", "--theta", "0.5",
+    "--nodes", "51", "--samples", "1000", "--seed", "7", "--paths", "3", "--steps", "20",
+)
+_LAYOUT_P = ModelParams(lam=-3.0, epsilon=0.0, sigma=1.0)
+
+#: The provenance keys each method records, beyond method, lambda, epsilon and
+#: sigma, with the value each takes under _LAYOUT_FLAGS.
+_LAYOUT_EXTRA = {
+    "ms-exact": {},
+    "as-quad": {"nodes": "51"},
+    "as-mc": {"samples": "1000", "seed": "7"},
+    "as-slope": {"paths": "3", "steps": "20", "seed": "7", "x0": "1.0", "y0": "0.0"},
+    "theta-ms": {"theta": "0.5"},
+    "theta-as": {"nodes": "51", "theta": "0.5"},
+}
+
+
+class TestOutputLayout:
+    """Pins column sets, key orders and provenance lines of the tabular commands."""
+
+    @pytest.mark.parametrize("slug", list(_LAYOUT_EXTRA))
+    def test_exponent_csv_provenance(self, capsys, slug):
+        code, out, _ = run_cli(capsys, "exponent", slug, "--format", "csv", *_LAYOUT_FLAGS)
+        assert code == 0
+        pairs = {"method": slug, "lambda": "-3.0", "epsilon": "0.0", "sigma": "1.0"}
+        pairs.update(_LAYOUT_EXTRA[slug])
+        lines = out.splitlines()
+        assert lines[: len(pairs)] == [f"# {k}={v}" for k, v in sorted(pairs.items())]
+        assert lines[len(pairs)] == "method,dt,value,std_error,continuum_value,region_class"
+        assert len(lines) == len(pairs) + 2
+        row = lines[-1].split(",")
+        assert row[0] == slug and row[1] == "0.001"
+        assert (row[3] == "") == (slug not in ("as-mc", "as-slope"))
+        assert row[5] in ("stable", "boundary", "blow-up")
+
+    @pytest.mark.parametrize("slug", list(_LAYOUT_EXTRA))
+    def test_sweep_json_key_order(self, capsys, slug):
+        code, out, _ = run_cli(
+            capsys, "sweep-dt", slug, "--format", "json", *_LAYOUT_FLAGS,
+            "--dts", "1.5,1e-2,1e-3,1e-4",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert list(obj) == ["params", "rows", "fit"]
+        assert list(obj["params"]) == [
+            "method", "lambda", "epsilon", "sigma", *_LAYOUT_EXTRA[slug], "dts"
+        ]
+        assert obj["params"]["dts"] == "1.5,1e-2,1e-3,1e-4"
+        bad, *good = obj["rows"]
+        target = continuum_target(_LAYOUT_P, Method(slug))
+        assert list(bad) == ["dt", "continuum_value", "discrete_value", "abs_error", "error"]
+        assert bad["dt"] == 1.5 and bad["continuum_value"] == target
+        assert bad["discrete_value"] is None and bad["abs_error"] is None
+        assert isinstance(bad["error"], str) and bad["error"]
+        for row in good:
+            assert list(row) == ["dt", "continuum_value", "discrete_value", "abs_error"]
+            assert row["abs_error"] == abs(row["discrete_value"] - target)
+
+    @pytest.mark.parametrize("slug", list(_LAYOUT_EXTRA))
+    def test_sweep_csv_error_row(self, capsys, slug):
+        code, out, _ = run_cli(
+            capsys, "sweep-dt", slug, "--format", "csv", *_LAYOUT_FLAGS,
+            "--dts", "1.5,1e-2,1e-3,1e-4",
+        )
+        assert code == 0
+        target = continuum_target(_LAYOUT_P, Method(slug))
+        data = [line for line in out.splitlines() if not line.startswith("#")]
+        assert data[0] == "dt,discrete_value,continuum_value,abs_error"
+        assert data[1] == f"1.5,error,{target},error"
+        assert len(data) == 5
+
+    def test_region_rows(self, capsys):
+        # at lambda 2, sigma 0, 2 and 4 have 0, 1 and 2 boundary points
+        args = ("region", "--lambda", "2", "--sigma-range", "0:4:2")
+        root = math.sqrt(12.0)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out.splitlines()[:2] == ["# lambda=2.0", "# sigma-range=0:4:2"]
+        _, header, rows = parse_csv(out)
+        assert header == [
+            "sigma", "epsilon_boundary_plus", "epsilon_boundary_minus", "class_at_epsilon_0"
+        ]
+        assert rows == [
+            ["0.0", "", "", "blow-up"],
+            ["2.0", "0.0", "0.0", "boundary"],
+            ["4.0", str(root), str(-root), "stable"],
+        ]
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["params"] == {"lambda": 2.0, "sigma-range": "0:4:2"}
+        assert [list(row) for row in obj["rows"]] == [header] * 3
+        assert [list(row.values()) for row in obj["rows"]] == [
+            [0.0, None, None, "blow-up"],
+            [2.0, 0.0, 0.0, "boundary"],
+            [4.0, root, -root, "stable"],
+        ]
+
+
+def test_method_keys_table():
+    assert set(_METHOD_KEYS) == set(Method)
+    for keys in _METHOD_KEYS.values():
+        assert set(keys) <= set(DEFAULTS)
+
+
+def test_exponent_as_slope_thread_invariant(capsys):
+    args = ("exponent", "as-slope", "--paths", "6", "--steps", "200", "--seed", "4")
+    code, one, _ = run_cli(capsys, *args, "--threads", "1")
+    assert code == 0
+    code, two, _ = run_cli(capsys, *args, "--threads", "2")
+    assert code == 0
+    assert two == one

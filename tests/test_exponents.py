@@ -263,6 +263,13 @@ class TestPathSlope:
         ]
         assert est.value == as_exponent_path_slope(paths).value
 
+    def test_estimate_is_thread_invariant(self):
+        kw = dict(seed=11, n_paths=7, n_steps=300)
+        one = estimate(P_REF, 1e-3, Method.AS_PATH_SLOPE, threads=1, **kw)
+        two = estimate(P_REF, 1e-3, Method.AS_PATH_SLOPE, threads=2, **kw)
+        assert two == one
+        assert (two.value, two.std_error) == (one.value, one.std_error)
+
 
 class TestThetaFamily:
     P0 = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
