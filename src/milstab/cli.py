@@ -78,6 +78,9 @@ DEFAULTS = {
     "y0": 0.0,
 }
 
+#: Largest grid `region --sigma-range` accepts; the default grid has 101 points.
+MAX_SIGMA_POINTS = 100_000
+
 _FLOAT_KEYS = {"lam", "epsilon", "sigma", "dt", "x0", "y0"}
 _INT_KEYS = {"steps", "paths", "seed", "nodes", "samples"}
 _STR_KEYS = {"dts", "sigma_range", "suite", "format"}
@@ -166,11 +169,16 @@ def _parse_sigma_range(text: str) -> list[float]:
     if len(pieces) != 3:
         raise ValueError(f"sigma range must look like lo:hi:step, got {text!r}")
     lo, hi, step = (float(piece) for piece in pieces)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"sigma range bounds and step must be finite, got {text!r}")
     if not step > 0.0:
         raise ValueError(f"sigma range step must be positive, got {step!r}")
     if hi < lo:
         raise ValueError(f"sigma range is empty: {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_SIGMA_POINTS:  # also catches hi - lo or the quotient overflowing
+        raise ValueError(f"sigma range {text!r} has more than {MAX_SIGMA_POINTS} points")
+    count = int(math.floor(span))
     sigmas = [lo + i * step for i in range(count + 1)]
     if sigmas and sigmas[-1] > hi + 1e-9 * max(1.0, step):
         sigmas.pop()

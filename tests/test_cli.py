@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from milstab.cli import _METHOD_KEYS, DEFAULTS, main
+from milstab.cli import _METHOD_KEYS, DEFAULTS, MAX_SIGMA_POINTS, _parse_sigma_range, main
 from milstab.exponents import (
     Method,
     as_exponent_quadrature,
@@ -256,6 +256,30 @@ class TestRegionCommand:
         for bad in ("1:0:0.1", "0:5:-1", "0:5", "a:b:c"):
             code, _, err = run_cli(capsys, "region", "--sigma-range", bad)
             assert code == 2
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("0:inf:1", "must be finite"),
+            ("-inf:1:0.5", "must be finite"),
+            ("nan:1:0.5", "must be finite"),
+            ("0:1:nan", "must be finite"),
+            ("0:1e300:1e-300", "more than"),
+            ("-1e308:1e308:1", "more than"),
+            ("0:1e9:1", "more than"),
+        ],
+    )
+    def test_unbounded_range_is_refused(self, capsys, bad, reason):
+        code, out, err = run_cli(capsys, "region", f"--sigma-range={bad}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sigma range") and reason in err
+
+    def test_largest_grid_is_accepted(self):
+        sigmas = _parse_sigma_range(f"0:{MAX_SIGMA_POINTS - 1}:1")
+        assert len(sigmas) == MAX_SIGMA_POINTS
+        with pytest.raises(ValueError, match="more than"):
+            _parse_sigma_range(f"0:{MAX_SIGMA_POINTS}:1")
 
 
 class TestVerifyCommand:

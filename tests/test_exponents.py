@@ -12,6 +12,7 @@ from milstab.exponents import (
     ExponentEstimate,
     Method,
     RemainderReport,
+    _mc_block,
     as_exponent_mc,
     as_exponent_path_slope,
     as_exponent_quadrature,
@@ -25,7 +26,14 @@ from milstab.exponents import (
     theta_ms_exponent,
 )
 from milstab.model import InitialDatum, ModelParams, continuum_ms_exponent
-from milstab.scheme import LogModulusPath, SchemeConfig, gamma_dt, simulate_path
+from milstab.scheme import (
+    LogModulusPath,
+    SchemeConfig,
+    _plain_factor,
+    _theta_factor,
+    gamma_dt,
+    simulate_path,
+)
 from milstab.stochastics import RngStream
 
 P_REF = ModelParams(lam=8.0, epsilon=2.0, sigma=4.0)
@@ -229,6 +237,24 @@ class TestMonteCarloErrorBar:
         logs = np.concatenate(logs)
         assert est.value == pytest.approx(logs.mean() / dt, rel=1e-12)
         assert est.std_error == pytest.approx(logs.std(ddof=1) / math.sqrt(n) / dt, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            _plain_factor(ModelParams(lam=1.0, epsilon=0.5, sigma=3.0), 1e-3),
+            _theta_factor(ModelParams(lam=-30.0, epsilon=0.0, sigma=1.7), 0.5, 1e-2),
+        ],
+        ids=["plain", "denom"],
+    )
+    def test_in_place_block_matches_two_pass_reference(self, factor):
+        # the in-place kernel must equal the straightforward form with numpy
+        # temporaries bit for bit, for the plain factor and one with denom != 1
+        count, seed, block_id = 100_003, 9, 4
+        zeta = RngStream(root_seed=seed, stream_id=block_id).normals(count)
+        logs = np.log(factor.at(math.sqrt(factor.dt) * zeta))
+        mean = float(np.sum(logs)) / count
+        dev = logs - mean
+        assert _mc_block(factor, seed, block_id, count) == (count, mean, float(np.sum(dev * dev)))
 
 
 class TestPathSlope:

@@ -1,13 +1,17 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from milstab.stochastics import (
     QuadratureRule,
     RngStream,
+    _hermite_table,
     gauss_hermite_rule,
     standard_normal,
 )
@@ -142,3 +146,28 @@ class TestGaussHermite:
         assert np.all(rule.weights >= 0.0)
         assert float(rule.weights.max()) > 0.1
         assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+
+    @pytest.mark.parametrize("n", [3, 4, 201, 402, 513, 1024])
+    def test_tables_match_tridiagonal_solver(self, n):
+        # scipy's tridiagonal eigensolver is the reference the dense numpy
+        # build must reproduce exactly: every quadrature byte depends on it
+        nodes, vecs = eigh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n)))
+        weights = vecs[0] ** 2
+        nodes = 0.5 * (nodes - nodes[::-1])
+        weights = 0.5 * (weights + weights[::-1])
+        weights = weights / weights.sum()
+        got_nodes, got_weights = _hermite_table(n)
+        assert np.array_equal(got_nodes, nodes)
+        assert np.array_equal(got_weights, weights)
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, milstab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
