@@ -277,22 +277,13 @@ def as_exponent_quadrature(p: ModelParams, dt: float, nodes: int = 201) -> Expon
 def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int, float, float]:
     """(count, mean, M2) of log F over one block, M2 by a second pass about the mean.
 
-    Works in place on the block's normals with one scratch array, in the same
-    operation order as f.at(dB), so the result is bit-identical to it. The
-    caller's _require_floor keeps F above 1/4, so the log needs none of
-    _log_modulus's abs and zero-clamp passes.
+    Works in place on the block's normals. The caller's _require_floor keeps
+    F above 1/4, so the log needs none of _log_modulus's abs and zero-clamp
+    passes.
     """
-    s = f.sigma
     dB = RngStream(root_seed=seed, stream_id=block_id).normals(count)
     dB *= math.sqrt(f.dt)
-    q = (0.5 * s * s) * dB
-    q *= dB
-    dB *= s
-    dB += q
-    if f.denom != 1.0:
-        dB /= f.denom
-    dB += f.c0
-    logs = np.log(dB, out=dB)
+    logs = np.log(f.at(dB, out=dB), out=dB)
     mean = float(np.sum(logs)) / count
     logs -= mean
     logs *= logs

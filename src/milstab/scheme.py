@@ -103,10 +103,22 @@ class _StepFactor:
     denom: float
     dt: float
 
-    def at(self, dB):
-        """F at the increment(s) dB."""
+    def at(self, dB, out=None):
+        """F at the increment(s) dB, written into the array out if given.
+
+        out may be dB itself, which leaves one temporary for an array dB. The
+        operation order is that of c0 + (s*dB + (s*s/2)*dB*dB) / denom, so
+        scalars, new arrays and out give the same bits.
+        """
         s = self.sigma
-        return self.c0 + (s * dB + 0.5 * s * s * dB * dB) / self.denom
+        q = (0.5 * s * s) * dB
+        q *= dB
+        f = s * dB if out is None else np.multiply(s, dB, out=out)
+        f += q
+        if self.denom != 1.0:
+            f /= self.denom
+        f += self.c0
+        return f
 
     def noise_coefficients(self) -> tuple[float, float]:
         """(a1, a2) with F = c0 + a1*zeta + a2*zeta^2, zeta = dB/sqrt(dt)."""

@@ -88,8 +88,10 @@ class QuadratureRule:
 def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Golub-Welsch for probabilists' Hermite polynomials: the Jacobi matrix is
     # symmetric tridiagonal with zero diagonal and off-diagonal sqrt(k). The
-    # dense eigh reproduces scipy's eigh_tridiagonal tables bit for bit for
-    # every n in [3, 1024] and spares the scipy import.
+    # dense eigh spares the scipy import. It runs a different LAPACK driver
+    # from scipy's eigh_tridiagonal, so equal bits are a property of the
+    # LAPACK/BLAS build and thread count, not a guarantee; the table pin in
+    # tests/test_stochastics.py checks them wherever the tests run.
     off = np.sqrt(np.arange(1.0, n))
     nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0] ** 2

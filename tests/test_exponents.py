@@ -247,11 +247,12 @@ class TestMonteCarloErrorBar:
         ids=["plain", "denom"],
     )
     def test_in_place_block_matches_two_pass_reference(self, factor):
-        # the in-place kernel must equal the straightforward form with numpy
+        # the in-place kernel must equal the written-out factor with numpy
         # temporaries bit for bit, for the plain factor and one with denom != 1
         count, seed, block_id = 100_003, 9, 4
-        zeta = RngStream(root_seed=seed, stream_id=block_id).normals(count)
-        logs = np.log(factor.at(math.sqrt(factor.dt) * zeta))
+        dB = math.sqrt(factor.dt) * RngStream(root_seed=seed, stream_id=block_id).normals(count)
+        s = factor.sigma
+        logs = np.log(factor.c0 + (s * dB + 0.5 * s * s * dB * dB) / factor.denom)
         mean = float(np.sum(logs)) / count
         dev = logs - mean
         assert _mc_block(factor, seed, block_id, count) == (count, mean, float(np.sum(dev * dev)))

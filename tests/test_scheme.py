@@ -11,6 +11,8 @@ from milstab.scheme import (
     LogModulusPath,
     SchemeConfig,
     _accumulate,
+    _plain_factor,
+    _theta_factor,
     gamma_dt,
     milstein_factor,
     mu,
@@ -65,6 +67,28 @@ def test_factor_spot_value():
     p = ModelParams(lam=0.0, epsilon=0.0, sigma=2.0)
     # gamma = 1 - 2*dt at sigma = 2; dB = 0.5 adds 2*0.5 + 2*0.25
     assert milstein_factor(p, 0.25, 0.5) == pytest.approx(0.5 + 1.0 + 0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        _plain_factor(ModelParams(lam=1.0, epsilon=0.5, sigma=3.0), 1e-3),
+        _theta_factor(ModelParams(lam=-30.0, epsilon=0.0, sigma=1.7), 0.5, 1e-2),
+    ],
+    ids=["plain", "denom"],
+)
+def test_factor_forms_agree(factor):
+    # a new array, an array overwritten in place and a scalar all give the
+    # written-out formula bit for bit; without out the increments are kept
+    dB = math.sqrt(factor.dt) * RngStream(root_seed=3, stream_id=1).normals(4097)
+    s = factor.sigma
+    ref = factor.c0 + (s * dB + 0.5 * s * s * dB * dB) / factor.denom
+    kept = dB.copy()
+    assert np.array_equal(factor.at(dB), ref)
+    assert np.array_equal(dB, kept)
+    assert factor.at(dB, out=dB) is dB
+    assert np.array_equal(dB, ref)
+    assert [factor.at(float(b)) for b in kept[:64]] == ref[:64].tolist()
 
 
 class TestAccumulate:
