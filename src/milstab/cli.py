@@ -12,12 +12,17 @@ Parameter precedence is built-in defaults, then --config JSON, then explicit
 flags. All randomness derives from (--seed, stream index) pairs and partial
 results combine in index order, so outputs are byte-identical across runs and
 across --threads settings; --threads splits simulate paths, Monte Carlo blocks
-and as-slope paths. CSV output is UTF-8 with LF line endings, a header
-row, floats rendered by repr, and '# key=value' provenance comments above the
-header (sorted by key; --threads and --out are execution detail and excluded).
+and as-slope paths. simulate streams its table in blocks of ROW_BLOCK rows, in
+the bytes of one whole-table write, so its memory is bounded by the path
+matrix, not by the text; --threads also formats those blocks on worker
+processes, and they are written in block order. CSV output is UTF-8 with LF
+line endings, a header row, floats rendered by repr, and '# key=value'
+provenance comments above the header (sorted by key; --threads and --out are
+execution detail and excluded).
 
 Exit codes: 0 success, 1 failed verification or unwritable output, 2 bad
-configuration or an estimator precondition violation.
+configuration or an estimator precondition violation. A reader that closes
+stdout early (milstab simulate | head) ends the output quietly with 0.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -77,6 +83,9 @@ DEFAULTS = {
     "x0": 1.0,
     "y0": 0.0,
 }
+
+#: Rows per block of `simulate` output; blocks are formatted and written one by one.
+ROW_BLOCK = 1024
 
 #: Largest grid `region --sigma-range` accepts; the default grid has 101 points.
 MAX_SIGMA_POINTS = 100_000
@@ -210,16 +219,46 @@ def _csv_text(pairs: dict, header: list[str], rows: list[list]) -> str:
 
 
 def _emit(text: str, out: str | None) -> int:
-    if out is None:
-        sys.stdout.write(text)
+    return _write_pieces((text,), out)
+
+
+def _write_pieces(pieces, out: str | None) -> int:
+    """Write text pieces in order to `out`, or to stdout when out is None.
+
+    A failed write or close prints one error line and returns 1. A reader
+    that closes stdout early (`milstab simulate | head`) ends the output
+    quietly with 0.
+    """
+    if out is not None:
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                for piece in pieces:
+                    fh.write(piece)
+        except OSError as exc:  # a failed close() lands here too, replacing the write's error
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            return 1
         return 0
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        # Whatever stays buffered would fail again in the exit-time flush.
+        _discard_stdout()
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _discard_stdout() -> None:
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # no file descriptor behind sys.stdout
+        pass
 
 
 def _model(values: dict) -> ModelParams:
@@ -247,16 +286,55 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     paths = _map_indexed(one, n_paths, values["threads"])
     matrix = np.column_stack([path.log_values for path in paths])
     t = paths[0].times()
-    mean = matrix.mean(axis=1)
+    table = np.column_stack((t, matrix, matrix.mean(axis=1)))
     pairs = _provenance(values, ("dt", "steps", "paths", "seed", "x0", "y0"))
     if theta is not None:
         pairs["theta"] = theta
     header = ["t"] + [f"path_{i}" for i in range(n_paths)] + ["mean"]
-    rows = np.column_stack((t, matrix, mean)).tolist()
     if values["format"] == "json":
-        obj = {"params": pairs, "columns": header, "rows": rows}
-        return _emit(json.dumps(obj) + "\n", ns.out)
-    return _emit(_csv_text(pairs, header, rows), ns.out)
+        head = json.dumps({"params": pairs, "columns": header, "rows": []})[:-2]
+        fmt, sep, tail = _json_block, ", ", "]}\n"
+    else:
+        head = _csv_text(pairs, header, [])
+        fmt, sep, tail = _csv_block, "", ""
+    blocks = [table[i : i + ROW_BLOCK] for i in range(0, len(table), ROW_BLOCK)]
+    workers = min(values["threads"], len(blocks), _usable_cpus())
+    if workers < 2:
+        return _write_pieces(_joined(head, map(fmt, blocks), sep, tail), ns.out)
+    # Float repr holds the GIL, so only processes format blocks in parallel.
+    # Imported here, as importing the pool would cost every call 15-19 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return _write_pieces(_joined(head, pool.map(fmt, blocks), sep, tail), ns.out)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _csv_block(block: np.ndarray) -> str:
+    return "".join([",".join(map(str, row)) + "\n" for row in block.tolist()])
+
+
+def _json_block(block: np.ndarray) -> str:
+    return json.dumps(block.tolist())[1:-1]
+
+
+def _joined(head: str, texts, sep: str, tail: str):
+    """head, the texts with sep between them, then tail, one piece at a time."""
+    yield head
+    for i, text in enumerate(texts):
+        if i:
+            yield sep
+        yield text
+    yield tail
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _estimator_kwargs(values: dict) -> dict:

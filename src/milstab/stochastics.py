@@ -19,15 +19,18 @@ import numpy as np
 
 _U64 = 2**64
 
+#: Largest number of draws a position replay discards at once (2 MB of doubles).
+REPLAY_CHUNK = 2**18
+
 
 @dataclass
 class RngStream:
     """A named substream of the package-wide Philox generator.
 
     position counts standard-normal draws consumed so far. Constructing a
-    stream at position k > 0 replays and discards k draws; normal sampling
-    consumes a variable number of raw generator words, so positions cannot be
-    reached by counter jumps.
+    stream at position k > 0 replays and discards k draws, REPLAY_CHUNK at a
+    time so memory stays bounded; normal sampling consumes a variable number
+    of raw generator words, so positions cannot be reached by counter jumps.
     """
 
     root_seed: int
@@ -44,8 +47,11 @@ class RngStream:
             raise ValueError(f"position must be a nonnegative integer, got {self.position!r}")
         key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        if self.position:
-            self._gen.standard_normal(self.position)
+        left = int(self.position)
+        while left:
+            step = min(left, REPLAY_CHUNK)
+            self._gen.standard_normal(step)
+            left -= step
 
     def normals(self, n: int) -> np.ndarray:
         """Draw the next n standard normal variates as a float64 array."""

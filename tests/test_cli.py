@@ -1,12 +1,23 @@
+import concurrent.futures
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from milstab.cli import _METHOD_KEYS, DEFAULTS, MAX_SIGMA_POINTS, _parse_sigma_range, main
+from milstab import cli
+from milstab.cli import (
+    _METHOD_KEYS,
+    DEFAULTS,
+    MAX_SIGMA_POINTS,
+    ROW_BLOCK,
+    _parse_sigma_range,
+    main,
+)
 from milstab.exponents import (
     Method,
     as_exponent_quadrature,
@@ -89,6 +100,30 @@ class TestExponentCommand:
         assert exc.value.code == 2
 
 
+def _simulate_reference(steps, paths, seed):
+    """The (times, path matrix, mean) simulate tabulates, from the library."""
+    cfg = SchemeConfig(dt=1e-3, n_steps=steps, initial=InitialDatum(1.0, 0.0), seed=seed)
+    p = ModelParams(8.0, 2.0, 4.0)
+    runs = [simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)) for i in range(paths)]
+    matrix = np.column_stack([run.log_values for run in runs])
+    return runs[0].times(), matrix, matrix.mean(axis=1)
+
+
+def _src_env(unbuffered=None):
+    """The environment with this checkout's milstab first on PYTHONPATH.
+
+    unbuffered True or False sets or clears PYTHONUNBUFFERED; None inherits it.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestSimulateCommand:
     def test_csv_shape_and_mean(self, capsys):
         code, out, _ = run_cli(
@@ -112,12 +147,7 @@ class TestSimulateCommand:
         )
         assert code == 0
         _, _, rows = parse_csv(out)
-        cfg = SchemeConfig(dt=1e-3, n_steps=40, initial=InitialDatum(1.0, 0.0), seed=9)
-        p = ModelParams(8.0, 2.0, 4.0)
-        paths = [simulate_path(p, cfg, RngStream(root_seed=9, stream_id=i)) for i in range(3)]
-        matrix = np.column_stack([path.log_values for path in paths])
-        mean = matrix.mean(axis=1)
-        times = paths[0].times()
+        times, matrix, mean = _simulate_reference(40, 3, 9)
         expect = [
             [repr(float(times[k]))]
             + [repr(float(matrix[k, j])) for j in range(3)]
@@ -165,6 +195,146 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "cannot write" in err
+
+
+class TestSimulateStreaming:
+    """simulate writes its table in ROW_BLOCK blocks, serially or on worker processes."""
+
+    # three whole blocks and a partial one of 8 rows (steps + 1 rows in all)
+    STEPS = 3 * ROW_BLOCK + 7
+    PATHS = 3
+    SEED = 9
+
+    def _expected(self, fmt):
+        times, matrix, mean = _simulate_reference(self.STEPS, self.PATHS, self.SEED)
+        header = ["t", "path_0", "path_1", "path_2", "mean"]
+        params = {
+            "lambda": 8.0, "epsilon": 2.0, "sigma": 4.0, "dt": 0.001, "steps": self.STEPS,
+            "paths": self.PATHS, "seed": self.SEED, "x0": 1.0, "y0": 0.0,
+        }
+        if fmt == "json":
+            rows = np.column_stack((times, matrix, mean)).tolist()
+            return json.dumps({"params": params, "columns": header, "rows": rows}) + "\n"
+        lines = [f"# {key}={value}" for key, value in sorted(params.items())]
+        lines.append(",".join(header))
+        for k in range(self.STEPS + 1):
+            cells = [times[k], *(matrix[k, j] for j in range(self.PATHS)), mean[k]]
+            lines.append(",".join(repr(float(cell)) for cell in cells))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("dest", ["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_whole_table(self, capsys, tmp_path, fmt, dest, threads):
+        args = [
+            "simulate", "--steps", str(self.STEPS), "--paths", str(self.PATHS),
+            "--seed", str(self.SEED), "--format", fmt, "--threads", str(threads),
+        ]
+        target = tmp_path / f"sim.{fmt}"
+        if dest == "out":
+            args += ["--out", str(target)]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+        if dest == "out":
+            assert out == ""
+            out = target.read_bytes().decode("utf-8")
+        assert out == self._expected(fmt)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 17, 42, 63])
+    def test_simulate_out_goldens(self, monkeypatch, tmp_path, seed):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench import golden
+
+        recorded = json.loads(golden.GOLDEN.read_text())[str(seed)]
+        assert golden.digests(seed, tmp_path) == recorded
+
+    @pytest.mark.parametrize(
+        "threads, steps, cpus, workers",
+        [
+            (1, 4 * ROW_BLOCK, 4, None),  # one thread asked for
+            (64, 10, 4, None),  # a single block
+            (2, 4 * ROW_BLOCK, 1, None),  # a single usable CPU
+            (64, 2 * ROW_BLOCK, 4, 3),  # limited by the block count (steps + 1 rows)
+            (64, 6 * ROW_BLOCK, 4, 4),  # limited by the CPUs
+            (2, 6 * ROW_BLOCK, 4, 2),  # limited by --threads
+        ],
+    )
+    def test_pool_size(self, capsys, monkeypatch, threads, steps, cpus, workers):
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            map = staticmethod(map)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        args = ("simulate", "--steps", str(steps), "--paths", "1")
+        code, out, _ = run_cli(capsys, *args, "--threads", str(threads))
+        assert code == 0
+        assert built == ([] if workers is None else [workers])
+        monkeypatch.undo()
+        code, serial, _ = run_cli(capsys, *args, "--threads", "1")
+        assert out == serial
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_full_device_out(self, capsys, threads):
+        code, out, err = run_cli(
+            capsys, "simulate", "--steps", "2000", "--paths", "5", "--out", "/dev/full",
+            "--threads", str(threads),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("steps", ["3", "2000"])
+    def test_full_device_stdout(self, steps, unbuffered):
+        # a fresh interpreter, so that its exit-time flush of what stdout still
+        # buffers is covered too
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "milstab", "simulate", "--steps", steps, "--paths", "5"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(unbuffered),
+                timeout=120,
+            )
+        assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+        assert proc.returncode == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("fmt, threads", [("csv", "1"), ("json", "2")])
+    def test_reader_closing_early_is_quiet(self, fmt, threads, unbuffered):
+        # `milstab simulate --steps 20000 | head -c 100`: megabytes of output
+        # against a closed pipe end with exit 0 and nothing on stderr
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "milstab", "simulate", "--steps", "20000",
+             "--format", fmt, "--threads", threads],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(unbuffered),
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, milstab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+        "             or m == 'concurrent.futures.process'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSweepCommand:

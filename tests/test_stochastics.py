@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from milstab.stochastics import (
+    REPLAY_CHUNK,
     QuadratureRule,
     RngStream,
     _hermite_table,
@@ -44,6 +46,27 @@ class TestRngStream:
         rest = s.normals(4)
         replayed = RngStream(root_seed=5, stream_id=3, position=7).normals(4)
         assert np.array_equal(rest, replayed)
+
+    def test_chunked_replay_matches_one_shot(self):
+        # a position of three chunks and a few draws: the chunked discard must
+        # leave the same Philox state, and the same next draws, as one call
+        position = 3 * REPLAY_CHUNK + 5
+        gen = np.random.Generator(np.random.Philox(key=np.array([11, 4], dtype=np.uint64)))
+        gen.standard_normal(position)
+        stream = RngStream(root_seed=11, stream_id=4, position=position)
+        assert str(stream._gen.bit_generator.state) == str(gen.bit_generator.state)
+        assert np.array_equal(stream.normals(9), gen.standard_normal(9))
+        assert stream.position == position + 9
+
+    def test_replay_memory_is_one_chunk(self):
+        # a one-shot discard of this position would hold 4 chunks of doubles
+        tracemalloc.start()
+        try:
+            RngStream(root_seed=11, stream_id=4, position=4 * REPLAY_CHUNK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * REPLAY_CHUNK
 
     def test_split_draws_match_bulk(self):
         bulk = RngStream(root_seed=9, stream_id=0).normals(10)
