@@ -9,16 +9,21 @@ Subcommands:
     verify     self-check suites: lemmas, moments, closedform, all
 
 Parameter precedence is built-in defaults, then --config JSON, then explicit
-flags. All randomness derives from (--seed, stream index) pairs and partial
-results combine in index order, so outputs are byte-identical across runs and
-across --threads settings; --threads splits simulate paths, Monte Carlo blocks
-and as-slope paths. simulate streams its table in blocks of ROW_BLOCK rows, in
-the bytes of one whole-table write, so its memory is bounded by the path
-matrix, not by the text; --threads also formats those blocks on worker
-processes, and they are written in block order. CSV output is UTF-8 with LF
-line endings, a header row, floats rendered by repr, and '# key=value'
-provenance comments above the header (sorted by key; --threads and --out are
-execution detail and excluded).
+flags. _PARAMS states each parameter's flag, type, default and help, and
+_COMMANDS each subcommand's handler, default format and arguments. All
+randomness derives from (--seed, stream index) pairs and partial results
+combine in index order, so outputs are byte-identical across runs and across
+--threads settings; --threads splits simulate paths, Monte Carlo blocks and
+as-slope paths. simulate writes each path straight into its column of one
+table and streams that table in blocks of ROW_BLOCK rows, in the bytes of one
+whole-table write, so its memory is bounded by the table, not by the text;
+--threads also formats those blocks on worker processes, and they are written
+in block order. CSV output is UTF-8 with LF line endings, a header row, floats
+rendered by repr, and '# key=value' provenance comments above the header
+(sorted by key; --threads and --out are execution detail and excluded).
+
+Every write, to stdout or --out, goes through one writer, _write: a failed
+write prints one error line and exits 1.
 
 Exit codes: 0 success, 1 failed verification or unwritable output, 2 bad
 configuration or an estimator precondition violation. A reader that closes
@@ -28,6 +33,7 @@ stdout early (milstab simulate | head) ends the output quietly with 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -65,24 +71,37 @@ from .scheme import (
 )
 from .stochastics import RngStream, gauss_hermite_rule
 
-DEFAULTS = {
-    "lam": 8.0,
-    "epsilon": 2.0,
-    "sigma": 4.0,
-    "dt": 1e-3,
-    "steps": 10000,
-    "paths": 50,
-    "seed": 42,
-    "nodes": 201,
-    "samples": 10**6,
-    "theta": None,
-    "dts": "1e-1,1e-2,1e-3,1e-4,1e-5",
-    "sigma_range": "0:5:0.05",
-    "suite": "all",
-    "format": None,
-    "x0": 1.0,
-    "y0": 0.0,
+#: Each config key: (flag, type, default, help). x0 and y0 have no flag.
+_PARAMS = {
+    "lam": ("--lambda", float, 8.0, "drift coefficient"),
+    "epsilon": ("--epsilon", float, 2.0, "rotational noise intensity"),
+    "sigma": ("--sigma", float, 4.0, "radial noise intensity"),
+    "dt": ("--dt", float, 1e-3, "time step"),
+    "steps": ("--steps", int, 10000, "time steps per path"),
+    "paths": ("--paths", int, 50, "number of independent paths"),
+    "seed": ("--seed", int, 42, "root seed for all substreams"),
+    "nodes": ("--nodes", int, 201, "quadrature node count"),
+    "samples": ("--samples", int, 10**6, "Monte Carlo sample count"),
+    "theta": ("--theta", float, None, "theta-scheme implicitness (requires epsilon 0)"),
+    "dts": ("--dts", str, "1e-1,1e-2,1e-3,1e-4,1e-5", "comma separated step sizes"),
+    "sigma_range": ("--sigma-range", str, "0:5:0.05", "sigma grid as lo:hi:step"),
+    "suite": ("--suite", str, "all", "which checks to run"),
+    "format": ("--format", str, None, "output format (default {})"),
+    "x0": (None, float, 1.0, None),
+    "y0": (None, float, 0.0, None),
 }
+DEFAULTS = {key: default for key, (_, _, default, _) in _PARAMS.items()}
+
+#: Command-line-only arguments in the same form; the method is positional.
+_RUN_ARGS = {
+    "method": ("method", str, "as-quad", "estimator (default as-quad)"),
+    "config": ("--config", str, None, "JSON file of parameter defaults"),
+    "out": ("--out", str, None, "write output to this path instead of stdout"),
+    "threads": ("--threads", int, None, "parallel workers (output does not depend on it)"),
+}
+
+#: Config files name a key by its flag without the dashes, or as itself.
+_CONFIG_NAMES = {flag[2:]: key for key, (flag, *_) in _PARAMS.items() if flag}
 
 #: Rows per block of `simulate` output; blocks are formatted and written one by one.
 ROW_BLOCK = 1024
@@ -90,31 +109,16 @@ ROW_BLOCK = 1024
 #: Largest grid `region --sigma-range` accepts; the default grid has 101 points.
 MAX_SIGMA_POINTS = 100_000
 
-_FLOAT_KEYS = {"lam", "epsilon", "sigma", "dt", "x0", "y0"}
-_INT_KEYS = {"steps", "paths", "seed", "nodes", "samples"}
-_STR_KEYS = {"dts", "sigma_range", "suite", "format"}
-
-#: Accepted config-file spellings, normalized to internal names. --threads,
-#: --out, and the positional method are command line only.
-_CONFIG_ALIASES = {
-    "lambda": "lam",
-    "sigma-range": "sigma_range",
-}
-
 
 def _coerce(key: str, value):
-    if key == "theta" and value is None:
+    cast = _PARAMS[key][1]
+    if key == "theta" and value is None:  # the one nullable key
         return None
-    if key in _STR_KEYS:
+    if cast is str:
         if not isinstance(value, str):
             raise ValueError(f"config key {key!r} must be a string, got {value!r}")
         return value
-    if key in _INT_KEYS:
-        cast, kind = int, "an integer"
-    elif key in _FLOAT_KEYS or key == "theta":
-        cast, kind = float, "a number"
-    else:
-        raise ValueError(f"unknown config key {key!r}")
+    kind = "an integer" if cast is int else "a number"
     try:
         # JSON true/false would otherwise read as 1/0.
         number = None if isinstance(value, bool) else cast(value)
@@ -137,30 +141,26 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"config {path} must hold a JSON object")
     merged = {}
     for key, value in raw.items():
-        name = _CONFIG_ALIASES.get(key, str(key).replace("-", "_"))
+        name = _CONFIG_NAMES.get(key, key)
         if name not in DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
         merged[name] = _coerce(name, value)
     return merged
 
 
-def _resolve(ns: argparse.Namespace, default_format: str) -> dict:
-    values = dict(DEFAULTS)
-    config = getattr(ns, "config", None)
-    if config is not None:
-        values.update(_load_config(config))
+def _resolve(ns: argparse.Namespace) -> dict:
+    values = dict(DEFAULTS, format=ns.default_format)
+    if ns.config is not None:
+        values.update(_load_config(ns.config))
     for key in DEFAULTS:
         flag = getattr(ns, key, None)
         if flag is not None:
             values[key] = flag
-    if values["format"] is None:
-        values["format"] = default_format
-    if values["format"] not in ("csv", "json"):
+    if values["format"] not in _CHOICES["format"]:
         raise ValueError(f"format must be csv or json, got {values['format']!r}")
-    if values["suite"] not in _SUITE_CHOICES:
+    if values["suite"] not in _CHOICES["suite"]:
         raise ValueError(f"unknown verify suite {values['suite']!r}")
-    threads = getattr(ns, "threads", None)
-    values["threads"] = 1 if threads is None else int(threads)
+    values["threads"] = 1 if ns.threads is None else ns.threads
     if values["threads"] < 1:
         raise ValueError(f"threads must be at least 1, got {values['threads']}")
     return values
@@ -194,10 +194,6 @@ def _parse_sigma_range(text: str) -> list[float]:
     return sigmas
 
 
-def _provenance_lines(pairs: dict) -> list[str]:
-    return [f"# {key}={value}" for key, value in sorted(pairs.items())]
-
-
 def _provenance(values: dict, keys) -> dict:
     """The model under its flag names, then the given config keys in order."""
     pairs = {"lambda": values["lam"], "epsilon": values["epsilon"], "sigma": values["sigma"]}
@@ -210,19 +206,17 @@ def _cells(row: dict, header: list[str], missing: str = "") -> list:
     return [missing if row.get(key) is None else row[key] for key in header]
 
 
-def _csv_text(pairs: dict, header: list[str], rows: list[list]) -> str:
-    lines = _provenance_lines(pairs)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+def _csv_row(cells) -> str:
+    return ",".join(map(str, cells)) + "\n"
 
 
-def _emit(text: str, out: str | None) -> int:
-    return _write_pieces((text,), out)
+def _csv_text(pairs: dict, header: list[str], rows) -> str:
+    """'# key=value' provenance lines sorted by key, the header, then the rows."""
+    lines = [f"# {key}={value}\n" for key, value in sorted(pairs.items())]
+    return "".join([*lines, _csv_row(header), *map(_csv_row, rows)])
 
 
-def _write_pieces(pieces, out: str | None) -> int:
+def _write(pieces, out: str | None = None) -> int:
     """Write text pieces in order to `out`, or to stdout when out is None.
 
     A failed write or close prints one error line and returns 1. A reader
@@ -265,8 +259,7 @@ def _model(values: dict) -> ModelParams:
     return ModelParams(lam=values["lam"], epsilon=values["epsilon"], sigma=values["sigma"])
 
 
-def _cmd_simulate(ns: argparse.Namespace) -> int:
-    values = _resolve(ns, default_format="csv")
+def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
     p = _model(values)
     datum = InitialDatum(values["x0"], values["y0"])
     theta = values["theta"]
@@ -276,17 +269,17 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     n_paths = values["paths"]
     if n_paths < 1:
         raise ValueError(f"paths must be at least 1, got {n_paths}")
+    # t, one column per path, then the mean; each path goes straight into its column
+    table = np.empty((cfg.n_steps + 1, n_paths + 2))
 
-    def one(index: int):
+    def one(index: int) -> None:
         stream = RngStream(root_seed=values["seed"], stream_id=index)
-        if theta is None:
-            return simulate_path(p, cfg, stream)
-        return simulate_theta_path(p, cfg, stream)
+        run = simulate_path if theta is None else simulate_theta_path
+        table[:, index + 1] = run(p, cfg, stream).log_values
 
-    paths = _map_indexed(one, n_paths, values["threads"])
-    matrix = np.column_stack([path.log_values for path in paths])
-    t = paths[0].times()
-    table = np.column_stack((t, matrix, matrix.mean(axis=1)))
+    _map_indexed(one, n_paths, values["threads"])
+    table[:, 0] = cfg.dt * np.arange(cfg.n_steps + 1)
+    table[:, -1] = table[:, 1:-1].mean(axis=1)
     pairs = _provenance(values, ("dt", "steps", "paths", "seed", "x0", "y0"))
     if theta is not None:
         pairs["theta"] = theta
@@ -300,20 +293,20 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     blocks = [table[i : i + ROW_BLOCK] for i in range(0, len(table), ROW_BLOCK)]
     workers = min(values["threads"], len(blocks), _usable_cpus())
     if workers < 2:
-        return _write_pieces(_joined(head, map(fmt, blocks), sep, tail), ns.out)
+        return _write(_joined(head, map(fmt, blocks), sep, tail), ns.out)
     # Float repr holds the GIL, so only processes format blocks in parallel.
     # Imported here, as importing the pool would cost every call 15-19 ms.
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return _write_pieces(_joined(head, pool.map(fmt, blocks), sep, tail), ns.out)
+        return _write(_joined(head, pool.map(fmt, blocks), sep, tail), ns.out)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _csv_block(block: np.ndarray) -> str:
-    return "".join([",".join(map(str, row)) + "\n" for row in block.tolist()])
+    return "".join(map(_csv_row, block.tolist()))
 
 
 def _json_block(block: np.ndarray) -> str:
@@ -365,18 +358,15 @@ def _method_pairs(method: Method, values: dict) -> dict:
     return {"method": method.value, **_provenance(values, _METHOD_KEYS[method])}
 
 
-def _cmd_exponent(ns: argparse.Namespace) -> int:
-    values = _resolve(ns, default_format="json")
-    method = Method(ns.method if ns.method is not None else "as-quad")
+def _cmd_exponent(ns: argparse.Namespace, values: dict) -> int:
+    method = Method(ns.method)
     p = _model(values)
     try:
         est = estimate(p, values["dt"], method, **_estimator_kwargs(values))
     except ValueError as exc:
-        if values["format"] == "json":
-            sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if values["format"] != "json":
+            raise  # main prints it on stderr
+        return _write([json.dumps({"error": str(exc)}) + "\n"]) or 2
     sense = Sense.MEAN_SQUARE if method in MS_METHODS else Sense.ALMOST_SURE
     obj = {
         "method": method.value,
@@ -389,25 +379,14 @@ def _cmd_exponent(ns: argparse.Namespace) -> int:
     if values["format"] == "csv":
         header = list(obj)
         text = _csv_text(_method_pairs(method, values), header, [_cells(obj, header)])
-        return _emit(text, ns.out)
+        return _write([text], ns.out)
     if est.std_error is None:
         del obj["std_error"]
-    return _emit(json.dumps(obj) + "\n", ns.out)
+    return _write([json.dumps(obj) + "\n"], ns.out)
 
 
-def _fit_object(fit) -> dict:
-    return {
-        "constant_C": fit.constant_C,
-        "order_p": fit.order_p,
-        "residual": fit.residual,
-        "dts": list(fit.dts),
-        "errors": list(fit.errors),
-    }
-
-
-def _cmd_sweep_dt(ns: argparse.Namespace) -> int:
-    values = _resolve(ns, default_format="csv")
-    method = Method(ns.method if ns.method is not None else "as-quad")
+def _cmd_sweep_dt(ns: argparse.Namespace, values: dict) -> int:
+    method = Method(ns.method)
     dts = _parse_dts(values["dts"])
     p = _model(values)
     target = continuum_target(p, method)
@@ -428,13 +407,13 @@ def _cmd_sweep_dt(ns: argparse.Namespace) -> int:
             fit_points.append((dt, err))
     fit = None
     if len(fit_points) >= 3:
-        fit = fit_loglog([d for d, _ in fit_points], [e for _, e in fit_points])
+        fit = dataclasses.asdict(fit_loglog(*zip(*fit_points)))
     pairs = _method_pairs(method, values)
     pairs["dts"] = values["dts"]
     csv_sidecar = values["format"] == "csv" and ns.out is not None
 
     if values["format"] == "json":
-        obj = {"params": pairs, "rows": rows, "fit": None if fit is None else _fit_object(fit)}
+        obj = {"params": pairs, "rows": rows, "fit": fit}
         text = json.dumps(obj) + "\n"
     else:
         header = ["dt", "discrete_value", "continuum_value", "abs_error"]
@@ -442,25 +421,21 @@ def _cmd_sweep_dt(ns: argparse.Namespace) -> int:
         # CSV on stdout carries the fit as a trailing comment; with --out it
         # goes to a .fit.json sidecar instead.
         if fit is not None and not csv_sidecar:
-            text += f"# fit={json.dumps(_fit_object(fit))}\n"
+            text += f"# fit={json.dumps(fit)}\n"
 
-    code = _emit(text, ns.out)
+    code = _write([text], ns.out)
     if code != 0:
         return code
     if fit is None:
         print("error: fewer than 3 usable step sizes, no convergence fit", file=sys.stderr)
         return 1
     if csv_sidecar:
-        fit_text = json.dumps(_fit_object(fit)) + "\n"
-        code = _emit(fit_text, ns.out + ".fit.json")
-        if code != 0:
-            return code
-        sys.stdout.write(fit_text)
+        fit_text = json.dumps(fit) + "\n"
+        return _write([fit_text], ns.out + ".fit.json") or _write([fit_text])
     return 0
 
 
-def _cmd_region(ns: argparse.Namespace) -> int:
-    values = _resolve(ns, default_format="csv")
+def _cmd_region(ns: argparse.Namespace, values: dict) -> int:
     lam = values["lam"]
     sigmas = _parse_sigma_range(values["sigma_range"])
     pairs = {"lambda": lam, "sigma-range": values["sigma_range"]}
@@ -479,13 +454,19 @@ def _cmd_region(ns: argparse.Namespace) -> int:
             }
         )
     if values["format"] == "json":
-        return _emit(json.dumps({"params": pairs, "rows": rows}) + "\n", ns.out)
+        return _write([json.dumps({"params": pairs, "rows": rows}) + "\n"], ns.out)
     header = list(rows[0])
-    return _emit(_csv_text(pairs, header, [_cells(row, header) for row in rows]), ns.out)
+    return _write([_csv_text(pairs, header, [_cells(row, header) for row in rows])], ns.out)
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def _z_score(samples: np.ndarray, ref: float) -> float:
+    """|mean - ref| in standard errors of the mean; 0 when the samples do not vary."""
+    se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
+    return abs(float(samples.mean()) - ref) / se if se > 0.0 else 0.0
 
 
 def _suite_lemmas(values: dict) -> list[dict]:
@@ -536,10 +517,7 @@ def _suite_moments(values: dict) -> list[dict]:
     # The composite increment is F - c0; a factor with c0 = 0 gives it bit for
     # bit (only at() is used, so mean_rate plays no part).
     noise = _StepFactor(c0=0.0, mean_rate=0.0, sigma=sigma, denom=1.0, dt=dt).at(dB)
-    z_scores = []
-    for data, ref in ((noise, mean_ref), (noise * noise, second_ref)):
-        se = float(data.std(ddof=1)) / math.sqrt(n)
-        z_scores.append(abs(float(data.mean()) - ref) / se if se > 0.0 else 0.0)
+    z_scores = [_z_score(noise, mean_ref), _z_score(noise * noise, second_ref)]
     checks = [
         _check(
             "moments.composite_vs_mc",
@@ -584,10 +562,7 @@ def _suite_closedform(values: dict) -> list[dict]:
     dB = math.sqrt(dt) * stream.normals(n_paths * n_steps).reshape(n_paths, n_steps)
     factors = factor.at(dB)
     squared = datum.squared_modulus() * np.prod(factors * factors, axis=1)
-    mean = float(squared.mean())
-    se = float(squared.std(ddof=1)) / math.sqrt(n_paths)
-    ref = datum.squared_modulus() * base**n_steps
-    z = abs(mean - ref) / se if se > 0.0 else 0.0
+    z = _z_score(squared, datum.squared_modulus() * base**n_steps)
     return [
         _check(
             "closedform.second_moment",
@@ -603,53 +578,58 @@ _SUITES = {
     "moments": _suite_moments,
     "closedform": _suite_closedform,
 }
-_SUITE_CHOICES = [*_SUITES, "all"]
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
-    values = _resolve(ns, default_format="csv")
+#: Arguments whose values come from a fixed list.
+_CHOICES = {
+    "method": [m.value for m in Method],
+    "suite": [*_SUITES, "all"],
+    "format": ["csv", "json"],
+}
+
+
+def _cmd_verify(ns: argparse.Namespace, values: dict) -> int:
     suite = values["suite"]
     names = list(_SUITES) if suite == "all" else [suite]
     checks = []
     for name in names:
         checks.extend(_SUITES[name](values))
-    for check in checks:
-        status = "PASS" if check["passed"] else "FAIL"
-        print(f"{check['name']}: {status} - {check['detail']}")
-    all_passed = all(check["passed"] for check in checks)
-    if ns.out is not None:
-        report = {"suite": suite, "passed": all_passed, "checks": checks}
-        code = _emit(json.dumps(report, indent=2) + "\n", ns.out)
-        if code != 0:
-            return code
-    return 0 if all_passed else 1
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--lambda", dest="lam", type=float, help="drift coefficient")
-    sub.add_argument("--epsilon", type=float, help="rotational noise intensity")
-    sub.add_argument("--sigma", type=float, help="radial noise intensity")
-    sub.add_argument("--dt", type=float, help="time step")
-    sub.add_argument("--seed", type=int, help="root seed for all substreams")
-
-
-def _add_io_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file of parameter defaults")
-    sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--threads", type=int, help="worker threads (output is thread-invariant)")
-
-
-def _add_estimator_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "method", nargs="?", choices=[m.value for m in Method], help="estimator (default as-quad)"
+    code = _write(
+        f"{check['name']}: {'PASS' if check['passed'] else 'FAIL'} - {check['detail']}\n"
+        for check in checks
     )
-    _add_model_flags(sub)
-    _add_io_flags(sub)
-    sub.add_argument("--steps", type=int, help="steps per path for as-slope")
-    sub.add_argument("--paths", type=int, help="paths for as-slope")
-    sub.add_argument("--theta", type=float, help="implicitness parameter for theta methods")
-    sub.add_argument("--nodes", type=int, help="quadrature node count")
-    sub.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    all_passed = all(check["passed"] for check in checks)
+    if code == 0 and ns.out is not None:
+        report = {"suite": suite, "passed": all_passed, "checks": checks}
+        code = _write([json.dumps(report, indent=2) + "\n"], ns.out)
+    return code or (0 if all_passed else 1)
+
+
+#: Each subcommand: (handler, help, default format, arguments in usage order).
+_COMMANDS = {
+    "simulate": (
+        _cmd_simulate, "write log-modulus trajectories", "csv",
+        "lam epsilon sigma dt seed config out threads steps paths theta format",
+    ),
+    "exponent": (
+        _cmd_exponent, "one exponent estimate as JSON", "json",
+        "method lam epsilon sigma dt seed config out threads steps paths theta nodes samples "
+        "format",
+    ),
+    "sweep-dt": (
+        _cmd_sweep_dt, "estimates across step sizes with a fit", "csv",
+        "method lam epsilon sigma dt seed config out threads steps paths theta nodes samples "
+        "dts format",
+    ),
+    "region": (
+        _cmd_region, "almost-sure stability boundary over sigma", "csv",
+        "lam sigma_range config out threads format",
+    ),
+    "verify": (
+        _cmd_verify, "run self-check suites", "csv",
+        "suite lam epsilon sigma dt seed config out threads nodes samples",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,50 +638,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discrete Lyapunov exponents of Milstein schemes for a 2x2 linear test system",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sim = commands.add_parser("simulate", help="write log-modulus trajectories")
-    _add_model_flags(sim)
-    _add_io_flags(sim)
-    sim.add_argument("--steps", type=int, help="number of time steps")
-    sim.add_argument("--paths", type=int, help="number of independent paths")
-    sim.add_argument("--theta", type=float, help="implicitness parameter (requires epsilon 0)")
-    sim.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    sim.set_defaults(func=_cmd_simulate)
-
-    exp = commands.add_parser("exponent", help="one exponent estimate as JSON")
-    _add_estimator_flags(exp)
-    exp.add_argument("--format", choices=["csv", "json"], help="output format (default json)")
-    exp.set_defaults(func=_cmd_exponent)
-
-    sweep = commands.add_parser("sweep-dt", help="estimates across step sizes with a fit")
-    _add_estimator_flags(sweep)
-    sweep.add_argument("--dts", help="comma separated step sizes")
-    sweep.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    sweep.set_defaults(func=_cmd_sweep_dt)
-
-    region = commands.add_parser("region", help="almost-sure stability boundary over sigma")
-    region.add_argument("--lambda", dest="lam", type=float, help="drift coefficient")
-    region.add_argument("--sigma-range", dest="sigma_range", help="sigma grid as lo:hi:step")
-    _add_io_flags(region)
-    region.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    region.set_defaults(func=_cmd_region)
-
-    verify = commands.add_parser("verify", help="run self-check suites")
-    verify.add_argument("--suite", choices=_SUITE_CHOICES, help="which checks to run")
-    _add_model_flags(verify)
-    _add_io_flags(verify)
-    verify.add_argument("--nodes", type=int, help="quadrature node count")
-    verify.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    verify.set_defaults(func=_cmd_verify)
-
+    for name, (handler, summary, default_format, arguments) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        sub.set_defaults(func=handler, default_format=default_format)
+        for key in arguments.split():
+            flag, cast, default, text = _PARAMS.get(key) or _RUN_ARGS[key]
+            # Only the positional method takes its default here: a flag left
+            # out reads None, so that --config can supply it.
+            where = {"nargs": "?", "default": default} if key == "method" else {"dest": key}
+            help_text = text.format(default_format)
+            sub.add_argument(flag, type=cast, choices=_CHOICES.get(key), help=help_text, **where)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        return ns.func(ns, _resolve(ns))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

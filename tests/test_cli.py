@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import math
@@ -324,6 +325,46 @@ class TestSimulateStreaming:
         proc.stderr.close()
 
 
+class TestFullStdout:
+    """Every command writes stdout through one writer, so write errors end the same way."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("exponent", "as-quad", "--dt", "0.9"),  # the error object of a refused estimate
+            ("verify", "--suite", "lemmas"),  # the check lines
+            ("sweep-dt", "ms-exact", "--dts", "1e-2,1e-3,1e-4", "--out"),  # the echoed fit
+        ],
+        ids=["exponent-error", "verify", "sweep-fit"],
+    )
+    def test_full_device(self, tmp_path, args, unbuffered):
+        if args[-1] == "--out":
+            args += (str(tmp_path / "sweep.csv"),)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "milstab", *args],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(unbuffered),
+                timeout=120,
+            )
+        assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+        assert proc.returncode == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("read", [0, 10])
+    def test_verify_reader_closing_early_is_quiet(self, read, unbuffered):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "milstab", "verify", "--suite", "lemmas"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(unbuffered),
+        )
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0  # verify's own code: the lemma checks pass
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+
 def test_cli_import_loads_no_process_pool():
     code = (
         "import sys, milstab.cli\n"
@@ -540,6 +581,37 @@ class TestConfigPrecedence:
         assert len(lines) == 1
         assert lines[0].startswith("error: config key ")
 
+    #: Commands whose defaults are cheap, with their default output format.
+    _DEFAULT_RUNS = {
+        ("exponent", "ms-exact"): "json",
+        ("sweep-dt", "ms-exact"): "csv",
+        ("region",): "csv",
+    }
+
+    @pytest.mark.parametrize("command", list(_DEFAULT_RUNS))
+    @pytest.mark.parametrize("key", list(DEFAULTS))
+    def test_every_key_at_its_default(self, capsys, tmp_path, key, command):
+        value = DEFAULTS[key]
+        if key == "format":  # no default of its own: each command has one
+            value = self._DEFAULT_RUNS[command]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        expected = run_cli(capsys, *command)
+        assert expected[0] == 0
+        assert run_cli(capsys, *command, "--config", str(cfg)) == expected
+
+    @pytest.mark.parametrize(
+        "key", [k for k, v in DEFAULTS.items() if isinstance(v, (int, float)) or k == "theta"]
+    )
+    def test_numeric_keys_reject_true(self, capsys, tmp_path, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: True}))
+        code, out, err = run_cli(capsys, "exponent", "ms-exact", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config key {key!r} must be " + (
+            "an integer, got True\n" if isinstance(DEFAULTS[key], int) else "a number, got True\n"
+        )
 
 def test_module_entry_point():
     proc = subprocess.run(
@@ -558,6 +630,96 @@ def test_no_subcommand_is_usage_error():
         main([])
     assert exc.value.code == 2
 
+
+
+def _flag_surface(sub):
+    """(option or positional, dest, type, choices) of each argument but -h."""
+    return [
+        (
+            "/".join(action.option_strings) or action.dest,
+            action.dest,
+            # argparse passes the string through when type is None
+            "str" if action.type is None else action.type.__name__,
+            None if action.choices is None else list(action.choices),
+        )
+        for action in sub._actions
+        if action.dest != "help"
+    ]
+
+
+_MODEL_FLAGS = [
+    ("--lambda", "lam", "float", None),
+    ("--epsilon", "epsilon", "float", None),
+    ("--sigma", "sigma", "float", None),
+    ("--dt", "dt", "float", None),
+    ("--seed", "seed", "int", None),
+]
+_RUN_FLAGS = [
+    ("--config", "config", "str", None),
+    ("--out", "out", "str", None),
+    ("--threads", "threads", "int", None),
+]
+_METHOD_ARG = (
+    "method", "method", "str",
+    ["ms-exact", "as-quad", "as-mc", "as-slope", "theta-ms", "theta-as"],
+)
+_ESTIMATOR_FLAGS = [
+    ("--steps", "steps", "int", None),
+    ("--paths", "paths", "int", None),
+    ("--theta", "theta", "float", None),
+    ("--nodes", "nodes", "int", None),
+    ("--samples", "samples", "int", None),
+]
+_FORMAT_FLAG = ("--format", "format", "str", ["csv", "json"])
+
+#: Each subcommand's arguments in usage order, and its --format help.
+_FLAG_SURFACE = {
+    "simulate": (
+        [*_MODEL_FLAGS, *_RUN_FLAGS, *_ESTIMATOR_FLAGS[:3], _FORMAT_FLAG],
+        "output format (default csv)",
+    ),
+    "exponent": (
+        [_METHOD_ARG, *_MODEL_FLAGS, *_RUN_FLAGS, *_ESTIMATOR_FLAGS, _FORMAT_FLAG],
+        "output format (default json)",
+    ),
+    "sweep-dt": (
+        [
+            _METHOD_ARG, *_MODEL_FLAGS, *_RUN_FLAGS, *_ESTIMATOR_FLAGS,
+            ("--dts", "dts", "str", None), _FORMAT_FLAG,
+        ],
+        "output format (default csv)",
+    ),
+    "region": (
+        [
+            ("--lambda", "lam", "float", None), ("--sigma-range", "sigma_range", "str", None),
+            *_RUN_FLAGS, _FORMAT_FLAG,
+        ],
+        "output format (default csv)",
+    ),
+    "verify": (
+        [
+            ("--suite", "suite", "str", ["lemmas", "moments", "closedform", "all"]),
+            *_MODEL_FLAGS, *_RUN_FLAGS, *_ESTIMATOR_FLAGS[3:],
+        ],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLAG_SURFACE))
+def test_flag_surface(name):
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(_FLAG_SURFACE)
+    sub = commands.choices[name]
+    surface, format_help = _FLAG_SURFACE[name]
+    assert _flag_surface(sub) == surface
+    takes_method = any(not action.option_strings for action in sub._actions)
+    assert takes_method == (name in ("exponent", "sweep-dt"))
+    helps = {action.dest: action.help for action in sub._actions}
+    assert helps.get("format") == format_help
+    if takes_method:
+        assert helps["method"] == "estimator (default as-quad)"
 
 # Parameters under which every method runs; the as-slope and as-mc counts are
 # small so the pins stay cheap.
