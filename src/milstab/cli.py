@@ -22,8 +22,9 @@ in block order. CSV output is UTF-8 with LF line endings, a header row, floats
 rendered by repr, and '# key=value' provenance comments above the header
 (sorted by key; --threads and --out are execution detail and excluded).
 
-Every write, to stdout or --out, goes through one writer, _write: a failed
-write prints one error line and exits 1.
+Every write, to stdout or --out, goes through one writer, _write, argparse's
+help text included: a failed write prints one error line and exits 1. A
+refused estimate's JSON error object goes where a result would.
 
 Exit codes: 0 success, 1 failed verification or unwritable output, 2 bad
 configuration or an estimator precondition violation. A reader that closes
@@ -64,8 +65,8 @@ from .model import (
 )
 from .scheme import (
     SchemeConfig,
+    _noise_factor,
     _plain_factor,
-    _StepFactor,
     simulate_path,
     simulate_theta_path,
 )
@@ -263,9 +264,7 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
     p = _model(values)
     datum = InitialDatum(values["x0"], values["y0"])
     theta = values["theta"]
-    cfg = SchemeConfig(
-        dt=values["dt"], n_steps=values["steps"], initial=datum, seed=values["seed"], theta=theta
-    )
+    cfg = SchemeConfig(dt=values["dt"], n_steps=values["steps"], initial=datum, theta=theta)
     n_paths = values["paths"]
     if n_paths < 1:
         raise ValueError(f"paths must be at least 1, got {n_paths}")
@@ -366,7 +365,7 @@ def _cmd_exponent(ns: argparse.Namespace, values: dict) -> int:
     except ValueError as exc:
         if values["format"] != "json":
             raise  # main prints it on stderr
-        return _write([json.dumps({"error": str(exc)}) + "\n"]) or 2
+        return _write([json.dumps({"error": str(exc)}) + "\n"], ns.out) or 2
     sense = Sense.MEAN_SQUARE if method in MS_METHODS else Sense.ALMOST_SURE
     obj = {
         "method": method.value,
@@ -514,9 +513,7 @@ def _suite_moments(values: dict) -> list[dict]:
     mean_ref, second_ref = composite_increment_moments(sigma, dt)
     stream = RngStream(root_seed=values["seed"], stream_id=0)
     dB = math.sqrt(dt) * stream.normals(n)
-    # The composite increment is F - c0; a factor with c0 = 0 gives it bit for
-    # bit (only at() is used, so mean_rate plays no part).
-    noise = _StepFactor(c0=0.0, mean_rate=0.0, sigma=sigma, denom=1.0, dt=dt).at(dB)
+    noise = _noise_factor(sigma, dt).at(dB)
     z_scores = [_z_score(noise, mean_ref), _z_score(noise * noise, second_ref)]
     checks = [
         _check(
@@ -632,8 +629,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its help text written by _write."""
+
+    def print_help(self, file=None) -> None:
+        code = _write([self.format_help()]) if file is None else super().print_help(file)
+        if code:
+            raise SystemExit(code)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="milstab",
         description="Discrete Lyapunov exponents of Milstein schemes for a 2x2 linear test system",
     )

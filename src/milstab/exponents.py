@@ -36,6 +36,7 @@ from .model import (
 from .scheme import (
     LogModulusPath,
     SchemeConfig,
+    _check_dt,
     _plain_factor,
     _StepFactor,
     _theta_factor,
@@ -66,12 +67,6 @@ def _map_indexed(fn, count: int, threads: int) -> list:
 DOUBLING_RTOL = 1e-10
 
 _MAX_NODES = 1024
-
-#: Lower bounds the factor must stay above for the almost-sure estimators:
-#: gamma_dt - 1/2 > 1/4 (gamma_dt > 3/4) for the plain scheme, and
-#: eta_dt - 1/(2*(1 - lam*theta*dt)) > 0 for the theta scheme.
-_PLAIN_FLOOR = 0.25
-_THETA_FLOOR = 0.0
 
 
 class Method(Enum):
@@ -192,8 +187,7 @@ def ms_remainder(p: ModelParams, dt: float) -> RemainderReport:
     explicit bound is (mu + Bbar^2 / (1 - Bbar*dt)) * dt with Bbar = 2*|a| +
     mu*dt.
     """
-    if not (0.0 < dt < 1.0):
-        raise ValueError(f"dt must lie in (0, 1), got {dt!r}")
+    _check_dt(dt)
     a = continuum_ms_exponent(p)
     mu_ = mu(p)
     b_abs = 2.0 * abs(a) + mu_ * dt
@@ -219,29 +213,15 @@ def ms_remainder(p: ModelParams, dt: float) -> RemainderReport:
     return RemainderReport(value=value, bound=bound, terms_used=len(terms), converged=converged)
 
 
-def _require_floor(f: _StepFactor, floor: float) -> None:
-    lower = f.lower_bound()
-    if lower > floor:
-        return
-    if floor == _PLAIN_FLOOR:
-        raise ValueError(
-            f"gamma_dt = {f.c0!r} must exceed 3/4 for the almost-sure exponent estimators"
-        )
-    raise ValueError(
-        f"eta - 1/(2*(1 - lam*theta*dt)) = {lower!r} must be positive to keep "
-        "the log argument away from the singularity"
-    )
-
-
-def _quad(f: _StepFactor, floor: float, nodes: int, method: Method) -> ExponentEstimate:
+def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
     """(1/dt) * E log F by Gauss-Hermite in zeta = dB/sqrt(dt), with doubling check.
 
-    F must stay above floor (see _PLAIN_FLOOR, _THETA_FLOOR), which keeps the
-    log argument positive over the node range. Doubling the node count must
-    move the value by less than DOUBLING_RTOL relative; at the 1024-node cap
-    the doubled rule is clamped and the check is void.
+    F must lie in its almost-sure domain (_StepFactor.check_domain), which
+    keeps the log argument positive over the node range. Doubling the node
+    count must move the value by less than DOUBLING_RTOL relative; at the
+    1024-node cap the doubled rule is clamped and the check is void.
     """
-    _require_floor(f, floor)
+    f.check_domain()
     a1, a2 = f.noise_coefficients()
 
     def at(n: int) -> float:
@@ -268,17 +248,16 @@ def as_exponent_quadrature(p: ModelParams, dt: float, nodes: int = 201) -> Expon
 
     Substituting zeta = dB/sqrt(dt) turns the expectation into a standard
     normal integral evaluated by Gauss-Hermite quadrature. Requires
-    gamma_dt > 3/4, which keeps the integrand's argument above 1/4 and away
-    from the log singularity.
+    gamma_dt > 3/4, the plain factor's almost-sure domain.
     """
-    return _quad(_plain_factor(p, dt), _PLAIN_FLOOR, nodes, Method.AS_QUADRATURE)
+    return _quad(_plain_factor(p, dt), nodes, Method.AS_QUADRATURE)
 
 
 def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int, float, float]:
     """(count, mean, M2) of log F over one block, M2 by a second pass about the mean.
 
-    Works in place on the block's normals. The caller's _require_floor keeps
-    F above 1/4, so the log needs none of _log_modulus's abs and zero-clamp
+    Works in place on the block's normals. The caller's check_domain keeps
+    F above 1/4, so the log needs none of _accumulate's abs and zero-clamp
     passes.
     """
     dB = RngStream(root_seed=seed, stream_id=block_id).normals(count)
@@ -309,7 +288,7 @@ def as_exponent_mc(
     (p, dt, n_samples, seed) regardless of threads.
     """
     f = _plain_factor(p, dt)
-    _require_floor(f, _PLAIN_FLOOR)
+    f.check_domain()
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
     if p.sigma == 0.0:
@@ -388,12 +367,11 @@ def theta_as_exponent_quadrature(
     """Almost-sure exponent of the scalar theta-Milstein scheme by quadrature.
 
     (1/dt) * E log(eta + (sigma*dB + (sigma^2/2)*dB^2)/(1 - lam*theta*dt)).
-    Requires eta - 1/(2*(1 - lam*theta*dt)) > 0, which bounds the argument
-    away from the log singularity by the same -1/2 noise floor as the plain
-    scheme. With theta = 0 the evaluation coincides bit for bit with
+    Requires eta > 1/(2*(1 - lam*theta*dt)), which keeps F positive. With
+    theta = 0 the evaluation coincides bit for bit with
     as_exponent_quadrature at epsilon = 0.
     """
-    return _quad(_theta_factor(p, theta, dt), _THETA_FLOOR, nodes, Method.THETA_AS_QUADRATURE)
+    return _quad(_theta_factor(p, theta, dt), nodes, Method.THETA_AS_QUADRATURE)
 
 
 def fit_loglog(dts, errors) -> ConvergenceFit:
@@ -440,7 +418,7 @@ def estimate(
         return as_exponent_mc(p, dt, n_samples, seed, threads=threads)
     if method is Method.AS_PATH_SLOPE:
         datum = initial if initial is not None else InitialDatum(1.0, 0.0)
-        cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=datum, seed=seed)
+        cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=datum)
         paths = _map_indexed(
             lambda i: simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)),
             n_paths,

@@ -215,11 +215,8 @@ def xi_expectation(p: ModelParams, dt: float, nodes: int = 201) -> float:
     |s|^3/gamma^3 for small s.
     """
     factor = _plain_factor(p, dt)
+    factor.check_domain()
     gamma = factor.c0
-    if not gamma > 0.75:
-        raise ValueError(
-            f"gamma_dt = {gamma!r} must exceed 3/4 for the xi expectation to be defined"
-        )
     s, a2 = factor.noise_coefficients()
     if s == 0.0:
         return 0.0

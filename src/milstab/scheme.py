@@ -13,10 +13,11 @@ and denom = 1 - lam*theta*dt, with
 
     eta_dt = (1 + (lam*(1-theta) - sigma^2/2)*dt) / (1 - lam*theta*dt).
 
-_StepFactor holds this factor once for path simulation and for every
-exponent estimator. Trajectories are accumulated as sums of log|factor|; the
-raw product would overflow within a few hundred steps for blow-up
-parameters, so |Z_n| itself is never materialized.
+_StepFactor holds this factor, and the almost-sure domain of its scheme,
+once for path simulation and for every exponent estimator. Trajectories are
+accumulated as sums of log|factor|; the raw product would overflow within a
+few hundred steps for blow-up parameters, so |Z_n| itself is never
+materialized.
 """
 
 from __future__ import annotations
@@ -35,9 +36,14 @@ from .stochastics import RngStream
 LOG_CLAMP = -745.0
 
 
+def _check_dt(dt: float) -> None:
+    if not (0.0 < dt < 1.0):
+        raise ValueError(f"dt must lie in (0, 1), got {dt!r}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Step size, horizon, initial datum, seed, and optional implicitness.
+    """Step size, horizon, initial datum, and optional implicitness.
 
     theta absent means the plain Milstein scheme; theta in [0, 1] selects the
     drift-implicit variant. The step size must satisfy 0 < dt < 1. The
@@ -48,16 +54,12 @@ class SchemeConfig:
     dt: float
     n_steps: int
     initial: InitialDatum
-    seed: int
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt < 1.0):
-            raise ValueError(f"dt must lie in (0, 1), got {self.dt!r}")
+        _check_dt(self.dt)
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.theta is not None and not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta!r}")
 
@@ -94,7 +96,9 @@ class _StepFactor:
     """The one-step factor F = c0 + (sigma*dB + (sigma^2/2)*dB^2) / denom.
 
     mean_rate is r in E F = 1 + r*dt. The noise part is at least
-    -1/(2*denom) for every increment, so F never drops below lower_bound().
+    -1/(2*denom) for every increment, so F >= lower = c0 - 1/(2*denom). The
+    almost-sure estimators need lower > floor and raise refusal, formatted
+    with c0 and lower, otherwise; a factor that states no floor has no domain.
     """
 
     c0: float
@@ -102,6 +106,8 @@ class _StepFactor:
     sigma: float
     denom: float
     dt: float
+    floor: float = math.inf
+    refusal: str = "this factor has no almost-sure domain"
 
     def at(self, dB, out=None):
         """F at the increment(s) dB, written into the array out if given.
@@ -133,14 +139,16 @@ class _StepFactor:
         r, s2, d2, dt = self.mean_rate, self.sigma * self.sigma, self.denom * self.denom, self.dt
         return (2.0 * r + s2 / d2) * dt + (r * r + s2 * s2 / (2.0 * d2)) * dt * dt
 
-    def lower_bound(self) -> float:
-        return self.c0 - 0.5 / self.denom
+    def check_domain(self) -> None:
+        """Raise refusal unless F stays above floor for every increment."""
+        lower = self.c0 - 0.5 / self.denom
+        if not lower > self.floor:
+            raise ValueError(self.refusal.format(c0=self.c0, lower=lower))
 
 
 def gamma_dt(p: ModelParams, dt: float) -> float:
     """Deterministic part of the one-step Milstein factor."""
-    if not (0.0 < dt < 1.0):
-        raise ValueError(f"dt must lie in (0, 1), got {dt!r}")
+    _check_dt(dt)
     return 1.0 + (p.lam + 0.5 * p.epsilon * p.epsilon - 0.5 * p.sigma * p.sigma) * dt
 
 
@@ -160,8 +168,7 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     Requires 1 - lam*theta*dt > 0; at that pole the implicit step is
     ill-posed. For theta = 0 (and epsilon = 0) eta_dt reduces to gamma_dt.
     """
-    if not (0.0 < dt < 1.0):
-        raise ValueError(f"dt must lie in (0, 1), got {dt!r}")
+    _check_dt(dt)
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     denom = 1.0 - p.lam * theta * dt
@@ -173,22 +180,37 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
 
 
 def _plain_factor(p: ModelParams, dt: float) -> _StepFactor:
+    """The Milstein factor; its almost-sure domain gamma_dt > 3/4 keeps F > 1/4."""
     return _StepFactor(
         c0=gamma_dt(p, dt),
         mean_rate=p.lam + 0.5 * p.epsilon * p.epsilon,
         sigma=p.sigma,
         denom=1.0,
         dt=dt,
+        floor=0.25,
+        refusal="gamma_dt = {c0!r} must exceed 3/4 for the almost-sure exponent estimators",
     )
 
 
 def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
-    """The scalar theta-Milstein factor; with theta = 0 it equals the plain one."""
+    """The scalar theta-Milstein factor; with theta = 0 its F is the plain one.
+
+    Its almost-sure domain only keeps F positive.
+    """
     if p.epsilon != 0.0:
         raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
     eta = theta_eta(p, theta, dt)  # validates theta, dt, and the pole
     denom = 1.0 - p.lam * theta * dt
-    return _StepFactor(c0=eta, mean_rate=p.lam / denom, sigma=p.sigma, denom=denom, dt=dt)
+    return _StepFactor(
+        c0=eta, mean_rate=p.lam / denom, sigma=p.sigma, denom=denom, dt=dt, floor=0.0,
+        refusal="eta - 1/(2*(1 - lam*theta*dt)) = {lower!r} must be positive to keep the log "
+        "argument away from the singularity",
+    )
+
+
+def _noise_factor(sigma: float, dt: float) -> _StepFactor:
+    """The composite increment sigma*dB + (sigma^2/2)*dB^2 as at() of a c0 = 0 factor."""
+    return _StepFactor(c0=0.0, mean_rate=0.0, sigma=sigma, denom=1.0, dt=dt)
 
 
 def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
@@ -201,15 +223,11 @@ def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
     return _plain_factor(p, dt).at(dB)
 
 
-def _log_modulus(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log|factors|, with exact zeros flagged and clamped to LOG_CLAMP."""
+def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log0 and its running sums with log|factors|, exact zeros flagged and clamped."""
     af = np.abs(factors)
     flags = af == 0.0
-    return np.where(flags, LOG_CLAMP, np.log(np.where(flags, 1.0, af))), flags
-
-
-def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    logs, flags = _log_modulus(factors)
+    logs = np.where(flags, LOG_CLAMP, np.log(np.where(flags, 1.0, af)))
     log_values = np.empty(len(factors) + 1)
     log_values[0] = log0
     log_values[1:] = log0 + np.cumsum(logs)

@@ -44,6 +44,14 @@ def parse_csv(text):
     return comments, header, rows
 
 
+#: The refusals of the almost-sure estimators at the two points the tests use.
+PLAIN_REFUSAL = "gamma_dt = 0.6995 must exceed 3/4 for the almost-sure exponent estimators"
+THETA_REFUSAL = (
+    "eta - 1/(2*(1 - lam*theta*dt)) = -0.30000000000000004 must be positive to keep the log "
+    "argument away from the singularity"
+)
+
+
 class TestExponentCommand:
     def test_default_json(self, capsys):
         code, out, _ = run_cli(capsys, "exponent")
@@ -95,6 +103,32 @@ class TestExponentCommand:
         assert code == 2
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize(
+        "args, refusal",
+        [
+            (("as-quad", "--lambda", "-300", "--sigma", "1"), PLAIN_REFUSAL),
+            (("as-mc", "--lambda", "-300", "--sigma", "1"), PLAIN_REFUSAL),
+            (("theta-as", "--lambda", "-80", "--sigma", "0", "--theta", "0", "--dt", "0.01"),
+             THETA_REFUSAL),
+        ],
+        ids=["as-quad", "as-mc", "theta-as"],
+    )
+    def test_floor_refusal_text(self, capsys, args, refusal):
+        code, out, err = run_cli(capsys, "exponent", *args, "--epsilon", "0")
+        assert code == 2
+        assert err == ""
+        assert out == json.dumps({"error": refusal}) + "\n"
+
+    def test_precondition_error_follows_out(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys, "exponent", "as-quad", "--lambda", "-300", "--sigma", "1", "--epsilon", "0",
+            "--out", str(target),
+        )
+        assert code == 2
+        assert (out, err) == ("", "")
+        assert target.read_text() == json.dumps({"error": PLAIN_REFUSAL}) + "\n"
+
     def test_bad_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["exponent", "bogus-method"])
@@ -103,7 +137,7 @@ class TestExponentCommand:
 
 def _simulate_reference(steps, paths, seed):
     """The (times, path matrix, mean) simulate tabulates, from the library."""
-    cfg = SchemeConfig(dt=1e-3, n_steps=steps, initial=InitialDatum(1.0, 0.0), seed=seed)
+    cfg = SchemeConfig(dt=1e-3, n_steps=steps, initial=InitialDatum(1.0, 0.0))
     p = ModelParams(8.0, 2.0, 4.0)
     runs = [simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)) for i in range(paths)]
     matrix = np.column_stack([run.log_values for run in runs])
@@ -336,8 +370,9 @@ class TestFullStdout:
             ("exponent", "as-quad", "--dt", "0.9"),  # the error object of a refused estimate
             ("verify", "--suite", "lemmas"),  # the check lines
             ("sweep-dt", "ms-exact", "--dts", "1e-2,1e-3,1e-4", "--out"),  # the echoed fit
+            ("exponent", "--help"),  # argparse's help text
         ],
-        ids=["exponent-error", "verify", "sweep-fit"],
+        ids=["exponent-error", "verify", "sweep-fit", "help"],
     )
     def test_full_device(self, tmp_path, args, unbuffered):
         if args[-1] == "--out":
@@ -411,6 +446,19 @@ class TestSweepCommand:
         _, _, rows = parse_csv(out)
         assert rows[0][1] == "error" and rows[0][3] == "error"
         assert float(rows[1][1]) != 0.0
+
+    def test_error_row_carries_refusal(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep-dt", "as-quad", "--lambda", "-300", "--sigma", "1", "--epsilon", "0",
+            "--dts", "1e-3,1e-4,1e-5,1e-6", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0] == {
+            "dt": 1e-3, "continuum_value": -300.5, "discrete_value": None, "abs_error": None,
+            "error": PLAIN_REFUSAL,
+        }
+        assert all("error" not in row for row in rows[1:])
 
     def test_too_few_successes(self, capsys):
         code, out, err = run_cli(capsys, "sweep-dt", "as-quad", "--dts", "0.5,1e-3,1e-4")

@@ -25,6 +25,7 @@ from milstab.exponents import (
     theta_as_exponent_quadrature,
     theta_ms_exponent,
 )
+from milstab.lemmas import xi_expectation
 from milstab.model import InitialDatum, ModelParams, continuum_ms_exponent
 from milstab.scheme import (
     LogModulusPath,
@@ -119,6 +120,26 @@ class TestRemainder:
             RemainderReport(value=2.0, bound=1.0, terms_used=3, converged=True)
         # unconverged reports may exceed the bound without complaint
         RemainderReport(value=2.0, bound=1.0, terms_used=200, converged=False)
+
+
+class TestAlmostSureFloor:
+    """gamma_dt > 3/4 is strict: at dt = 0.5, lam = -1/2 puts gamma_dt exactly on 3/4."""
+
+    def test_boundary_refused(self):
+        p = ModelParams(lam=-0.5, epsilon=0.0, sigma=0.0)
+        refusal = "gamma_dt = 0.75 must exceed 3/4 for the almost-sure exponent estimators"
+        for refused in (as_exponent_quadrature, xi_expectation):
+            with pytest.raises(ValueError) as exc:
+                refused(p, 0.5)
+            assert str(exc.value) == refusal
+
+    def test_one_ulp_above_accepted(self):
+        gamma = math.nextafter(0.75, 1.0)
+        p = ModelParams(lam=(gamma - 1.0) / 0.5, epsilon=0.0, sigma=0.0)
+        assert gamma_dt(p, 0.5) == gamma
+        value = as_exponent_quadrature(p, 0.5).value
+        assert value == pytest.approx(math.log(gamma) / 0.5, rel=1e-12)
+        assert xi_expectation(p, 0.5) == 0.0
 
 
 class TestAlmostSureQuadrature:
@@ -284,7 +305,7 @@ class TestPathSlope:
         assert est.method is Method.AS_PATH_SLOPE
         assert est.n_samples == 10
         # reproduces a manual run over the same streams
-        cfg = SchemeConfig(dt=1e-3, n_steps=2000, initial=InitialDatum(1.0, 0.0), seed=42)
+        cfg = SchemeConfig(dt=1e-3, n_steps=2000, initial=InitialDatum(1.0, 0.0))
         paths = [
             simulate_path(P_REF, cfg, RngStream(root_seed=42, stream_id=i)) for i in range(10)
         ]

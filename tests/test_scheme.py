@@ -112,7 +112,7 @@ class TestAccumulate:
 
 class TestSimulate:
     def cfg(self, **kw):
-        base = dict(dt=1e-3, n_steps=64, initial=DATUM, seed=42)
+        base = dict(dt=1e-3, n_steps=64, initial=DATUM)
         base.update(kw)
         return SchemeConfig(**base)
 
@@ -185,13 +185,13 @@ class TestThetaScheme:
             theta_eta(p, 1.1, 1e-3)
 
     def test_epsilon_rejected(self):
-        cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM, seed=0, theta=0.5)
+        cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM, theta=0.5)
         with pytest.raises(ValueError):
             simulate_theta_path(P_REF, cfg, RngStream(root_seed=0, stream_id=0))
 
     def test_theta_required(self):
         p = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
-        cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM, seed=0)
+        cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM)
         with pytest.raises(ValueError):
             simulate_theta_path(p, cfg, RngStream(root_seed=0, stream_id=0))
 
@@ -199,8 +199,8 @@ class TestThetaScheme:
     def test_theta_zero_bitwise_identical(self, seed):
         # theta = 0 must reproduce the plain scheme exactly, bit for bit
         p = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
-        cfg0 = SchemeConfig(dt=1e-3, n_steps=512, initial=DATUM, seed=seed)
-        cfg_t = SchemeConfig(dt=1e-3, n_steps=512, initial=DATUM, seed=seed, theta=0.0)
+        cfg0 = SchemeConfig(dt=1e-3, n_steps=512, initial=DATUM)
+        cfg_t = SchemeConfig(dt=1e-3, n_steps=512, initial=DATUM, theta=0.0)
         plain = simulate_path(p, cfg0, RngStream(root_seed=seed, stream_id=0))
         timpl = simulate_theta_path(p, cfg_t, RngStream(root_seed=seed, stream_id=0))
         assert np.array_equal(plain.log_values, timpl.log_values)
@@ -211,15 +211,15 @@ class TestConfigValidation:
     def test_dt_range(self):
         for dt in (0.0, 1.0, -1e-3, 2.0):
             with pytest.raises(ValueError):
-                SchemeConfig(dt=dt, n_steps=1, initial=DATUM, seed=0)
+                SchemeConfig(dt=dt, n_steps=1, initial=DATUM)
 
     def test_steps_positive(self):
         with pytest.raises(ValueError):
-            SchemeConfig(dt=1e-3, n_steps=0, initial=DATUM, seed=0)
+            SchemeConfig(dt=1e-3, n_steps=0, initial=DATUM)
 
     def test_theta_range(self):
         with pytest.raises(ValueError):
-            SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, seed=0, theta=1.5)
+            SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=1.5)
 
     def test_path_flags_length(self):
         with pytest.raises(ValueError):
