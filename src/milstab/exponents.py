@@ -50,6 +50,9 @@ from .stochastics import RngStream, gauss_hermite_rule
 #: so the result is independent of worker count.
 MC_BLOCK = 1 << 18
 
+#: Fewest Monte Carlo samples from which a mean and its standard error are reported.
+_MIN_SAMPLES = 100
+
 
 def _map_indexed(fn, count: int, threads: int) -> list:
     """[fn(0), ..., fn(count - 1)], spread over up to `threads` worker threads.
@@ -289,8 +292,8 @@ def as_exponent_mc(
     """
     f = _plain_factor(p, dt)
     f.check_domain()
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
+    if n_samples < _MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {_MIN_SAMPLES}, got {n_samples}")
     if p.sigma == 0.0:
         # Every sample contributes the constant log(gamma); the estimator's
         # value is exact and its sample deviation is identically zero.

@@ -53,38 +53,53 @@ class LogBoundDomain:
             return -self.gamma
         return -2.0 * self.gamma / 3.0
 
+    def check(self, x) -> np.ndarray:
+        """x as a float array; ValueError names its first point at or below the edge, or NaN."""
+        x = np.asarray(x, dtype=float)
+        edge = self.lower_edge()
+        outside = ~(x > edge)
+        if outside.any():
+            raise ValueError(f"x = {float(x[outside][0])!r} outside the domain x > {edge!r}")
+        return x
 
-def _check_gamma(gamma: float) -> None:
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+
+def _like(x: np.ndarray, value):
+    """value as a float when x is a scalar, else as the array."""
+    return float(value) if x.ndim == 0 else value
 
 
-def xi_gamma(gamma: float, x: float) -> float:
-    """Piecewise correction term of the log lower bound.
+def _xi_nonnegative(gamma: float, x):
+    return -(x**4) / (4.0 * gamma**4)
 
-    Continuous at 0 with value 0; defined for x > -2*gamma/3.
-    """
-    _check_gamma(gamma)
-    if not x > -2.0 * gamma / 3.0:
-        raise ValueError(f"x = {x!r} outside the domain x > -2*gamma/3 = {-2.0 * gamma / 3.0!r}")
-    if x >= 0.0:
-        return -(x**4) / (4.0 * gamma**4)
+
+def _xi_negative(gamma: float, x):
     return 9.0 * x**3 / gamma**3
 
 
-def log_upper_surrogate(gamma: float, x: float) -> float:
-    """Cubic upper bound for log(gamma + x), valid for x > -gamma."""
-    _check_gamma(gamma)
-    if not x > -gamma:
-        raise ValueError(f"x = {x!r} outside the domain x > -gamma = {-gamma!r}")
+def _quadratic(gamma: float, x: np.ndarray) -> np.ndarray:
+    return np.log(gamma) + x / gamma - x * x / (2.0 * gamma * gamma)
+
+
+def xi_gamma(gamma: float, x):
+    """Piecewise correction term of the log lower bound, at a float or an array.
+
+    Continuous at 0 with value 0; defined for x > -2*gamma/3.
+    """
+    x = LogBoundDomain(gamma, BoundKind.LOWER).check(x)
+    return _like(x, np.where(x >= 0.0, _xi_nonnegative(gamma, x), _xi_negative(gamma, x)))
+
+
+def log_upper_surrogate(gamma: float, x):
+    """Cubic upper bound for log(gamma + x) on x > -gamma; float or array x."""
+    x = LogBoundDomain(gamma, BoundKind.UPPER).check(x)
     g2 = gamma * gamma
-    return math.log(gamma) + x / gamma - x * x / (2.0 * g2) + x**3 / (3.0 * g2 * gamma)
+    return _like(x, _quadratic(gamma, x) + x**3 / (3.0 * g2 * gamma))
 
 
-def log_lower_surrogate(gamma: float, x: float) -> float:
-    """Quadratic-plus-xi lower bound for log(gamma + x), valid for x > -2*gamma/3."""
-    _check_gamma(gamma)
-    return math.log(gamma) + x / gamma - x * x / (2.0 * gamma * gamma) + xi_gamma(gamma, x)
+def log_lower_surrogate(gamma: float, x):
+    """Quadratic-plus-xi lower bound for log(gamma + x) on x > -2*gamma/3; float or array x."""
+    x = LogBoundDomain(gamma, BoundKind.LOWER).check(x)
+    return _like(x, _quadratic(gamma, x) + xi_gamma(gamma, x))
 
 
 @dataclass(frozen=True)
@@ -108,9 +123,14 @@ class SandwichReport:
         return self.upper_violations == 0 and self.lower_violations == 0
 
 
-def _bound_grid(lo: float, hi: float, n: int) -> np.ndarray:
+#: A sandwich grid point whose margin falls below this counts as a violation.
+_SANDWICH_TOL = -1e-12
+
+
+def _bound_grid(gamma: float, kind: BoundKind, n: int) -> np.ndarray:
     # Log-spaced toward the domain edge, where the margins are tightest, plus
     # uniform interior coverage. Points stay strictly inside (lo, hi].
+    lo, hi = LogBoundDomain(gamma, kind).lower_edge(), 10.0 * gamma
     width = hi - lo
     n_log = n // 2
     edge = lo + width * np.logspace(-12.0, 0.0, n_log)
@@ -118,56 +138,27 @@ def _bound_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.concatenate([edge, interior])
 
 
-def _margins(gamma: float, x: np.ndarray, kind: BoundKind) -> np.ndarray:
-    g2 = gamma * gamma
-    quad = np.log(gamma) + x / gamma - x * x / (2.0 * g2)
-    true = np.log(gamma + x)
-    if kind is BoundKind.UPPER:
-        return quad + x**3 / (3.0 * g2 * gamma) - true
-    xi = np.where(x >= 0.0, -(x**4) / (4.0 * g2 * g2), 9.0 * x**3 / (g2 * gamma))
-    return true - (quad + xi)
-
-
-def verify_log_sandwich(
-    gammas,
-    n_points: int = 100_000,
-    span: float = 10.0,
-    tol: float = -1e-12,
-    points=None,
-) -> SandwichReport:
+def verify_log_sandwich(gammas, n_points: int = 100_000) -> SandwichReport:
     """Check lower <= log(gamma + x) <= upper on dense in-domain grids.
 
-    For each gamma the grid covers (domain edge, span*gamma] with n_points
-    points per bound, log-spaced toward the edge. An explicit points array
-    overrides the generated grids and must lie inside both domains.
-    Violations are reported, not raised.
+    For each gamma and bound the grid covers (domain edge, 10*gamma] with
+    n_points points, log-spaced toward the edge. Violations are reported, not
+    raised.
     """
-    worst = {BoundKind.UPPER: math.inf, BoundKind.LOWER: math.inf}
-    violations = {BoundKind.UPPER: 0, BoundKind.LOWER: 0}
-    total = 0
+    upper, lower = [], []
     for gamma in gammas:
-        _check_gamma(gamma)
-        for kind in BoundKind:
-            edge = LogBoundDomain(gamma=gamma, kind=kind).lower_edge()
-            if points is None:
-                x = _bound_grid(edge, span * gamma, n_points)
-            else:
-                x = np.asarray(points, dtype=float)
-                if len(x) and x.min() <= edge:
-                    raise ValueError(
-                        f"explicit points must lie strictly inside x > {edge!r} for {kind.value}"
-                    )
-            m = _margins(gamma, x, kind)
-            worst[kind] = min(worst[kind], float(m.min()))
-            violations[kind] += int(np.count_nonzero(m < tol))
-            total += len(x)
+        x = _bound_grid(gamma, BoundKind.UPPER, n_points)
+        upper.append(log_upper_surrogate(gamma, x) - np.log(gamma + x))
+        x = _bound_grid(gamma, BoundKind.LOWER, n_points)
+        lower.append(np.log(gamma + x) - log_lower_surrogate(gamma, x))
+    upper, lower = np.concatenate(upper), np.concatenate(lower)
     return SandwichReport(
-        worst_upper_margin=worst[BoundKind.UPPER],
-        worst_lower_margin=worst[BoundKind.LOWER],
-        upper_violations=violations[BoundKind.UPPER],
-        lower_violations=violations[BoundKind.LOWER],
-        n_points=total,
-        tol=tol,
+        worst_upper_margin=float(upper.min()),
+        worst_lower_margin=float(lower.min()),
+        upper_violations=int(np.count_nonzero(upper < _SANDWICH_TOL)),
+        lower_violations=int(np.count_nonzero(lower < _SANDWICH_TOL)),
+        n_points=upper.size + lower.size,
+        tol=_SANDWICH_TOL,
     )
 
 
@@ -220,11 +211,9 @@ def xi_expectation(p: ModelParams, dt: float, nodes: int = 201) -> float:
     s, a2 = factor.noise_coefficients()
     if s == 0.0:
         return 0.0
-    g4 = gamma**4
     rule = gauss_hermite_rule(nodes)
     y = rule.nodes
-    n_comp = s * y + a2 * y * y
-    full = rule.integrate(-(n_comp**4) / (4.0 * g4))
+    full = rule.integrate(_xi_nonnegative(gamma, s * y + a2 * y * y))
 
     lo, hi = min(0.0, -2.0 / s), max(0.0, -2.0 / s)
     lo, hi = max(lo, -_CORRECTION_CLIP), min(hi, _CORRECTION_CLIP)
@@ -235,5 +224,5 @@ def xi_expectation(p: ModelParams, dt: float, nodes: int = 201) -> float:
     ww = 0.5 * (hi - lo) * wg
     nn = s * yy + a2 * yy * yy
     phi = np.exp(-0.5 * yy * yy) / _SQRT_2PI
-    correction = float(np.sum(ww * (9.0 * nn**3 / gamma**3 + nn**4 / (4.0 * g4)) * phi))
+    correction = float(np.sum(ww * (_xi_negative(gamma, nn) - _xi_nonnegative(gamma, nn)) * phi))
     return full + correction

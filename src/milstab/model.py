@@ -96,19 +96,19 @@ def continuum_as_exponent(p: ModelParams) -> float:
     return p.lam + 0.5 * p.epsilon * p.epsilon - 0.5 * p.sigma * p.sigma
 
 
-def classify(p: ModelParams, sense: Sense, tol: float = BOUNDARY_TOL) -> RegionClass:
+def classify(p: ModelParams, sense: Sense) -> RegionClass:
     """Classify a parameter point as stable, blow-up, or boundary.
 
-    Stable means the continuum exponent of the chosen sense is below -tol,
-    blow-up means above +tol, boundary otherwise.
+    Stable means the continuum exponent of the chosen sense is below
+    -BOUNDARY_TOL, blow-up means above +BOUNDARY_TOL, boundary otherwise.
     """
     if sense is Sense.MEAN_SQUARE:
         exponent = continuum_ms_exponent(p)
     else:
         exponent = continuum_as_exponent(p)
-    if exponent < -tol:
+    if exponent < -BOUNDARY_TOL:
         cls = StabilityClass.STABLE
-    elif exponent > tol:
+    elif exponent > BOUNDARY_TOL:
         cls = StabilityClass.BLOW_UP
     else:
         cls = StabilityClass.BOUNDARY

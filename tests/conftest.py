@@ -1,4 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
+
+import milstab
 
 _CRITERION_LINES = []
 
@@ -25,3 +30,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+def src_env(unbuffered=None):
+    """The environment with this checkout's milstab first on PYTHONPATH.
+
+    Subprocesses do not see pytest's own path setting, so they get it here.
+    unbuffered True or False sets or clears PYTHONUNBUFFERED; None inherits it.
+    """
+    src = str(Path(milstab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env

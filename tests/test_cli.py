@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import src_env
 
 from milstab import cli
 from milstab.cli import (
@@ -142,21 +143,6 @@ def _simulate_reference(steps, paths, seed):
     runs = [simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)) for i in range(paths)]
     matrix = np.column_stack([run.log_values for run in runs])
     return runs[0].times(), matrix, matrix.mean(axis=1)
-
-
-def _src_env(unbuffered=None):
-    """The environment with this checkout's milstab first on PYTHONPATH.
-
-    unbuffered True or False sets or clears PYTHONUNBUFFERED; None inherits it.
-    """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-    if unbuffered is not None:
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-    return env
 
 
 class TestSimulateCommand:
@@ -336,7 +322,7 @@ class TestSimulateStreaming:
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "milstab", "simulate", "--steps", steps, "--paths", "5"],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(unbuffered),
+                stdout=full, stderr=subprocess.PIPE, text=True, env=src_env(unbuffered),
                 timeout=120,
             )
         assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
@@ -350,7 +336,7 @@ class TestSimulateStreaming:
         proc = subprocess.Popen(
             [sys.executable, "-m", "milstab", "simulate", "--steps", "20000",
              "--format", fmt, "--threads", threads],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(unbuffered),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(unbuffered),
         )
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -380,7 +366,7 @@ class TestFullStdout:
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "milstab", *args],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(unbuffered),
+                stdout=full, stderr=subprocess.PIPE, text=True, env=src_env(unbuffered),
                 timeout=120,
             )
         assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
@@ -391,7 +377,7 @@ class TestFullStdout:
     def test_verify_reader_closing_early_is_quiet(self, read, unbuffered):
         proc = subprocess.Popen(
             [sys.executable, "-m", "milstab", "verify", "--suite", "lemmas"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(unbuffered),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(unbuffered),
         )
         assert len(proc.stdout.read(read)) == read
         proc.stdout.close()
@@ -407,7 +393,7 @@ def test_cli_import_loads_no_process_pool():
         "             or m == 'concurrent.futures.process'))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -541,12 +527,30 @@ class TestRegionCommand:
             _parse_sigma_range(f"0:{MAX_SIGMA_POINTS}:1")
 
 
+#: The lemmas suite's checks, byte for byte; the suite draws no random numbers.
+_LEMMAS_CHECKS = [
+    (
+        "lemmas.sandwich",
+        "0 violations over 800000 points, worst margins 0.0 (upper) and "
+        "4.440892098500626e-16 (lower)",
+    ),
+    (
+        "lemmas.xi_continuity",
+        "|xi| at x = +-1e-12 stays below 1e-20, worst 2.1333333333333332e-35",
+    ),
+    ("lemmas.xi_nonpositive", "max of xi over the sampled domain is -3.814695817637643e-38"),
+]
+
+
 class TestVerifyCommand:
-    def test_lemmas_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas")
-        assert code == 0
-        assert "lemmas.sandwich: PASS" in out
-        assert "FAIL" not in out
+    def test_lemmas_suite(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--out", str(report_path))
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{name}: PASS - {detail}\n" for name, detail in _LEMMAS_CHECKS)
+        checks = [{"name": n, "passed": True, "detail": d} for n, d in _LEMMAS_CHECKS]
+        report = {"suite": "lemmas", "passed": True, "checks": checks}
+        assert report_path.read_text() == json.dumps(report, indent=2) + "\n"
 
     def test_all_suites_with_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
@@ -571,6 +575,49 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args, failing",
+        [
+            (("--suite", "moments", "--samples", "1"), None),
+            (("--suite", "moments", "--samples", "0"), None),
+            (("--suite", "moments", "--sigma", "1e200"), "moments.composite_vs_mc"),
+            (
+                ("--suite", "closedform", "--lambda", "1e20", "--epsilon", "0", "--sigma", "1",
+                 "--dt", "0.5"),
+                "closedform.second_moment",
+            ),
+        ],
+    )
+    def test_no_pass_without_evidence(self, capsys, args, failing):
+        # Too few samples for a standard error are refused; a statistic that
+        # is not finite fails its check rather than reading as z = 0.
+        code, out, err = run_cli(capsys, "verify", *args)
+        if failing is None:
+            samples = args[args.index("--samples") + 1]
+            refusal = f"error: --samples must be at least 100, got {samples}\n"
+            assert (code, out, err) == (2, "", refusal)
+        else:
+            assert code == 1
+            assert f"{failing}: FAIL - " in out
+            assert f"{failing}: PASS" not in out
+
+
+#: One cheap run of each command that takes --seed.
+_SEED_RUNS = {
+    "simulate": ("simulate", "--steps", "10", "--paths", "2"),
+    "exponent": ("exponent", "as-quad"),
+    "sweep-dt": ("sweep-dt", "as-mc", "--samples", "1000"),
+    "verify": ("verify", "--suite", "moments", "--samples", "1000"),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", list(_SEED_RUNS))
+def test_seed_out_of_range_is_refused(capsys, command, seed):
+    # refused before any work, naming the flag, even where no stream is drawn
+    got = run_cli(capsys, *_SEED_RUNS[command], "--seed", str(seed))
+    assert got == (2, "", f"error: --seed must be a 64-bit unsigned integer, got {seed}\n")
 
 
 class TestConfigPrecedence:
@@ -666,6 +713,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "milstab", "exponent", "--dt", "1e-4"],
         capture_output=True,
         text=True,
+        env=src_env(),
         timeout=120,
     )
     assert proc.returncode == 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,23 +89,60 @@ class TestSurrogates:
         assert log_lower_surrogate(gamma, x) <= log_value + 1e-12
 
 
+class TestArrayCalls:
+    #: Points as multiples of gamma, inside both domains, across the sign change.
+    T = np.array([-0.6, -0.1, -1e-12, 0.0, 1e-12, 0.25, 1.0, 9.0])
+    SURROGATES = [xi_gamma, log_upper_surrogate, log_lower_surrogate]
+
+    @pytest.mark.parametrize("fn", SURROGATES)
+    @pytest.mark.parametrize("gamma", [0.75, 2.0, 10.0])
+    def test_array_matches_scalar_calls(self, fn, gamma):
+        x = gamma * self.T
+        got = fn(gamma, x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        scalars = [fn(gamma, float(v)) for v in x]
+        assert all(type(v) is float for v in scalars)
+        assert got.tolist() == scalars
+        assert fn(gamma, x.reshape(2, 4)).tolist() == got.reshape(2, 4).tolist()
+
+    def test_sandwich_at_chosen_points(self):
+        x = np.array([0.0, 0.5, 1.0])
+        log_value = np.log(2.0 + x)
+        assert np.all(log_lower_surrogate(2.0, x) <= log_value)
+        assert np.all(log_value <= log_upper_surrogate(2.0, x))
+
+    @pytest.mark.parametrize(
+        "fn, edge", [(xi_gamma, -2.0), (log_upper_surrogate, -3.0), (log_lower_surrogate, -2.0)]
+    )
+    @pytest.mark.parametrize("bad", ["edge", "below", "nan"])
+    def test_one_point_out_of_domain_raises(self, fn, edge, bad):
+        point = {"edge": edge, "below": edge - 0.5, "nan": math.nan}[bad]
+        x = np.array([0.0, 1.0, point, 2.0, edge - 1.0])
+        # the message names the first offending point, not the array
+        with pytest.raises(ValueError, match=rf"^x = {re.escape(repr(point))} outside"):
+            fn(3.0, x)
+
+    def test_domains_differ(self):
+        # -1.9 lies inside x > -gamma but not inside x > -2*gamma/3 at gamma = 2
+        x = np.array([0.0, -1.9])
+        assert np.all(np.isfinite(log_upper_surrogate(2.0, x)))
+        with pytest.raises(ValueError, match=r"^x = -1\.9 outside"):
+            log_lower_surrogate(2.0, x)
+
+
 class TestVerifySandwich:
     def test_reference_gammas_clean(self):
-        report = verify_log_sandwich((0.75, 1.0, 2.0, 10.0), n_points=5000, tol=-1e-12)
+        report = verify_log_sandwich((0.75, 1.0, 2.0, 10.0), n_points=5000)
         assert report.passed
+        assert report.tol == -1e-12
         assert report.upper_violations == 0 and report.lower_violations == 0
         assert report.n_points == 4 * 2 * 5000
         assert report.worst_upper_margin >= -1e-12
         assert report.worst_lower_margin >= -1e-12
 
-    def test_explicit_points(self):
-        report = verify_log_sandwich((2.0,), points=np.array([0.0, 0.5, 1.0]))
-        assert report.passed
-        assert report.n_points == 6
-
-    def test_explicit_points_out_of_domain(self):
-        with pytest.raises(ValueError):
-            verify_log_sandwich((2.0,), points=np.array([-1.9]))
+    def test_gamma_positive_required(self):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            verify_log_sandwich((1.0, 0.0), n_points=10)
 
     def test_domain_edges(self):
         assert LogBoundDomain(gamma=3.0, kind=BoundKind.UPPER).lower_edge() == -3.0
@@ -202,6 +240,37 @@ class TestXiExpectation:
         bad = ModelParams(lam=-300.0, epsilon=0.0, sigma=1.0)
         with pytest.raises(ValueError):
             xi_expectation(bad, 1e-3)
+
+    #: E xi at dt = 1e-2 ... 1e-6, as float.hex, computed by the two-branch
+    #: Gauss-Hermite plus clipped Gauss-Legendre rule at 201 nodes.
+    PINNED = {
+        (8.0, 2.0, 4.0): (
+            "-0x1.44d592f27eac8p-3", "-0x1.4b56b5c721e48p-7", "-0x1.aec1b07d57d07p-12",
+            "-0x1.d6cdfb7a52b30p-17", "-0x1.e807fb1b7bd40p-22",
+        ),
+        (-1.0, 0.0, 1.0): (
+            "-0x1.73b42e0026e2ep-8", "-0x1.b6096ef27853fp-13", "-0x1.d4ef26ba7f239p-18",
+            "-0x1.e36c8f073161dp-23", "-0x1.ec1c21c466f6ap-28",
+        ),
+        (6.0, 0.5, 3.5): (
+            "-0x1.f5f46fdc3127cp-4", "-0x1.d325f8389d371p-8", "-0x1.24d453fb7166ep-12",
+            "-0x1.3ccfc471ffc68p-17", "-0x1.4765f1e42f000p-22",
+        ),
+        (0.0, 1.0, 2.0): (
+            "-0x1.18b069c692000p-5", "-0x1.90b69db20c66fp-10", "-0x1.c80dc3dd1e93bp-15",
+            "-0x1.df33eabe05721p-20", "-0x1.eabfb4c531d62p-25",
+        ),
+        (-3.0, 1.5, 0.5): (
+            "-0x1.b2d567e1dbe75p-11", "-0x1.ca8371d13946ap-16", "-0x1.db8faf9e9652fp-21",
+            "-0x1.e58dc0d031d37p-26", "-0x1.eccad6cc86a00p-31",
+        ),
+    }
+
+    @pytest.mark.parametrize("params", list(PINNED))
+    def test_pinned_bits(self, params):
+        p = ModelParams(*params)
+        got = [xi_expectation(p, 10.0**-k).hex() for k in range(2, 7)]
+        assert got == list(self.PINNED[params])
 
     def test_monte_carlo_agreement(self):
         # direct sampling of xi_gamma at the composite increment

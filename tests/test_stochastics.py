@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import src_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
@@ -190,7 +191,7 @@ def test_cli_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
