@@ -22,6 +22,12 @@ in block order. CSV output is UTF-8 with LF line endings, a header row, floats
 rendered by repr, and '# key=value' provenance comments above the header
 (sorted by key; --threads and --out are execution detail and excluded).
 
+verify draws its samples a block (MC_BLOCK) or a slice (_MC_CHUNK) at a time
+and reduces each before the next, so its memory does not grow with
+--samples. A statistic that overflows fails its check, with no numpy warning.
+At sigma = 0 every closed-form path is one number, which is compared with
+base^n within _ULPS_PER_FACTOR ulps per step factor instead of by a z-score.
+
 Every write, to stdout or --out, goes through one writer, _write, argparse's
 help text included: a failed write prints one error line and exits 1. A
 refused estimate's JSON error object goes where a result would.
@@ -43,10 +49,15 @@ import sys
 import numpy as np
 
 from .exponents import (
+    _MC_CHUNK,
     _MIN_SAMPLES,
+    MC_BLOCK,
     MS_METHODS,
     Method,
+    _combine,
     _map_indexed,
+    _moments_in_place,
+    _slices,
     continuum_target,
     estimate,
     fit_loglog,
@@ -467,13 +478,24 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _z_score(samples: np.ndarray, ref: float) -> float:
-    """|mean - ref| in standard errors; 0 if samples do not vary, NaN if either is not finite."""
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
+#: Rounding that the noise-free (sigma = 0) closed-form check allows per step
+#: factor, in units of the double precision epsilon.
+_ULPS_PER_FACTOR = 8
+
+
+def _z_score(stats: tuple[int, float, float], ref: float) -> float:
+    """|mean - ref| in standard errors of a (count, mean, M2) triple.
+
+    NaN if either is not finite. Samples that do not vary give 0 when their
+    mean equals ref exactly and infinity otherwise.
+    """
+    n, mean, m2 = stats
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     if not (math.isfinite(mean) and math.isfinite(se)):
         return math.nan
-    return abs(mean - ref) / se if se > 0.0 else 0.0
+    if se == 0.0:
+        return 0.0 if mean == ref else math.inf
+    return abs(mean - ref) / se
 
 
 def _suite_lemmas(values: dict) -> list[dict]:
@@ -513,10 +535,21 @@ def _suite_moments(values: dict) -> list[dict]:
     if n < _MIN_SAMPLES:
         raise ValueError(f"--samples must be at least {_MIN_SAMPLES}, got {n}")
     mean_ref, second_ref = composite_increment_moments(sigma, dt)
+    noise = _noise_factor(sigma, dt)
+    # Drawn and reduced one block at a time, from one stream: the noise and
+    # its square, each as (count, mean, M2), merged in block order.
     stream = RngStream(root_seed=values["seed"], stream_id=0)
-    dB = math.sqrt(dt) * stream.normals(n)
-    noise = _noise_factor(sigma, dt).at(dB)
-    z_scores = [_z_score(noise, mean_ref), _z_score(noise * noise, second_ref)]
+    root_dt = math.sqrt(dt)
+    parts = []
+    for lo in range(0, n, MC_BLOCK):
+        x = stream.normals(min(MC_BLOCK, n - lo))
+        for dB in _slices(x):
+            dB *= root_dt
+            noise.at(dB, out=dB)
+        square = _moments_in_place(x * x)  # before x itself is overwritten
+        parts.append((_moments_in_place(x), square))
+    first, second = (_combine(stats) for stats in zip(*parts))
+    z_scores = [_z_score(first, mean_ref), _z_score(second, second_ref)]
     checks = [
         _check(
             "moments.composite_vs_mc",
@@ -558,22 +591,39 @@ def _suite_closedform(values: dict) -> list[dict]:
     factor = _plain_factor(p, dt)
     base = 1.0 + factor.ms_base_m1()
     stream = RngStream(root_seed=values["seed"], stream_id=0)
-    dB = math.sqrt(dt) * stream.normals(n_paths * n_steps).reshape(n_paths, n_steps)
-    factors = factor.at(dB)
-    squared = datum.squared_modulus() * np.prod(factors * factors, axis=1)
+    root_dt = math.sqrt(dt)
+    # Path i takes draws i*n_steps to (i+1)*n_steps - 1; paths are built in
+    # place, a chunk of rows at a time.
+    squared = np.empty(n_paths)
+    rows = _MC_CHUNK // n_steps
+    for lo in range(0, n_paths, rows):
+        dB = stream.normals(min(rows, n_paths - lo) * n_steps).reshape(-1, n_steps)
+        dB *= root_dt
+        factors = factor.at(dB, out=dB)
+        factors *= factors
+        np.prod(factors, axis=1, out=squared[lo : lo + rows])
+    squared *= datum.squared_modulus()
     try:
         ref = datum.squared_modulus() * base**n_steps
     except OverflowError:  # base^n beyond the float range: no finite reference
         ref = math.inf
-    z = _z_score(squared, ref)
-    return [
-        _check(
-            "closedform.second_moment",
-            z <= 3.0,
-            f"E(Z_n^2) at n = {n_steps} within 3 standard errors of base^n, z = {z:.3f} "
-            f"over {n_paths} paths",
+    if p.sigma == 0.0:
+        # Every path is one number, which can differ from base^n only by rounding.
+        value = float(squared[0])
+        rtol = _ULPS_PER_FACTOR * n_steps * sys.float_info.epsilon
+        passed = abs(value - ref) <= rtol * abs(ref)
+        detail = (
+            f"sigma = 0: E(Z_n^2) at n = {n_steps} is {value!r} on every path, against "
+            f"base^n = {ref!r} within relative {rtol:.3g}"
         )
-    ]
+    else:
+        z = _z_score(_moments_in_place(squared), ref)
+        passed = z <= 3.0
+        detail = (
+            f"E(Z_n^2) at n = {n_steps} within 3 standard errors of base^n, z = {z:.3f} "
+            f"over {n_paths} paths"
+        )
+    return [_check("closedform.second_moment", passed, detail)]
 
 
 _SUITES = {
@@ -595,8 +645,10 @@ def _cmd_verify(ns: argparse.Namespace, values: dict) -> int:
     suite = values["suite"]
     names = list(_SUITES) if suite == "all" else [suite]
     checks = []
-    for name in names:
-        checks.extend(_SUITES[name](values))
+    # A statistic that overflows is reported by its check, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in names:
+            checks.extend(_SUITES[name](values))
     code = _write(
         f"{check['name']}: {'PASS' if check['passed'] else 'FAIL'} - {check['detail']}\n"
         for check in checks

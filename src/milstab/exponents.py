@@ -50,6 +50,10 @@ from .stochastics import RngStream, gauss_hermite_rule
 #: so the result is independent of worker count.
 MC_BLOCK = 1 << 18
 
+#: Slice of a sample block that a kernel takes through all its passes at once
+#: (256 KiB of doubles, so the slice stays in cache between passes).
+_MC_CHUNK = 1 << 15
+
 #: Fewest Monte Carlo samples from which a mean and its standard error are reported.
 _MIN_SAMPLES = 100
 
@@ -256,20 +260,56 @@ def as_exponent_quadrature(p: ModelParams, dt: float, nodes: int = 201) -> Expon
     return _quad(_plain_factor(p, dt), nodes, Method.AS_QUADRATURE)
 
 
-def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int, float, float]:
-    """(count, mean, M2) of log F over one block, M2 by a second pass about the mean.
+def _slices(x: np.ndarray):
+    """Views of the 1-d array x, _MC_CHUNK elements each, in order."""
+    return (x[lo : lo + _MC_CHUNK] for lo in range(0, x.size, _MC_CHUNK))
 
-    Works in place on the block's normals. The caller's check_domain keeps
-    F above 1/4, so the log needs none of _accumulate's abs and zero-clamp
-    passes.
+
+def _moments_in_place(x: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of x, M2 by a second pass about the mean; x is overwritten.
+
+    mean has the bits of np.mean(x) and M2 / (count - 1) those of
+    np.var(x, ddof=1): both sums run over the whole array, and the
+    deviations are squared in _MC_CHUNK slices.
     """
-    dB = RngStream(root_seed=seed, stream_id=block_id).normals(count)
-    dB *= math.sqrt(f.dt)
-    logs = np.log(f.at(dB, out=dB), out=dB)
-    mean = float(np.sum(logs)) / count
-    logs -= mean
-    logs *= logs
-    return count, mean, float(np.sum(logs))
+    mean = float(np.sum(x)) / x.size
+    for dev in _slices(x):
+        dev -= mean
+        dev *= dev
+    return x.size, mean, float(np.sum(x))
+
+
+def _combine(partials) -> tuple[int, float, float]:
+    """(count, mean, M2) of the union of parts given as (count, mean, M2) triples.
+
+    The parts merge in the given order by the pairwise update of Chan, Golub
+    and LeVeque (1979), so M2 does not cancel when the spread is tiny next to
+    the mean.
+    """
+    n, mean, m2 = partials[0]
+    for nb, mean_b, m2_b in partials[1:]:
+        total = n + nb
+        delta = mean_b - mean
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * n * nb / total
+        n = total
+    return n, mean, m2
+
+
+def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int, float, float]:
+    """(count, mean, M2) of log F over one block of count draws.
+
+    The block's normals are drawn at once, then scaled, turned into F and
+    logged in _MC_CHUNK slices, each slice staying in cache through its
+    passes. The caller's check_domain keeps F above 1/4, so the log needs
+    none of _accumulate's abs and zero-clamp passes.
+    """
+    logs = RngStream(root_seed=seed, stream_id=block_id).normals(count)
+    root_dt = math.sqrt(f.dt)
+    for dB in _slices(logs):
+        dB *= root_dt
+        np.log(f.at(dB, out=dB), out=dB)
+    return _moments_in_place(logs)
 
 
 def as_exponent_mc(
@@ -310,13 +350,7 @@ def as_exponent_mc(
         threads,
     )
 
-    n, mean, m2 = partials[0]
-    for nb, mean_b, m2_b in partials[1:]:  # fixed block order
-        total = n + nb
-        delta = mean_b - mean
-        mean += delta * nb / total
-        m2 += m2_b + delta * delta * n * nb / total
-        n = total
+    n, mean, m2 = _combine(partials)  # in block order
     var = m2 / (n - 1)
     return ExponentEstimate(
         value=mean / dt,

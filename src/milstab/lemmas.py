@@ -138,26 +138,34 @@ def _bound_grid(gamma: float, kind: BoundKind, n: int) -> np.ndarray:
     return np.concatenate([edge, interior])
 
 
+def _margins(gamma: float, kind: BoundKind, n: int) -> tuple[float, int]:
+    """Smallest signed margin of one bound over its grid, and the count below _SANDWICH_TOL."""
+    x = _bound_grid(gamma, kind, n)
+    if kind is BoundKind.UPPER:
+        margin = log_upper_surrogate(gamma, x) - np.log(gamma + x)
+    else:
+        margin = np.log(gamma + x) - log_lower_surrogate(gamma, x)
+    return float(margin.min()), int(np.count_nonzero(margin < _SANDWICH_TOL))
+
+
 def verify_log_sandwich(gammas, n_points: int = 100_000) -> SandwichReport:
     """Check lower <= log(gamma + x) <= upper on dense in-domain grids.
 
     For each gamma and bound the grid covers (domain edge, 10*gamma] with
-    n_points points, log-spaced toward the edge. Violations are reported, not
-    raised.
+    n_points points, log-spaced toward the edge. Each grid is reduced to its
+    worst margin and violation count before the next is built. Violations
+    are reported, not raised.
     """
-    upper, lower = [], []
-    for gamma in gammas:
-        x = _bound_grid(gamma, BoundKind.UPPER, n_points)
-        upper.append(log_upper_surrogate(gamma, x) - np.log(gamma + x))
-        x = _bound_grid(gamma, BoundKind.LOWER, n_points)
-        lower.append(np.log(gamma + x) - log_lower_surrogate(gamma, x))
-    upper, lower = np.concatenate(upper), np.concatenate(lower)
+    gammas = list(gammas)
+    upper = [_margins(gamma, BoundKind.UPPER, n_points) for gamma in gammas]
+    lower = [_margins(gamma, BoundKind.LOWER, n_points) for gamma in gammas]
     return SandwichReport(
-        worst_upper_margin=float(upper.min()),
-        worst_lower_margin=float(lower.min()),
-        upper_violations=int(np.count_nonzero(upper < _SANDWICH_TOL)),
-        lower_violations=int(np.count_nonzero(lower < _SANDWICH_TOL)),
-        n_points=upper.size + lower.size,
+        # np.min, as a NaN margin must propagate the way it did over one array
+        worst_upper_margin=float(np.min([worst for worst, _ in upper])),
+        worst_lower_margin=float(np.min([worst for worst, _ in lower])),
+        upper_violations=sum(count for _, count in upper),
+        lower_violations=sum(count for _, count in lower),
+        n_points=2 * n_points * len(gammas),
         tol=_SANDWICH_TOL,
     )
 

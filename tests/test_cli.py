@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from milstab.cli import (
     main,
 )
 from milstab.exponents import (
+    MC_BLOCK,
     Method,
     as_exponent_quadrature,
     continuum_target,
@@ -542,7 +544,44 @@ _LEMMAS_CHECKS = [
 ]
 
 
+#: The moments suite's quadrature lines, which depend on no flag but --nodes.
+_HERMITE_LINES = (
+    "moments.hermite_even_moments: PASS - orders 2..20 against closed-form moments, worst "
+    "relative error 3.7143142097911834e-14\n"
+    "moments.weight_sum: PASS - |sum of weights - 1| = 1.1102230246251565e-16\n"
+)
+
+#: z-scores printed by `verify --suite all` at default sizes: the moments
+#: suite's mean and second moment, then the closed-form suite's.
+_ALL_SUITES_Z = {
+    (("8", "2", "4"), "1"): ("0.333", "0.784", "1.352"),
+    (("8", "2", "4"), "7"): ("0.083", "0.910", "0.031"),
+    (("8", "2", "4"), "42"): ("0.046", "1.945", "0.908"),
+    (("-1", "0", "1"), "1"): ("0.273", "0.886", "0.546"),
+    (("-1", "0", "1"), "7"): ("0.126", "0.714", "0.110"),
+    (("-1", "0", "1"), "42"): ("0.175", "1.939", "0.022"),
+}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("point, seed", list(_ALL_SUITES_Z))
+    def test_all_suites_pinned(self, capsys, point, seed):
+        # the bytes of every suite, from before the suites drew and reduced
+        # their samples block by block
+        lam, eps, sigma = point
+        z_mean, z_second, z_closed = _ALL_SUITES_Z[point, seed]
+        code, out, err = run_cli(capsys, "verify", "--lambda", lam, "--epsilon", eps,
+                                 "--sigma", sigma, "--seed", seed)
+        assert (code, err) == (0, "")
+        assert out == (
+            "".join(f"{name}: PASS - {detail}\n" for name, detail in _LEMMAS_CHECKS)
+            + "moments.composite_vs_mc: PASS - mean and second moment within 4 standard "
+            f"errors, z = {z_mean} and {z_second} over 1000000 samples\n"
+            + _HERMITE_LINES
+            + "closedform.second_moment: PASS - E(Z_n^2) at n = 10 within 3 standard errors "
+            f"of base^n, z = {z_closed} over 100000 paths\n"
+        )
+
     def test_lemmas_suite(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
         code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--out", str(report_path))
@@ -601,6 +640,61 @@ class TestVerifyCommand:
             assert code == 1
             assert f"{failing}: FAIL - " in out
             assert f"{failing}: PASS" not in out
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (
+                ("--suite", "closedform", "--sigma", "0"),
+                "closedform.second_moment: PASS - sigma = 0: E(Z_n^2) at n = 10 is "
+                "1.2201900399479673 on every path, against base^n = 1.2201900399479668 within "
+                "relative 1.78e-14\n",
+            ),
+            (
+                ("--suite", "closedform", "--lambda", "-0.5", "--epsilon", "0", "--sigma", "0",
+                 "--dt", "0.9"),
+                "closedform.second_moment: PASS - sigma = 0: E(Z_n^2) at n = 10 is "
+                "6.4158439152961835e-06 on every path, against base^n = 6.415843915296172e-06 "
+                "within relative 1.78e-14\n",
+            ),
+            (
+                ("--suite", "moments", "--sigma", "0"),
+                "moments.composite_vs_mc: PASS - mean and second moment within 4 standard "
+                "errors, z = 0.000 and 0.000 over 1000000 samples\n" + _HERMITE_LINES,
+            ),
+        ],
+    )
+    def test_noise_free_checks(self, capsys, args, line):
+        # At sigma = 0 a closed-form z-score is decided by rounding: the first
+        # case read z = 0 and the second z = 1897.357, a false FAIL. The noise
+        # is exactly 0 at sigma = 0, so its z is 0 by exact equality.
+        assert run_cli(capsys, "verify", *args) == (0, line, "")
+
+    @pytest.mark.parametrize(
+        "suite, failing", [("moments", "moments.composite_vs_mc"),
+                           ("closedform", "closedform.second_moment")]
+    )
+    def test_overflow_fails_without_warnings(self, suite, failing):
+        # numpy's RuntimeWarning lines used to reach stderr above the FAIL
+        proc = subprocess.run(
+            [sys.executable, "-m", "milstab", "verify", "--suite", suite, "--sigma", "1e200"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout.startswith(f"{failing}: FAIL - ") and "z = nan" in proc.stdout
+
+    def test_moments_memory_is_bounded_by_blocks(self):
+        # drawn and reduced block by block; all 16 blocks at once held 5 arrays of them
+        values = dict(DEFAULTS, samples=16 * MC_BLOCK)
+        cli._suite_moments(dict(values, samples=100))  # first stream and quadrature table
+        tracemalloc.start()
+        try:
+            checks = cli._suite_moments(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(check["passed"] for check in checks)
+        assert peak <= 3 * 8 * MC_BLOCK
 
 
 #: One cheap run of each command that takes --seed.

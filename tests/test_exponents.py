@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from milstab.exponents import (
+    _MC_CHUNK,
     MC_BLOCK,
     ConvergenceFit,
     ExponentEstimate,
@@ -268,15 +270,32 @@ class TestMonteCarloErrorBar:
         ids=["plain", "denom"],
     )
     def test_in_place_block_matches_two_pass_reference(self, factor):
-        # the in-place kernel must equal the written-out factor with numpy
-        # temporaries bit for bit, for the plain factor and one with denom != 1
-        count, seed, block_id = 100_003, 9, 4
-        dB = math.sqrt(factor.dt) * RngStream(root_seed=seed, stream_id=block_id).normals(count)
-        s = factor.sigma
-        logs = np.log(factor.c0 + (s * dB + 0.5 * s * s * dB * dB) / factor.denom)
-        mean = float(np.sum(logs)) / count
-        dev = logs - mean
-        assert _mc_block(factor, seed, block_id, count) == (count, mean, float(np.sum(dev * dev)))
+        # the sliced in-place kernel must equal the written-out factor with
+        # numpy temporaries bit for bit, for the plain factor and one with
+        # denom != 1, at counts on both sides of a slice edge and a full block
+        seed, block_id = 9, 4
+        counts = (100_003, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 5, MC_BLOCK)
+        for count in counts:
+            zeta = RngStream(root_seed=seed, stream_id=block_id).normals(count)
+            dB = math.sqrt(factor.dt) * zeta
+            s = factor.sigma
+            logs = np.log(factor.c0 + (s * dB + 0.5 * s * s * dB * dB) / factor.denom)
+            mean = float(np.sum(logs)) / count
+            dev = logs - mean
+            expected = (count, mean, float(np.sum(dev * dev)))
+            assert _mc_block(factor, seed, block_id, count) == expected, count
+
+    def test_block_memory_is_one_block_and_a_slice(self):
+        # the whole-block kernel held a factor temporary the size of the block
+        f = _plain_factor(P_REF, 1e-3)
+        _mc_block(f, 1, 0, 100)  # the first stream of a process loads numpy.random state
+        tracemalloc.start()
+        try:
+            _mc_block(f, 1, 0, MC_BLOCK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * MC_BLOCK
 
 
 class TestPathSlope:

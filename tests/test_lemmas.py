@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from milstab.lemmas import (
     BoundKind,
     LogBoundDomain,
+    _bound_grid,
     composite_increment_moments,
     gaussian_moment,
     log_lower_surrogate,
@@ -143,6 +145,34 @@ class TestVerifySandwich:
     def test_gamma_positive_required(self):
         with pytest.raises(ValueError, match="gamma must be positive"):
             verify_log_sandwich((1.0, 0.0), n_points=10)
+
+    def test_matches_one_pass_over_all_grids(self):
+        # reducing grid by grid gives the report of one pass over every margin
+        gammas, n = (0.75, 1.0, 2.0, 10.0), 5000
+        upper, lower = [], []
+        for gamma in gammas:
+            x = _bound_grid(gamma, BoundKind.UPPER, n)
+            upper.append(log_upper_surrogate(gamma, x) - np.log(gamma + x))
+            x = _bound_grid(gamma, BoundKind.LOWER, n)
+            lower.append(np.log(gamma + x) - log_lower_surrogate(gamma, x))
+        upper, lower = np.concatenate(upper), np.concatenate(lower)
+        report = verify_log_sandwich(gammas, n_points=n)
+        assert (report.worst_upper_margin, report.worst_lower_margin) == (upper.min(), lower.min())
+        assert report.upper_violations == np.count_nonzero(upper < report.tol)
+        assert report.lower_violations == np.count_nonzero(lower < report.tol)
+        assert report.n_points == upper.size + lower.size
+
+    def test_memory_does_not_grow_with_gammas(self):
+        verify_log_sandwich((1.0,), n_points=10)  # one-time allocations out of the way
+        peaks = []
+        for gammas in ((1.0,), (0.75, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0)):
+            tracemalloc.start()
+            try:
+                verify_log_sandwich(gammas, n_points=20_000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_domain_edges(self):
         assert LogBoundDomain(gamma=3.0, kind=BoundKind.UPPER).lower_edge() == -3.0

@@ -75,6 +75,20 @@ class TestRngStream:
         parts = np.concatenate([s.normals(3), s.normals(7)])
         assert np.array_equal(bulk, parts)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=300_000),
+        st.integers(min_value=0, max_value=300_000),
+    )
+    def test_split_draws_match_bulk_property(self, seed, a, b):
+        # the verify suites draw one stream in pieces and rely on these bits
+        bulk = RngStream(root_seed=seed, stream_id=1).normals(a + b)
+        s = RngStream(root_seed=seed, stream_id=1)
+        first, second = s.normals(a), s.normals(b)
+        assert np.array_equal(bulk, np.concatenate([first, second]))
+        assert s.position == a + b
+
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7"])
     def test_bad_seed_rejected(self, bad):
         with pytest.raises(ValueError):
