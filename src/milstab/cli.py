@@ -46,8 +46,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
+from . import _np as np
 from .exponents import (
     _MC_CHUNK,
     _MIN_SAMPLES,
@@ -58,6 +57,7 @@ from .exponents import (
     _map_indexed,
     _moments_in_place,
     _slices,
+    _usable_cpus,
     continuum_target,
     estimate,
     fit_loglog,
@@ -336,13 +336,6 @@ def _joined(head: str, texts, sep: str, tail: str):
             yield sep
         yield text
     yield tail
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _estimator_kwargs(values: dict) -> dict:

@@ -21,12 +21,12 @@ dt sweeps.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from . import _np as np
 from .model import (
     InitialDatum,
     ModelParams,
@@ -58,14 +58,23 @@ _MC_CHUNK = 1 << 15
 _MIN_SAMPLES = 100
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map_indexed(fn, count: int, threads: int) -> list:
     """[fn(0), ..., fn(count - 1)], spread over up to `threads` worker threads.
 
+    The pool starts no more workers than there are tasks or usable CPUs.
     Callers give each index its own substream and combine the results in
     index order, so the output does not depend on `threads`.
     """
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, count, _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(count)))
     return [fn(i) for i in range(count)]
 

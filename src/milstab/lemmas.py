@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from . import _np as np
 from .model import ModelParams
 from .scheme import _plain_factor
 from .stochastics import _legendre_table, gauss_hermite_rule

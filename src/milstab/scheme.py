@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import _np as np
 from .model import InitialDatum, ModelParams
 from .stochastics import RngStream
 

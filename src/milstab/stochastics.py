@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
+from . import _np as np
 
 _U64 = 2**64
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from milstab import exponents
 from milstab.exponents import (
     _MC_CHUNK,
     MC_BLOCK,
@@ -14,6 +15,7 @@ from milstab.exponents import (
     ExponentEstimate,
     Method,
     RemainderReport,
+    _map_indexed,
     _mc_block,
     as_exponent_mc,
     as_exponent_path_slope,
@@ -296,6 +298,54 @@ class TestMonteCarloErrorBar:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * MC_BLOCK
+
+
+class TestWorkerPool:
+    """_map_indexed starts min(threads, tasks, usable CPUs) worker threads."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(exponents, "ThreadPoolExecutor", SerialPool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "threads, count, cpus, workers",
+        [
+            (5000, 3815, 2, 2),  # limited by the CPUs
+            (5000, 3, 64, 3),  # limited by the task count
+            (4, 3815, 64, 4),  # limited by threads
+            (5000, 1, 64, None),  # one task runs inline
+            (1, 3815, 64, None),  # one thread runs inline
+            (5000, 3815, 1, None),  # one CPU runs inline
+        ],
+    )
+    def test_pool_size(self, built, monkeypatch, threads, count, cpus, workers):
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: cpus)
+        assert _map_indexed(lambda i: i * i, count, threads) == [i * i for i in range(count)]
+        assert built == ([] if workers is None else [workers])
+
+    def test_estimators_use_the_bound(self, built, monkeypatch):
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: 64)
+        kw = dict(n_samples=2 * MC_BLOCK + 1, seed=3)
+        assert as_exponent_mc(P_REF, 1e-3, threads=5000, **kw) == as_exponent_mc(P_REF, 1e-3, **kw)
+        kw = dict(seed=3, n_paths=4, n_steps=100)
+        many = estimate(P_REF, 1e-3, Method.AS_PATH_SLOPE, threads=5000, **kw)
+        assert many == estimate(P_REF, 1e-3, Method.AS_PATH_SLOPE, **kw)
+        assert built == [3, 4]
 
 
 class TestPathSlope:

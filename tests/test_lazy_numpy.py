@@ -1,0 +1,206 @@
+"""numpy loads on first array use: the closed-form calls never import it.
+
+Each CLI case runs in a fresh interpreter, since this test process has
+numpy loaded already.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+import pytest
+from conftest import src_env
+
+import milstab
+from milstab import _np, cli
+from milstab.exponents import _usable_cpus
+
+#: Runs cli.main on argv and reports on stderr's last line whether numpy got
+#: loaded, and on which thread it was first imported.
+_MAIN = """
+import sys, threading
+
+first = []
+
+class FirstNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not first:
+            first.append(threading.current_thread() is threading.main_thread())
+        return None
+
+sys.meta_path.insert(0, FirstNumpyImport())
+from milstab import cli
+
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+where = "not imported" if not first else "main thread" if first[0] else "worker thread"
+sys.stderr.write(f"numpy: {where}\\n")
+sys.exit(code)
+"""
+
+
+def run_fresh(*args):
+    """(exit code, stdout, stderr without the probe line, where numpy was first imported)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN, *args],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    *err, probe = proc.stderr.splitlines(keepends=True)
+    assert probe.startswith("numpy: "), proc.stderr
+    return proc.returncode, proc.stdout, "".join(err), probe.removeprefix("numpy: ").strip()
+
+
+REGION = "--sigma-range", "3.9:4.1:0.1"
+
+#: (argv, exit code, stdout, stderr) of calls that build no array.
+NUMPY_FREE = [
+    (
+        ("exponent", "ms-exact"),
+        0,
+        '{"method": "ms-exact", "dt": 0.001, "value": 17.793598421964813, '
+        '"continuum_value": 18.0, "region_class": "blow-up"}\n',
+        "",
+    ),
+    (
+        ("exponent", "ms-exact", "--format", "csv"),
+        0,
+        "# epsilon=2.0\n# lambda=8.0\n# method=ms-exact\n# sigma=4.0\n"
+        "method,dt,value,std_error,continuum_value,region_class\n"
+        "ms-exact,0.001,17.793598421964813,,18.0,blow-up\n",
+        "",
+    ),
+    (
+        ("exponent", "theta-ms", "--theta", "0.5", "--epsilon", "0"),
+        0,
+        '{"method": "theta-ms", "dt": 0.001, "value": 15.936592262812619, '
+        '"continuum_value": 16.0, "region_class": "blow-up"}\n',
+        "",
+    ),
+    (
+        ("region", *REGION),
+        0,
+        "# lambda=8.0\n# sigma-range=3.9:4.1:0.1\n"
+        "sigma,epsilon_boundary_plus,epsilon_boundary_minus,class_at_epsilon_0\n"
+        "3.9,,,blow-up\n4.0,0.0,0.0,boundary\n"
+        "4.1,0.8999999999999992,-0.8999999999999992,stable\n",
+        "",
+    ),
+    (
+        ("region", *REGION, "--format", "json"),
+        0,
+        '{"params": {"lambda": 8.0, "sigma-range": "3.9:4.1:0.1"}, "rows": ['
+        '{"sigma": 3.9, "epsilon_boundary_plus": null, "epsilon_boundary_minus": null, '
+        '"class_at_epsilon_0": "blow-up"}, '
+        '{"sigma": 4.0, "epsilon_boundary_plus": 0.0, "epsilon_boundary_minus": 0.0, '
+        '"class_at_epsilon_0": "boundary"}, '
+        '{"sigma": 4.1, "epsilon_boundary_plus": 0.8999999999999992, '
+        '"epsilon_boundary_minus": -0.8999999999999992, "class_at_epsilon_0": "stable"}]}\n',
+        "",
+    ),
+    (
+        ("exponent", "ms-exact", "--dt", "2"),
+        2,
+        '{"error": "dt must lie in (0, 1), got 2.0"}\n',
+        "",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code, out, err", NUMPY_FREE, ids=[" ".join(case[0]) for case in NUMPY_FREE]
+)
+def test_closed_form_calls_skip_numpy(args, code, out, err):
+    assert run_fresh(*args) == (code, out, err, "not imported")
+
+
+def test_unknown_config_key_skips_numpy(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"bogus": 1}')
+    result = run_fresh("exponent", "--config", str(config))
+    assert result == (2, "", "error: unknown config key 'bogus'\n", "not imported")
+
+
+def test_help_skips_numpy(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert run_fresh("--help") == (0, capsys.readouterr().out, "", "not imported")
+
+
+def test_package_import_skips_numpy():
+    code = (
+        "import sys, milstab, milstab.cli\n"
+        "from milstab import _np\n"
+        "try:\n"
+        "    _np.__getattr__('__foo__')\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('a dunder name got through')\n"
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_names_resolve_to_numpy_and_stay():
+    assert _np.ndarray is numpy.ndarray
+    assert vars(_np)["ndarray"] is numpy.ndarray
+
+
+#: Calls whose arrays are built on pool threads, at sizes that give the pool
+#: more than one task. Only as-mc reaches the pool before any numpy use; the
+#: other two validate their SchemeConfig, which reads np.integer, first.
+THREADED = [
+    (("exponent", "as-mc", "--samples", "600000", "--seed", "5"), True),
+    (("exponent", "as-slope", "--paths", "4", "--steps", "300", "--seed", "5"), False),
+    (("simulate", "--paths", "4", "--steps", "300", "--seed", "5"), False),
+]
+
+
+@pytest.mark.parametrize("args, in_worker", THREADED, ids=["as-mc", "as-slope", "simulate"])
+def test_first_numpy_use_on_pool_threads(args, in_worker):
+    code, serial, err, first = run_fresh(*args, "--threads", "1")
+    assert (code, err, first) == (0, "", "main thread")
+    code, pooled, err, first = run_fresh(*args, "--threads", "2")
+    assert (code, err) == (0, "")
+    assert pooled == serial
+    if in_worker and _usable_cpus() > 1:
+        assert first == "worker thread"
+
+
+def _numpy_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name == "numpy" or name.startswith("numpy."):
+                yield node.lineno
+
+
+def test_only_np_module_imports_numpy():
+    package = Path(milstab.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "_np.py"
+        if (lines := list(_numpy_imports(ast.parse(path.read_text(), str(path)))))
+    }
+    assert found == {}
+    np_module = ast.parse((package / "_np.py").read_text())
+    assert list(_numpy_imports(np_module))
