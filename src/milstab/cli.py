@@ -6,7 +6,7 @@ Subcommands:
     exponent   a single exponent estimate at one step size, as JSON
     sweep-dt   estimates across step sizes with a log-log convergence fit
     region     almost-sure stability boundary across a range of sigma
-    verify     self-check suites: lemmas, moments, closedform, all
+    verify     self-check suites (milstab.verify): lemmas, moments, closedform, all
 
 Parameter precedence is built-in defaults, then --config JSON, then explicit
 flags. _PARAMS states each parameter's flag, type, default and help, and
@@ -21,12 +21,6 @@ whole-table write, so its memory is bounded by the table, not by the text;
 in block order. CSV output is UTF-8 with LF line endings, a header row, floats
 rendered by repr, and '# key=value' provenance comments above the header
 (sorted by key; --threads and --out are execution detail and excluded).
-
-verify draws its samples a block (MC_BLOCK) or a slice (_MC_CHUNK) at a time
-and reduces each before the next, so its memory does not grow with
---samples. A statistic that overflows fails its check, with no numpy warning.
-At sigma = 0 every closed-form path is one number, which is compared with
-base^n within _ULPS_PER_FACTOR ulps per step factor instead of by a z-score.
 
 Every write, to stdout or --out, goes through one writer, _write, argparse's
 help text included: a failed write prints one error line and exits 1. A
@@ -47,28 +41,9 @@ import os
 import sys
 
 from . import _np as np
+from . import verify
 from .exponents import (
-    _MC_CHUNK,
-    _MIN_SAMPLES,
-    MC_BLOCK,
-    MS_METHODS,
-    Method,
-    _combine,
-    _map_indexed,
-    _moments_in_place,
-    _slices,
-    _usable_cpus,
-    continuum_target,
-    estimate,
-    fit_loglog,
-)
-from .lemmas import (
-    BoundKind,
-    LogBoundDomain,
-    composite_increment_moments,
-    gaussian_moment,
-    verify_log_sandwich,
-    xi_gamma,
+    MS_METHODS, Method, _map_indexed, _usable_cpus, continuum_target, estimate, fit_loglog,
 )
 from .model import (
     InitialDatum,
@@ -77,14 +52,14 @@ from .model import (
     as_boundary_epsilon,
     classify,
 )
-from .scheme import (
-    SchemeConfig,
-    _noise_factor,
-    _plain_factor,
-    simulate_path,
-    simulate_theta_path,
+from .scheme import SchemeConfig, simulate_path, simulate_theta_path
+from .stochastics import _U64, RngStream
+
+# perfbench/spans.py patches these names on this module; they go with its tracer.
+from .verify import (  # noqa: F401
+    composite_increment_moments, gauss_hermite_rule, gaussian_moment,
+    verify_log_sandwich, xi_gamma,
 )
-from .stochastics import _U64, RngStream, gauss_hermite_rule
 
 #: Each config key: (flag, type, default, help). x0 and y0 have no flag.
 _PARAMS = {
@@ -467,181 +442,20 @@ def _cmd_region(ns: argparse.Namespace, values: dict) -> int:
     return _write([_csv_text(pairs, header, [_cells(row, header) for row in rows])], ns.out)
 
 
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-#: Rounding that the noise-free (sigma = 0) closed-form check allows per step
-#: factor, in units of the double precision epsilon.
-_ULPS_PER_FACTOR = 8
-
-
-def _z_score(stats: tuple[int, float, float], ref: float) -> float:
-    """|mean - ref| in standard errors of a (count, mean, M2) triple.
-
-    NaN if either is not finite. Samples that do not vary give 0 when their
-    mean equals ref exactly and infinity otherwise.
-    """
-    n, mean, m2 = stats
-    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        return math.nan
-    if se == 0.0:
-        return 0.0 if mean == ref else math.inf
-    return abs(mean - ref) / se
-
-
-def _suite_lemmas(values: dict) -> list[dict]:
-    gammas = (0.75, 1.0, 2.0, 10.0)
-    report = verify_log_sandwich(gammas, n_points=10**5)
-    near_zero = np.array([1e-12, -1e-12])
-    worst = max(float(np.abs(xi_gamma(gamma, near_zero)).max()) for gamma in gammas)
-    worst_xi = -math.inf
-    for gamma in gammas:
-        lo = LogBoundDomain(gamma, BoundKind.LOWER).lower_edge() * (1.0 - 1e-9)
-        worst_xi = max(worst_xi, float(xi_gamma(gamma, np.linspace(lo, 10.0 * gamma, 2001)).max()))
-    return [
-        _check(
-            "lemmas.sandwich",
-            report.passed,
-            f"{report.upper_violations + report.lower_violations} violations over "
-            f"{report.n_points} points, worst margins {report.worst_upper_margin!r} (upper) "
-            f"and {report.worst_lower_margin!r} (lower)",
-        ),
-        _check(
-            "lemmas.xi_continuity",
-            worst < 1e-20,
-            f"|xi| at x = +-1e-12 stays below 1e-20, worst {worst!r}",
-        ),
-        _check(
-            "lemmas.xi_nonpositive",
-            worst_xi <= 0.0,
-            f"max of xi over the sampled domain is {worst_xi!r}",
-        ),
-    ]
-
-
-def _suite_moments(values: dict) -> list[dict]:
-    sigma = values["sigma"]
-    dt = values["dt"]
-    n = values["samples"]
-    if n < _MIN_SAMPLES:
-        raise ValueError(f"--samples must be at least {_MIN_SAMPLES}, got {n}")
-    mean_ref, second_ref = composite_increment_moments(sigma, dt)
-    noise = _noise_factor(sigma, dt)
-    # Drawn and reduced one block at a time, from one stream: the noise and
-    # its square, each as (count, mean, M2), merged in block order.
-    stream = RngStream(root_seed=values["seed"], stream_id=0)
-    root_dt = math.sqrt(dt)
-    parts = []
-    for lo in range(0, n, MC_BLOCK):
-        x = stream.normals(min(MC_BLOCK, n - lo))
-        for dB in _slices(x):
-            dB *= root_dt
-            noise.at(dB, out=dB)
-        square = _moments_in_place(x * x)  # before x itself is overwritten
-        parts.append((_moments_in_place(x), square))
-    first, second = (_combine(stats) for stats in zip(*parts))
-    z_scores = [_z_score(first, mean_ref), _z_score(second, second_ref)]
-    checks = [
-        _check(
-            "moments.composite_vs_mc",
-            all(z <= 4.0 for z in z_scores),
-            f"mean and second moment within 4 standard errors, z = "
-            f"{z_scores[0]:.3f} and {z_scores[1]:.3f} over {n} samples",
-        )
-    ]
-    rule = gauss_hermite_rule(values["nodes"])
-    worst_rel = 0.0
-    for order in range(2, 21, 2):
-        ref = gaussian_moment(order, 1.0)
-        got = rule.integrate(rule.nodes**order)
-        worst_rel = max(worst_rel, abs(got - ref) / ref)
-    checks.append(
-        _check(
-            "moments.hermite_even_moments",
-            worst_rel <= 1e-12,
-            f"orders 2..20 against closed-form moments, worst relative error {worst_rel!r}",
-        )
-    )
-    weight_defect = abs(float(rule.weights.sum()) - 1.0)
-    checks.append(
-        _check(
-            "moments.weight_sum",
-            weight_defect <= 1e-14,
-            f"|sum of weights - 1| = {weight_defect!r}",
-        )
-    )
-    return checks
-
-
-def _suite_closedform(values: dict) -> list[dict]:
-    p = _model(values)
-    dt = values["dt"]
-    n_steps = 10
-    n_paths = 10**5
-    datum = InitialDatum(values["x0"], values["y0"])
-    factor = _plain_factor(p, dt)
-    base = 1.0 + factor.ms_base_m1()
-    stream = RngStream(root_seed=values["seed"], stream_id=0)
-    root_dt = math.sqrt(dt)
-    # Path i takes draws i*n_steps to (i+1)*n_steps - 1; paths are built in
-    # place, a chunk of rows at a time.
-    squared = np.empty(n_paths)
-    rows = _MC_CHUNK // n_steps
-    for lo in range(0, n_paths, rows):
-        dB = stream.normals(min(rows, n_paths - lo) * n_steps).reshape(-1, n_steps)
-        dB *= root_dt
-        factors = factor.at(dB, out=dB)
-        factors *= factors
-        np.prod(factors, axis=1, out=squared[lo : lo + rows])
-    squared *= datum.squared_modulus()
-    try:
-        ref = datum.squared_modulus() * base**n_steps
-    except OverflowError:  # base^n beyond the float range: no finite reference
-        ref = math.inf
-    if p.sigma == 0.0:
-        # Every path is one number, which can differ from base^n only by rounding.
-        value = float(squared[0])
-        rtol = _ULPS_PER_FACTOR * n_steps * sys.float_info.epsilon
-        passed = abs(value - ref) <= rtol * abs(ref)
-        detail = (
-            f"sigma = 0: E(Z_n^2) at n = {n_steps} is {value!r} on every path, against "
-            f"base^n = {ref!r} within relative {rtol:.3g}"
-        )
-    else:
-        z = _z_score(_moments_in_place(squared), ref)
-        passed = z <= 3.0
-        detail = (
-            f"E(Z_n^2) at n = {n_steps} within 3 standard errors of base^n, z = {z:.3f} "
-            f"over {n_paths} paths"
-        )
-    return [_check("closedform.second_moment", passed, detail)]
-
-
-_SUITES = {
-    "lemmas": _suite_lemmas,
-    "moments": _suite_moments,
-    "closedform": _suite_closedform,
-}
-
-
 #: Arguments whose values come from a fixed list.
 _CHOICES = {
     "method": [m.value for m in Method],
-    "suite": [*_SUITES, "all"],
+    "suite": [*verify.SUITES, "all"],
     "format": ["csv", "json"],
 }
 
 
 def _cmd_verify(ns: argparse.Namespace, values: dict) -> int:
     suite = values["suite"]
-    names = list(_SUITES) if suite == "all" else [suite]
-    checks = []
-    # A statistic that overflows is reported by its check, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name in names:
-            checks.extend(_SUITES[name](values))
+    checks = verify.run(
+        suite, _model(values), values["dt"], seed=values["seed"], nodes=values["nodes"],
+        n_samples=values["samples"], initial=InitialDatum(values["x0"], values["y0"]),
+    )
     code = _write(
         f"{check['name']}: {'PASS' if check['passed'] else 'FAIL'} - {check['detail']}\n"
         for check in checks

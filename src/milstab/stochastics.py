@@ -111,14 +111,19 @@ def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _check_nodes(n: int) -> None:
+    """The node-count rule; a Python int is checked without loading numpy."""
+    if not (isinstance(n, int) or isinstance(n, np.integer)) or not 3 <= n <= 1024:
+        raise ValueError(f"node count must be an integer in [3, 1024], got {n!r}")
+
+
 def gauss_hermite_rule(n: int) -> QuadratureRule:
     """Return the n-point Gauss-Hermite rule for E[f(Y)], Y ~ N(0,1).
 
     Exact for polynomials up to degree 2n-1. Tables are computed once per n
     and cached.
     """
-    if not isinstance(n, (int, np.integer)) or not 3 <= n <= 1024:
-        raise ValueError(f"node count must be an integer in [3, 1024], got {n!r}")
+    _check_nodes(n)
     nodes, weights = _hermite_table(int(n))
     return QuadratureRule(nodes=nodes, weights=weights)
 

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import src_env
 
-from milstab import cli
+from milstab import cli, verify
 from milstab.cli import (
     _METHOD_KEYS,
     DEFAULTS,
@@ -563,6 +564,21 @@ _ALL_SUITES_Z = {
 }
 
 
+#: verify.run's keyword inputs at the CLI defaults.
+_VERIFY_INPUTS = {
+    "seed": DEFAULTS["seed"],
+    "nodes": DEFAULTS["nodes"],
+    "n_samples": DEFAULTS["samples"],
+    "initial": InitialDatum(DEFAULTS["x0"], DEFAULTS["y0"]),
+}
+
+
+def _check_lines(records):
+    return "".join(
+        f"{r['name']}: {'PASS' if r['passed'] else 'FAIL'} - {r['detail']}\n" for r in records
+    )
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("point, seed", list(_ALL_SUITES_Z))
     def test_all_suites_pinned(self, capsys, point, seed):
@@ -581,6 +597,9 @@ class TestVerifyCommand:
             + "closedform.second_moment: PASS - E(Z_n^2) at n = 10 within 3 standard errors "
             f"of base^n, z = {z_closed} over 100000 paths\n"
         )
+        p = ModelParams(float(lam), float(eps), float(sigma))
+        records = verify.run("all", p, DEFAULTS["dt"], **dict(_VERIFY_INPUTS, seed=int(seed)))
+        assert _check_lines(records) == out
 
     def test_lemmas_suite(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
@@ -683,13 +702,50 @@ class TestVerifyCommand:
         assert (proc.returncode, proc.stderr) == (1, "")
         assert proc.stdout.startswith(f"{failing}: FAIL - ") and "z = nan" in proc.stdout
 
+    def test_overflow_fails_in_the_library_without_warnings(self):
+        # the library applies the same rule, so a caller's warning filter never fires
+        p = ModelParams(8.0, 2.0, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = verify.run("moments", p, DEFAULTS["dt"], **_VERIFY_INPUTS)
+        first = records[0]
+        assert (first["name"], first["passed"]) == ("moments.composite_vs_mc", False)
+        assert "z = nan" in first["detail"]
+
+    @pytest.mark.parametrize("suite", [*verify.SUITES, "all"])
+    @pytest.mark.parametrize(
+        "args, refusal",
+        [
+            (("--dt", "1.5"), "dt must lie in (0, 1), got 1.5"),
+            (("--dt", "0"), "dt must lie in (0, 1), got 0.0"),
+            (("--samples", "99"), "--samples must be at least 100, got 99"),
+            (("--nodes", "2"), "node count must be an integer in [3, 1024], got 2"),
+            (("--nodes", "2", "--samples", "5", "--dt", "2"), "dt must lie in (0, 1), got 2.0"),
+            (("--nodes", "2", "--samples", "5"), "--samples must be at least 100, got 5"),
+        ],
+    )
+    def test_inputs_refused_before_any_suite(self, capsys, monkeypatch, suite, args, refusal):
+        # every suite checks dt, then --samples, then --nodes, and runs nothing first
+        def ran(**_):
+            raise AssertionError("a suite ran")
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, ran)
+        got = run_cli(capsys, "verify", "--suite", suite, *args)
+        assert got == (2, "", f"error: {refusal}\n")
+
     def test_moments_memory_is_bounded_by_blocks(self):
         # drawn and reduced block by block; all 16 blocks at once held 5 arrays of them
-        values = dict(DEFAULTS, samples=16 * MC_BLOCK)
-        cli._suite_moments(dict(values, samples=100))  # first stream and quadrature table
+        p = ModelParams(DEFAULTS["lam"], DEFAULTS["epsilon"], DEFAULTS["sigma"])
+
+        def moments(n_samples):
+            inputs = dict(_VERIFY_INPUTS, n_samples=n_samples)
+            return verify._suite_moments(p=p, dt=DEFAULTS["dt"], **inputs)
+
+        moments(100)  # first stream and quadrature table
         tracemalloc.start()
         try:
-            checks = cli._suite_moments(values)
+            checks = moments(16 * MC_BLOCK)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -111,6 +111,8 @@ NUMPY_FREE = [
         '{"error": "dt must lie in (0, 1), got 2.0"}\n',
         "",
     ),
+    (("verify", "--suite", "all", "--dt", "1.5"), 2, "", "error: dt must lie in (0, 1), got 1.5\n"),
+    (("verify", "--samples", "5"), 2, "", "error: --samples must be at least 100, got 5\n"),
 ]
 
 
@@ -204,3 +206,16 @@ def test_only_np_module_imports_numpy():
     assert found == {}
     np_module = ast.parse((package / "_np.py").read_text())
     assert list(_numpy_imports(np_module))
+
+
+def test_cli_imports_three_private_sibling_names():
+    # the verify suites live in milstab.verify, so cli needs no other module's internals
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == ["_U64", "_map_indexed", "_usable_cpus"]
