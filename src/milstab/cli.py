@@ -53,7 +53,7 @@ from .model import (
     classify,
 )
 from .scheme import SchemeConfig, simulate_path, simulate_theta_path
-from .stochastics import _U64, RngStream
+from .stochastics import _U64, DEFAULT_NODES, RngStream
 
 # perfbench/spans.py patches these names on this module; they go with its tracer.
 from .verify import (  # noqa: F401
@@ -70,7 +70,7 @@ _PARAMS = {
     "steps": ("--steps", int, 10000, "time steps per path"),
     "paths": ("--paths", int, 50, "number of independent paths"),
     "seed": ("--seed", int, 42, "root seed for all substreams"),
-    "nodes": ("--nodes", int, 201, "quadrature node count"),
+    "nodes": ("--nodes", int, DEFAULT_NODES, "quadrature node count"),
     "samples": ("--samples", int, 10**6, "Monte Carlo sample count"),
     "theta": ("--theta", float, None, "theta-scheme implicitness (requires epsilon 0)"),
     "dts": ("--dts", str, "1e-1,1e-2,1e-3,1e-4,1e-5", "comma separated step sizes"),

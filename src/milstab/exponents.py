@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,7 +42,7 @@ from .scheme import (
     mu,
     simulate_path,
 )
-from .stochastics import RngStream, gauss_hermite_rule
+from .stochastics import DEFAULT_NODES, MAX_NODES, RngStream, gauss_hermite_rule
 
 #: Sample block size for the Monte Carlo estimator. Each block owns the
 #: substream (seed, block index) and block statistics combine in block order,
@@ -65,6 +64,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def ThreadPoolExecutor(max_workers: int):
+    """concurrent.futures.ThreadPoolExecutor, imported when a pool first starts.
+
+    Single-thread calls then never load concurrent.futures (nor the logging
+    it imports). _map_indexed reads this module attribute, so a test or a
+    tracer can swap the pool class here.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=max_workers)
+
+
 def _map_indexed(fn, count: int, threads: int) -> list:
     """[fn(0), ..., fn(count - 1)], spread over up to `threads` worker threads.
 
@@ -81,8 +92,6 @@ def _map_indexed(fn, count: int, threads: int) -> list:
 
 #: Relative tolerance of the node-doubling convergence check.
 DOUBLING_RTOL = 1e-10
-
-_MAX_NODES = 1024
 
 
 class Method(Enum):
@@ -235,7 +244,7 @@ def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
     F must lie in its almost-sure domain (_StepFactor.check_domain), which
     keeps the log argument positive over the node range. Doubling the node
     count must move the value by less than DOUBLING_RTOL relative; at the
-    1024-node cap the doubled rule is clamped and the check is void.
+    MAX_NODES cap the doubled rule is clamped and the check is void.
     """
     f.check_domain()
     a1, a2 = f.noise_coefficients()
@@ -246,7 +255,7 @@ def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
         return rule.integrate(np.log(f.c0 + a1 * y + a2 * y * y)) / f.dt
 
     v1 = at(nodes)
-    n2 = min(2 * int(nodes), _MAX_NODES)
+    n2 = min(2 * int(nodes), MAX_NODES)
     if n2 != nodes:
         v2 = at(n2)
         diff = abs(v2 - v1)
@@ -259,7 +268,9 @@ def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
     return ExponentEstimate(value=v1, method=method, dt=f.dt)
 
 
-def as_exponent_quadrature(p: ModelParams, dt: float, nodes: int = 201) -> ExponentEstimate:
+def as_exponent_quadrature(
+    p: ModelParams, dt: float, nodes: int = DEFAULT_NODES
+) -> ExponentEstimate:
     """Almost-sure exponent (1/dt) * E log(gamma + sigma*dB + (sigma^2/2)*dB^2).
 
     Substituting zeta = dB/sqrt(dt) turns the expectation into a standard
@@ -408,7 +419,7 @@ def theta_ms_exponent(p: ModelParams, theta: float, dt: float) -> ExponentEstima
 
 
 def theta_as_exponent_quadrature(
-    p: ModelParams, theta: float, dt: float, nodes: int = 201
+    p: ModelParams, theta: float, dt: float, nodes: int = DEFAULT_NODES
 ) -> ExponentEstimate:
     """Almost-sure exponent of the scalar theta-Milstein scheme by quadrature.
 
@@ -446,7 +457,7 @@ def estimate(
     dt: float,
     method: Method,
     *,
-    nodes: int = 201,
+    nodes: int = DEFAULT_NODES,
     theta: float | None = None,
     n_samples: int = 10**6,
     seed: int = 0,

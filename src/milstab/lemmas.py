@@ -20,7 +20,7 @@ from enum import Enum
 from . import _np as np
 from .model import ModelParams
 from .scheme import _plain_factor
-from .stochastics import _legendre_table, gauss_hermite_rule
+from .stochastics import DEFAULT_NODES, _legendre_table, gauss_hermite_rule
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -196,7 +196,7 @@ def composite_increment_moments(sigma: float, dt: float) -> tuple[float, float]:
     return 0.5 * s2 * dt, s2 * dt + 0.75 * s2 * s2 * dt * dt
 
 
-def xi_expectation(p: ModelParams, dt: float, nodes: int = 201) -> float:
+def xi_expectation(p: ModelParams, dt: float, nodes: int = DEFAULT_NODES) -> float:
     """E[xi_gamma(N)] for the composite increment N = sigma*dB + (sigma^2/2)*dB^2.
 
     Requires gamma_dt > 3/4, which keeps N inside xi's domain (N >= -1/2 >

@@ -40,6 +40,11 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must lie in (0, 1), got {dt!r}")
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Step size, horizon, initial datum, and optional implicitness.
@@ -59,8 +64,8 @@ class SchemeConfig:
         _check_dt(self.dt)
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta!r}")
+        if self.theta is not None:
+            _check_theta(self.theta)
 
 
 @dataclass(frozen=True)
@@ -168,8 +173,7 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     ill-posed. For theta = 0 (and epsilon = 0) eta_dt reduces to gamma_dt.
     """
     _check_dt(dt)
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
+    _check_theta(theta)
     denom = 1.0 - p.lam * theta * dt
     if denom <= 0.0:
         raise ValueError(

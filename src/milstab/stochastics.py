@@ -22,6 +22,12 @@ _U64 = 2**64
 #: Largest number of draws a position replay discards at once (2 MB of doubles).
 REPLAY_CHUNK = 2**18
 
+#: Largest Gauss-Hermite rule that gauss_hermite_rule builds.
+MAX_NODES = 1024
+
+#: Node count of the quadrature estimators and of `--nodes` when none is given.
+DEFAULT_NODES = 201
+
 
 @dataclass
 class RngStream:
@@ -113,8 +119,8 @@ def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_nodes(n: int) -> None:
     """The node-count rule; a Python int is checked without loading numpy."""
-    if not (isinstance(n, int) or isinstance(n, np.integer)) or not 3 <= n <= 1024:
-        raise ValueError(f"node count must be an integer in [3, 1024], got {n!r}")
+    if not (isinstance(n, int) or isinstance(n, np.integer)) or not 3 <= n <= MAX_NODES:
+        raise ValueError(f"node count must be an integer in [3, {MAX_NODES}], got {n!r}")
 
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:

@@ -6,6 +6,10 @@
 
 run() checks its inputs before any suite runs, then returns one
 {name, passed, detail} record per check, in SUITES order for "all".
+Only moments reads n_samples (--samples) and nodes (--nodes). lemmas reads
+neither, and closedform always runs 10^5 ten-step paths and reads neither:
+it keeps one double per path, so following n_samples would make its memory
+grow with it.
 
 The suites draw their samples a block (MC_BLOCK) or a slice (_MC_CHUNK) at a
 time and reduce each before the next, so their memory does not grow with

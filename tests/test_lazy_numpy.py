@@ -1,7 +1,9 @@
 """numpy loads on first array use: the closed-form calls never import it.
 
-Each CLI case runs in a fresh interpreter, since this test process has
-numpy loaded already.
+The package namespace loads each module on the first read of one of its
+names, and the thread pool module loads only when a pool starts. Each case
+runs in a fresh interpreter, since this test process has all of them
+loaded already.
 """
 
 import ast
@@ -206,6 +208,118 @@ def test_only_np_module_imports_numpy():
     assert found == {}
     np_module = ast.parse((package / "_np.py").read_text())
     assert list(_numpy_imports(np_module))
+
+
+def _module_level_imports(tree):
+    """Modules imported when the module itself runs: function bodies are skipped."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module or ""
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_concurrent_futures_at_module_level():
+    package = Path(milstab.__file__).parent
+    found = [
+        (path.name, name)
+        for path in sorted(package.rglob("*.py"))
+        for name in _module_level_imports(ast.parse(path.read_text(), str(path)))
+        if name.split(".")[0] == "concurrent"
+    ]
+    assert found == []
+
+
+def _python(code, *args):
+    """stdout of a fresh interpreter running code, which must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: Prints the milstab submodules loaded so far.
+_LOADED = "import sys\nprint(sorted(m for m in sys.modules if m.startswith('milstab.')))\n"
+
+#: (statements, the milstab submodules loaded after them).
+FIRST_USE = [
+    ("import milstab", []),
+    ("from milstab import ModelParams", ["milstab.model"]),
+    ("import milstab\nassert milstab.__version__ == '0.1.0'", []),
+    (
+        "import milstab\n"
+        "for name in ('no_such_name', '__wrapped__', '', 'model.x'):\n"
+        "    try:\n"
+        "        getattr(milstab, name)\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(f'{name!r} resolved')",
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "statements, loaded", FIRST_USE, ids=["import", "from-import", "version", "unknown"]
+)
+def test_package_loads_modules_on_first_use(statements, loaded):
+    assert _python(f"{statements}\n{_LOADED}") == f"{loaded}\n"
+
+
+def test_star_import_and_dir_list_every_public_name():
+    out = _python(
+        "import milstab\n"
+        "print(sorted(set(milstab.__all__) - set(dir(milstab))))\n"
+        "from milstab import *\n"
+        "print(len(set(milstab.__all__)), [n for n in milstab.__all__ if n not in globals()])"
+    )
+    assert out == "[]\n50 []\n"
+
+
+def test_submodules_resolve_as_attributes():
+    out = _python(
+        "import sys, milstab\n"
+        "print(milstab.exponents is sys.modules['milstab.exponents'])\n"
+        "from milstab import verify\n"
+        "print(verify.__name__, sorted(verify.SUITES))"
+    )
+    assert out == "True\nmilstab.verify ['closedform', 'lemmas', 'moments']\n"
+
+
+#: Runs cli.main on argv, then prints whether concurrent.futures got loaded.
+_POOL_PROBE = """
+import sys
+from milstab import cli
+
+code = cli.main(sys.argv[1:])
+print("concurrent.futures" in sys.modules)
+sys.exit(code)
+"""
+
+#: (argv, whether it loads concurrent.futures): only a call that starts a pool does.
+POOL_USE = [
+    (("exponent", "ms-exact"), False),
+    (("exponent", "as-mc", "--samples", "1000", "--threads", "1"), False),
+    (("simulate", "--steps", "10", "--paths", "2"), False),
+    (("verify", "--suite", "moments", "--samples", "1000"), False),
+    (("exponent", "as-mc", "--samples", "600000", "--threads", "2"), _usable_cpus() > 1),
+]
+
+
+@pytest.mark.parametrize("args, loaded", POOL_USE, ids=[" ".join(a) for a, _ in POOL_USE])
+def test_pool_module_loads_only_with_a_pool(args, loaded):
+    assert _python(_POOL_PROBE, *args).splitlines()[-1] == str(loaded)
 
 
 def test_cli_imports_three_private_sibling_names():

@@ -221,6 +221,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=1.5)
 
+    def test_theta_refusal_text(self):
+        # SchemeConfig and theta_eta refuse a theta outside [0, 1] in the same words
+        message = "theta must lie in [0, 1], got 1.5"
+        with pytest.raises(ValueError) as exc:
+            SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=1.5)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            theta_eta(ModelParams(lam=1.0, epsilon=0.0, sigma=1.0), 1.5, 1e-3)
+        assert str(exc.value) == message
+
     def test_path_flags_length(self):
         with pytest.raises(ValueError):
             LogModulusPath(dt=1e-3, log_values=np.zeros(4), flags=np.zeros(4, dtype=bool))
