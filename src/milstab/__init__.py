@@ -1,17 +1,19 @@
 """Stability of Milstein discretizations for a 2x2 linear test system.
 
 The library computes discrete Lyapunov exponents, mean-square in closed form
-and almost-sure via quadrature or Monte Carlo, for the Milstein scheme of the
-planar conformal system
+and almost-sure via quadrature or Monte Carlo, for the planar conformal system
 
     dX = lam*X dt + (sigma*X - epsilon*Y) dW
     dY = lam*Y dt + (epsilon*X + sigma*Y) dW
 
-whose modulus |Z_n| = sqrt(X_n^2 + Y_n^2) multiplies by the scalar factor
-gamma_dt + sigma*dB + (sigma^2/2)*dB^2 each step, together with the scalar
-theta-Milstein family at epsilon = 0. It also verifies the logarithm sandwich
-bounds behind the sharp two-sided exponent estimates. See the README for the
-exponent formulas and the command line interface.
+Its scheme is the Milstein step of the radial equation
+d|Z| = (lam + epsilon^2/2)*|Z| dt + sigma*|Z| dW, which multiplies
+|Z| = sqrt(X^2 + Y^2) by F = gamma_dt + sigma*dB + (sigma^2/2)*dB^2 each step.
+At epsilon = 0, |F| is the modulus of the planar Milstein step; at
+epsilon != 0 the two differ at O(dt) (see milstab.scheme). The scalar
+theta-Milstein family at epsilon = 0 is included. The library also verifies
+the logarithm sandwich bounds behind the sharp two-sided exponent estimates.
+See the README for the exponent formulas and the command line interface.
 
 ``import milstab`` loads none of the modules below. The first read of a
 public name imports the one module that defines it and binds the name here

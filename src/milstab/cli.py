@@ -148,8 +148,7 @@ def _resolve(ns: argparse.Namespace) -> dict:
             values[key] = flag
     if values["format"] not in _CHOICES["format"]:
         raise ValueError(f"format must be csv or json, got {values['format']!r}")
-    if values["suite"] not in _CHOICES["suite"]:
-        raise ValueError(f"unknown verify suite {values['suite']!r}")
+    verify.suites_named(values["suite"])
     if not 0 <= values["seed"] < _U64:
         raise ValueError(f"--seed must be a 64-bit unsigned integer, got {values['seed']}")
     values["threads"] = 1 if ns.threads is None else ns.threads

@@ -241,18 +241,17 @@ def ms_remainder(p: ModelParams, dt: float) -> RemainderReport:
 def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
     """(1/dt) * E log F by Gauss-Hermite in zeta = dB/sqrt(dt), with doubling check.
 
-    F must lie in its almost-sure domain (_StepFactor.check_domain), which
-    keeps the log argument positive over the node range. Doubling the node
+    F is evaluated on the nodes by _StepFactor.at_zeta. It must lie in its
+    almost-sure domain (_StepFactor.check_domain), which keeps the log
+    argument positive over the node range. Doubling the node
     count must move the value by less than DOUBLING_RTOL relative; at the
     MAX_NODES cap the doubled rule is clamped and the check is void.
     """
     f.check_domain()
-    a1, a2 = f.noise_coefficients()
 
     def at(n: int) -> float:
         rule = gauss_hermite_rule(n)
-        y = rule.nodes
-        return rule.integrate(np.log(f.c0 + a1 * y + a2 * y * y)) / f.dt
+        return rule.integrate(np.log(f.at_zeta(rule.nodes))) / f.dt
 
     v1 = at(nodes)
     n2 = min(2 * int(nodes), MAX_NODES)
@@ -319,16 +318,15 @@ def _combine(partials) -> tuple[int, float, float]:
 def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int, float, float]:
     """(count, mean, M2) of log F over one block of count draws.
 
-    The block's normals are drawn at once, then scaled, turned into F and
-    logged in _MC_CHUNK slices, each slice staying in cache through its
-    passes. The caller's check_domain keeps F above 1/4, so the log needs
-    none of _accumulate's abs and zero-clamp passes.
+    The block's normals are drawn at once, then turned into F by
+    _StepFactor.of_normals and logged in _MC_CHUNK slices, each slice
+    staying in cache through its passes. The caller's check_domain keeps F
+    above 1/4, so the log needs none of _accumulate's abs and zero-clamp
+    passes.
     """
     logs = RngStream(root_seed=seed, stream_id=block_id).normals(count)
-    root_dt = math.sqrt(f.dt)
-    for dB in _slices(logs):
-        dB *= root_dt
-        np.log(f.at(dB, out=dB), out=dB)
+    for z in _slices(logs):
+        np.log(f.of_normals(z), out=z)
     return _moments_in_place(logs)
 
 

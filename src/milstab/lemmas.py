@@ -19,7 +19,7 @@ from enum import Enum
 
 from . import _np as np
 from .model import ModelParams
-from .scheme import _plain_factor
+from .scheme import _noise_factor, _plain_factor
 from .stochastics import DEFAULT_NODES, _legendre_table, gauss_hermite_rule
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -215,12 +215,12 @@ def xi_expectation(p: ModelParams, dt: float, nodes: int = DEFAULT_NODES) -> flo
     factor = _plain_factor(p, dt)
     factor.check_domain()
     gamma = factor.c0
-    s, a2 = factor.noise_coefficients()
+    s = p.sigma * math.sqrt(dt)
     if s == 0.0:
         return 0.0
+    noise = _noise_factor(p.sigma, dt)
     rule = gauss_hermite_rule(nodes)
-    y = rule.nodes
-    full = rule.integrate(_xi_nonnegative(gamma, s * y + a2 * y * y))
+    full = rule.integrate(_xi_nonnegative(gamma, noise.at_zeta(rule.nodes)))
 
     lo, hi = min(0.0, -2.0 / s), max(0.0, -2.0 / s)
     lo, hi = max(lo, -_CORRECTION_CLIP), min(hi, _CORRECTION_CLIP)
@@ -229,7 +229,7 @@ def xi_expectation(p: ModelParams, dt: float, nodes: int = DEFAULT_NODES) -> flo
     xg, wg = _legendre_table(int(nodes))
     yy = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
     ww = 0.5 * (hi - lo) * wg
-    nn = s * yy + a2 * yy * yy
+    nn = noise.at_zeta(yy)
     phi = np.exp(-0.5 * yy * yy) / _SQRT_2PI
     correction = float(np.sum(ww * (_xi_negative(gamma, nn) - _xi_nonnegative(gamma, nn)) * phi))
     return full + correction

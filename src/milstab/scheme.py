@@ -4,9 +4,21 @@ Both schemes multiply the modulus each step by one factor
 
     F = c0 + (sigma*dB + (sigma^2/2)*dB^2) / denom,    dB ~ N(0, dt).
 
-The plain Milstein scheme has c0 = gamma_dt and denom = 1, with
+The plain scheme is the Milstein step of the radial equation
+
+    d|Z| = (lam + epsilon^2/2)*|Z| dt + sigma*|Z| dW,
+
+with c0 = gamma_dt and denom = 1, where
 
     gamma_dt = 1 + (lam + epsilon^2/2 - sigma^2/2)*dt.
+
+At epsilon = 0, |F| is the modulus of the Milstein step of the planar
+system. At epsilon != 0 the planar step multiplies Z = X + iY by
+
+    F_pl = 1 + lam*dt + beta*dB + (beta^2/2)*(dB^2 - dt),  beta = sigma + i*epsilon,
+
+and E|F_pl|^2 - E F^2 = epsilon^2*(epsilon^2 - 4*lam + 4*sigma^2)*dt^2/4, so
+the two schemes differ at O(dt) in both exponents.
 
 The drift-implicit theta variant (scalar case, epsilon = 0) has c0 = eta_dt
 and denom = 1 - lam*theta*dt, with
@@ -103,6 +115,15 @@ class _StepFactor:
     -1/(2*denom) for every increment, so F >= lower = c0 - 1/(2*denom). The
     almost-sure estimators need lower > floor and raise refusal, formatted
     with c0 and lower, otherwise; a factor that states no floor has no domain.
+
+    Outside this module every evaluation of F goes through one of two methods.
+    of_normals (paths, Monte Carlo blocks, the sampling verify suites) works
+    in the increment dB; at_zeta (quadrature, xi_expectation) works in
+    zeta = dB/sqrt(dt), as c0 + a1*zeta + a2*zeta^2. The two round
+    differently, and both are pinned: the simulate-out goldens and the verify
+    outputs freeze the dB form, the xi_expectation bits the zeta form. They
+    become one form when a change that re-pins the goldens moves F to exact
+    c0 - 1 and log1p.
     """
 
     c0: float
@@ -130,10 +151,18 @@ class _StepFactor:
         f += self.c0
         return f
 
-    def noise_coefficients(self) -> tuple[float, float]:
-        """(a1, a2) with F = c0 + a1*zeta + a2*zeta^2, zeta = dB/sqrt(dt)."""
+    def of_normals(self, z):
+        """F at dB = sqrt(dt)*z, written over the standard normals z and returned.
+
+        The bits are those of at(sqrt(dt)*z).
+        """
+        z *= math.sqrt(self.dt)
+        return self.at(z, out=z)
+
+    def at_zeta(self, y):
+        """F at the quadrature nodes y = dB/sqrt(dt), as c0 + a1*y + a2*y*y."""
         s = self.sigma * math.sqrt(self.dt)
-        return s / self.denom, 0.5 * s * s / self.denom
+        return self.c0 + (s / self.denom) * y + (0.5 * s * s / self.denom) * y * y
 
     def ms_base_m1(self) -> float:
         """E F^2 - 1, formed without cancellation near 1.
@@ -212,7 +241,7 @@ def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
 
 
 def _noise_factor(sigma: float, dt: float) -> _StepFactor:
-    """The composite increment sigma*dB + (sigma^2/2)*dB^2 as at() of a c0 = 0 factor."""
+    """The composite increment sigma*dB + (sigma^2/2)*dB^2 as a c0 = 0 factor."""
     return _StepFactor(c0=0.0, mean_rate=0.0, sigma=sigma, denom=1.0, dt=dt)
 
 
@@ -238,9 +267,8 @@ def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _simulate(f: _StepFactor, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
-    dB = math.sqrt(f.dt) * stream.normals(cfg.n_steps)
     log0 = 0.5 * math.log(cfg.initial.squared_modulus())
-    log_values, flags = _accumulate(log0, f.at(dB))
+    log_values, flags = _accumulate(log0, f.of_normals(stream.normals(cfg.n_steps)))
     return LogModulusPath(dt=f.dt, log_values=log_values, flags=flags)
 
 

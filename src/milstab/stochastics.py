@@ -68,11 +68,6 @@ class RngStream:
         return out
 
 
-def standard_normal(stream: RngStream) -> float:
-    """Draw one N(0,1) variate, advancing the stream by one position."""
-    return float(stream.normals(1)[0])
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights for integrals against the standard normal density.

@@ -96,13 +96,11 @@ def _suite_moments(*, p: ModelParams, dt: float, seed: int, nodes: int, n_sample
     # Drawn and reduced one block at a time, from one stream: the noise and
     # its square, each as (count, mean, M2), merged in block order.
     stream = RngStream(root_seed=seed, stream_id=0)
-    root_dt = math.sqrt(dt)
     parts = []
     for lo in range(0, n, MC_BLOCK):
         x = stream.normals(min(MC_BLOCK, n - lo))
-        for dB in _slices(x):
-            dB *= root_dt
-            noise.at(dB, out=dB)
+        for z in _slices(x):
+            noise.of_normals(z)
         square = _moments_in_place(x * x)  # before x itself is overwritten
         parts.append((_moments_in_place(x), square))
     first, second = (_combine(stats) for stats in zip(*parts))
@@ -146,15 +144,13 @@ def _suite_closedform(*, p: ModelParams, dt: float, seed: int, initial: InitialD
     factor = _plain_factor(p, dt)
     base = 1.0 + factor.ms_base_m1()
     stream = RngStream(root_seed=seed, stream_id=0)
-    root_dt = math.sqrt(dt)
     # Path i takes draws i*n_steps to (i+1)*n_steps - 1; paths are built in
     # place, a chunk of rows at a time.
     squared = np.empty(n_paths)
     rows = _MC_CHUNK // n_steps
     for lo in range(0, n_paths, rows):
-        dB = stream.normals(min(rows, n_paths - lo) * n_steps).reshape(-1, n_steps)
-        dB *= root_dt
-        factors = factor.at(dB, out=dB)
+        z = stream.normals(min(rows, n_paths - lo) * n_steps).reshape(-1, n_steps)
+        factors = factor.of_normals(z)
         factors *= factors
         np.prod(factors, axis=1, out=squared[lo : lo + rows])
     squared *= initial.squared_modulus()
@@ -184,15 +180,23 @@ def _suite_closedform(*, p: ModelParams, dt: float, seed: int, initial: InitialD
 SUITES = {"lemmas": _suite_lemmas, "moments": _suite_moments, "closedform": _suite_closedform}
 
 
+def suites_named(suite: str) -> list:
+    """The suites that suite names: one of SUITES, or all of them for "all"."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown verify suite {suite!r}")
+    return list(SUITES.values()) if suite == "all" else [SUITES[suite]]
+
+
 def run(suite: str, p: ModelParams, dt: float, *, seed: int, nodes: int, n_samples: int,
         initial: InitialDatum) -> list[dict]:
     """The check records of one suite of SUITES, or of all of them for "all".
 
     Every suite takes the same inputs, and they are checked before any suite
-    runs or numpy loads: dt, then n_samples, then nodes. A statistic that
-    overflows fails its check instead of raising a numpy warning.
+    runs or numpy loads: the suite name, dt, then n_samples, then nodes. A
+    statistic that overflows fails its check instead of raising a numpy
+    warning.
     """
-    suites = list(SUITES.values()) if suite == "all" else [SUITES[suite]]
+    suites = suites_named(suite)
     _check_dt(dt)
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"--samples must be at least {_MIN_SAMPLES}, got {n_samples}")

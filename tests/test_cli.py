@@ -633,6 +633,10 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+        # the library refuses the name with the text the CLI gives a config value
+        p = ModelParams(DEFAULTS["lam"], DEFAULTS["epsilon"], DEFAULTS["sigma"])
+        with pytest.raises(ValueError, match="^unknown verify suite 'nope'$"):
+            verify.run("nope", p, DEFAULTS["dt"], **_VERIFY_INPUTS)
 
     @pytest.mark.parametrize(
         "args, failing",

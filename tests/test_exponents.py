@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -185,6 +186,34 @@ class TestAlmostSureQuadrature:
     def test_node_cap_skips_guard(self):
         est = as_exponent_quadrature(P_STABLE, 1e-3, nodes=1024)
         assert est.value == pytest.approx(-1.7955495083582518, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.sampled_from([None, 0.0, 0.5, 1.0]),
+    st.floats(min_value=-5.0, max_value=math.log10(0.8)),
+)
+def test_jensen_as_below_ms(lam, eps, sigma, theta, log_dt):
+    # E log F <= (1/2) log E F^2 at every in-domain point. As sigma -> 0 the
+    # two sides meet and the rounding of c0 alone puts E log F up to about
+    # 3.5e-16 above, so the slack is 16 ulps of 1 in E log F units.
+    dt = 10.0**log_dt
+    if theta is not None:
+        eps = 0.0
+    p = ModelParams(lam=lam, epsilon=eps, sigma=sigma)
+    try:
+        if theta is None:
+            almost_sure = as_exponent_quadrature(p, dt).value
+            mean_square = ms_exponent_exact(p, dt).value
+        else:
+            almost_sure = theta_as_exponent_quadrature(p, theta, dt).value
+            mean_square = theta_ms_exponent(p, theta, dt).value
+    except ValueError:  # outside the almost-sure domain, or refused by the doubling check
+        assume(False)
+    assert (almost_sure - mean_square) * dt <= 16.0 * sys.float_info.epsilon
 
 
 class TestAlmostSureMonteCarlo:

@@ -125,11 +125,19 @@ def test_closed_form_calls_skip_numpy(args, code, out, err):
     assert run_fresh(*args) == (code, out, err, "not imported")
 
 
-def test_unknown_config_key_skips_numpy(tmp_path):
+@pytest.mark.parametrize(
+    "command, text, refusal",
+    [
+        ("exponent", '{"bogus": 1}', "unknown config key 'bogus'"),
+        ("verify", '{"suite": "nope"}', "unknown verify suite 'nope'"),
+    ],
+    ids=["key", "suite"],
+)
+def test_config_refusals_skip_numpy(tmp_path, command, text, refusal):
     config = tmp_path / "run.json"
-    config.write_text('{"bogus": 1}')
-    result = run_fresh("exponent", "--config", str(config))
-    assert result == (2, "", "error: unknown config key 'bogus'\n", "not imported")
+    config.write_text(text)
+    result = run_fresh(command, "--config", str(config))
+    assert result == (2, "", f"error: {refusal}\n", "not imported")
 
 
 def test_help_skips_numpy(capsys):
@@ -208,6 +216,22 @@ def test_only_np_module_imports_numpy():
     assert found == {}
     np_module = ast.parse((package / "_np.py").read_text())
     assert list(_numpy_imports(np_module))
+
+
+def test_only_scheme_evaluates_a_factor_at_increments():
+    # the other modules call _StepFactor.of_normals or at_zeta, so the
+    # arithmetic of the step factor lives in scheme.py alone
+    package = Path(milstab.__file__).parent
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "scheme.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "at"
+    ]
+    assert found == []
 
 
 def _module_level_imports(tree):

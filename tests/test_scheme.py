@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milstab.exponents import _MC_CHUNK
 from milstab.model import InitialDatum, ModelParams
 from milstab.scheme import (
     LOG_CLAMP,
@@ -20,7 +21,7 @@ from milstab.scheme import (
     simulate_theta_path,
     theta_eta,
 )
-from milstab.stochastics import RngStream
+from milstab.stochastics import RngStream, gauss_hermite_rule
 
 P_REF = ModelParams(lam=8.0, epsilon=2.0, sigma=4.0)
 DATUM = InitialDatum(1.0, 0.0)
@@ -89,6 +90,56 @@ def test_factor_forms_agree(factor):
     assert factor.at(dB, out=dB) is dB
     assert np.array_equal(dB, ref)
     assert [factor.at(float(b)) for b in kept[:64]] == ref[:64].tolist()
+    # of_normals writes F at dB = sqrt(dt)*z over the normals z, with the
+    # bits of the dB formula, at sizes on both sides of a Monte Carlo slice
+    for size in (_MC_CHUNK - 1, _MC_CHUNK + 1, 3 * _MC_CHUNK + 5):
+        z = RngStream(root_seed=3, stream_id=size).normals(size)
+        dB = math.sqrt(factor.dt) * z
+        ref = factor.c0 + (s * dB + 0.5 * s * s * dB * dB) / factor.denom
+        assert factor.of_normals(z) is z
+        assert np.array_equal(z, ref), size
+    # at_zeta has the bits of c0 + a1*y + a2*y*y, coefficients in zeta units
+    y = gauss_hermite_rule(201).nodes
+    r = s * math.sqrt(factor.dt)
+    a1, a2 = r / factor.denom, 0.5 * r * r / factor.denom
+    assert np.array_equal(factor.at_zeta(y), factor.c0 + a1 * y + a2 * y * y)
+
+
+#: The 2x2 generator of the planar rotation, J z = i z for z = x + i y.
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _planar_step(p: ModelParams, dt: float, dB: float) -> np.ndarray:
+    """The explicit Milstein step I + A dt + B dB + B^2 (dB^2 - dt)/2 of the planar system."""
+    b = p.sigma * np.eye(2) + p.epsilon * _J
+    return np.eye(2) + p.lam * dt * np.eye(2) + b * dB + 0.5 * (b @ b) * (dB * dB - dt)
+
+
+@pytest.mark.parametrize(
+    "lam, eps, sigma, dt",
+    [(8.0, 0.0, 4.0, 1e-2), (8.0, 2.0, 4.0, 1e-2), (0.2, 3.5, 4.0, 1e-2), (-1.0, 1.0, 1.0, 1e-3)],
+)
+def test_radial_factor_against_planar_step(lam, eps, sigma, dt):
+    # The planar step M is a rotation-scaling, so |M z0|^2 = |z0|^2 * (first
+    # column)^2, a degree-4 polynomial in zeta that 10 Gauss-Hermite nodes
+    # integrate exactly. E|F_pl|^2 - E F^2 = eps^2 (eps^2 - 4 lam + 4 sigma^2) dt^2 / 4.
+    p = ModelParams(lam=lam, epsilon=eps, sigma=sigma)
+    if eps == 0.0:  # |M z0| = |F| |z0|
+        z0 = np.array([0.6, -0.8])
+        for dB in (-0.7, -0.25, 0.0, 0.1, 0.45):
+            moved = np.linalg.norm(_planar_step(p, dt, dB) @ z0)
+            assert moved == pytest.approx(abs(milstein_factor(p, dt, dB)), rel=1e-14, abs=1e-15)
+    y, w = np.polynomial.hermite_e.hermegauss(10)
+    w = w / math.sqrt(2.0 * math.pi)
+    planar = sum(wi * float(np.sum(_planar_step(p, dt, math.sqrt(dt) * yi)[:, 0] ** 2))
+                 for yi, wi in zip(y, w))
+    radial = 1.0 + _plain_factor(p, dt).ms_base_m1()
+    gap = eps * eps * (eps * eps - 4.0 * lam + 4.0 * sigma * sigma) * dt * dt / 4.0
+    assert planar - radial == pytest.approx(gap, rel=1e-9, abs=1e-14)
+    if (lam, eps, sigma, dt) == (8.0, 2.0, 4.0, 1e-2):
+        # the mean-square exponents 16.2055 (radial) and 16.3355 (planar)
+        assert math.log(radial) / (2.0 * dt) == pytest.approx(16.2055, abs=5e-5)
+        assert math.log(planar) / (2.0 * dt) == pytest.approx(16.3355, abs=5e-5)
 
 
 class TestAccumulate:
