@@ -12,10 +12,12 @@ scheme is
 
 so the exponent of [E|Z_n|^2]^(1/2) is log(base)/(2*dt) exactly, for every n.
 Almost-sure exponents are expectations (1/dt)*E log|F| evaluated either
-by Gauss-Hermite quadrature or by Monte Carlo over i.i.d. increments, with a
-per-path slope estimator retained for trajectory plots. Convergence orders
-against the continuum exponents are measured by log-log regression over
-dt sweeps.
+deterministically or by Monte Carlo over i.i.d. increments, with a per-path
+slope estimator retained for trajectory plots. The deterministic route sums
+an asymptotic series in the roots of F where that series is exact to
+rounding (small noise, sigma^2*dt below about 0.02) and falls back to
+Gauss-Hermite quadrature elsewhere. Convergence orders against the continuum
+exponents are measured by log-log regression over dt sweeps.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ from .scheme import (
     LogModulusPath,
     SchemeConfig,
     _check_dt,
+    _check_theta,
     _plain_factor,
     _StepFactor,
     _theta_factor,
     mu,
     simulate_path,
 )
-from .stochastics import DEFAULT_NODES, MAX_NODES, RngStream, gauss_hermite_rule
+from .stochastics import DEFAULT_NODES, MAX_NODES, RngStream, _check_nodes, gauss_hermite_rule
 
 #: Sample block size for the Monte Carlo estimator. Each block owns the
 #: substream (seed, block index) and block statistics combine in block order,
@@ -92,6 +95,10 @@ def _map_indexed(fn, count: int, threads: int) -> list:
 
 #: Relative tolerance of the node-doubling convergence check.
 DOUBLING_RTOL = 1e-10
+
+#: The root series answers only where its smallest term is at most this
+#: times dt, so that its truncation error in the exponent is of that order.
+_ROOT_SERIES_TOL = 1e-16
 
 
 class Method(Enum):
@@ -238,16 +245,61 @@ def ms_remainder(p: ModelParams, dt: float) -> RemainderReport:
     return RemainderReport(value=value, bound=bound, terms_used=len(terms), converged=converged)
 
 
-def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
-    """(1/dt) * E log F by Gauss-Hermite in zeta = dB/sqrt(dt), with doubling check.
+def _root_series(f: _StepFactor) -> float | None:
+    """E log F from the roots of F, or None where the series is not exact to rounding.
 
-    F is evaluated on the nodes by _StepFactor.at_zeta. It must lie in its
-    almost-sure domain (_StepFactor.check_domain), which keeps the log
-    argument positive over the node range. Doubling the node
+    With s = sigma*sqrt(dt), F = (s^2/(2*denom)) * (zeta - r) * (zeta - conj(r))
+    for r = (-1 + i*q)/s, q = sqrt(2*c0*denom - 1), and r*conj(r) =
+    2*c0*denom/s^2. Expanding E log|1 - zeta/r| in powers of zeta/r and
+    taking E zeta^(2k) = (2k-1)!! gives the asymptotic series
+
+        E log F = log1p(c0m1) - Re sum_{k>=1} ((2k-1)!!/k) u^k,  u = s^2/(1 + i*q)^2.
+
+    (1 + i*q)^2 is formed as -2*g + 2i*sqrt(1 + 2*g) from g = c0*denom - 1 =
+    c0m1*denom + (denom - 1), so its small real part does not cancel. The
+    series diverges, so its terms are summed while they shrink, and its error
+    is of the order of the smallest one. That term must be at most
+    tol = _ROOT_SERIES_TOL*dt; otherwise the answer is None and the caller
+    uses quadrature. Once sigma^2*dt is below about 0.02 this holds. The
+    sum also stops at a term below 1e-6*tol: the shrinking terms after it
+    number at most about 1/(2*|u|), and they fall geometrically while
+    |u| is small, so together they stay far below tol.
+    """
+    g = f.c0m1 * f.denom + (f.denom - 1.0)
+    if not g > -0.5:  # rounding at the edge of the theta domain
+        return None
+    s = f.sigma * math.sqrt(f.dt)
+    u = s * s / complex(-2.0 * g, 2.0 * math.sqrt(1.0 + 2.0 * g))
+    tol = _ROOT_SERIES_TOL * f.dt
+    parts = []
+    term, k = u, 1
+    while abs(term) > 1e-6 * tol:
+        parts.append(term.real)
+        following = term * u * ((2 * k + 1) * k / (k + 1))
+        if not abs(following) < abs(term):  # the smallest term
+            if abs(term) > tol:
+                return None
+            break
+        term, k = following, k + 1
+    return math.log1p(f.c0m1) - math.fsum(parts)
+
+
+def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
+    """(1/dt) * E log F by the root series, else by Gauss-Hermite with a doubling check.
+
+    F must lie in its almost-sure domain (_StepFactor.check_domain), which
+    keeps the log argument positive, and nodes must be a valid node count,
+    in that order, before either route is chosen. _root_series answers where
+    it is exact to rounding, with no table built. Elsewhere F is evaluated on
+    the nodes in zeta = dB/sqrt(dt) by _StepFactor.at_zeta. Doubling the node
     count must move the value by less than DOUBLING_RTOL relative; at the
     MAX_NODES cap the doubled rule is clamped and the check is void.
     """
     f.check_domain()
+    _check_nodes(nodes)
+    value = _root_series(f)
+    if value is not None:
+        return ExponentEstimate(value=value / f.dt, method=method, dt=f.dt)
 
     def at(n: int) -> float:
         rule = gauss_hermite_rule(n)
@@ -272,9 +324,10 @@ def as_exponent_quadrature(
 ) -> ExponentEstimate:
     """Almost-sure exponent (1/dt) * E log(gamma + sigma*dB + (sigma^2/2)*dB^2).
 
-    Substituting zeta = dB/sqrt(dt) turns the expectation into a standard
-    normal integral evaluated by Gauss-Hermite quadrature. Requires
-    gamma_dt > 3/4, the plain factor's almost-sure domain.
+    At small noise the root series of _root_series gives the value; elsewhere
+    substituting zeta = dB/sqrt(dt) turns the expectation into a standard
+    normal integral evaluated by Gauss-Hermite quadrature on `nodes` nodes.
+    Requires gamma_dt > 3/4, the plain factor's almost-sure domain.
     """
     return _quad(_plain_factor(p, dt), nodes, Method.AS_QUADRATURE)
 
@@ -419,9 +472,10 @@ def theta_ms_exponent(p: ModelParams, theta: float, dt: float) -> ExponentEstima
 def theta_as_exponent_quadrature(
     p: ModelParams, theta: float, dt: float, nodes: int = DEFAULT_NODES
 ) -> ExponentEstimate:
-    """Almost-sure exponent of the scalar theta-Milstein scheme by quadrature.
+    """Almost-sure exponent of the scalar theta-Milstein scheme.
 
-    (1/dt) * E log(eta + (sigma*dB + (sigma^2/2)*dB^2)/(1 - lam*theta*dt)).
+    (1/dt) * E log(eta + (sigma*dB + (sigma^2/2)*dB^2)/(1 - lam*theta*dt)),
+    by the root series or by quadrature as in as_exponent_quadrature.
     Requires eta > 1/(2*(1 - lam*theta*dt)), which keeps F positive. With
     theta = 0 the evaluation coincides bit for bit with
     as_exponent_quadrature at epsilon = 0.
@@ -430,24 +484,56 @@ def theta_as_exponent_quadrature(
 
 
 def fit_loglog(dts, errors) -> ConvergenceFit:
-    """Fit |error| ~ C * dt^p by least squares on log10-log10 axes."""
+    """Fit |error| ~ C * dt^p by least squares on log10-log10 axes.
+
+    The sums run in math.fsum about the mean log step size. At least two
+    distinct step sizes are needed, since one alone fixes no slope.
+    """
     dts = [float(d) for d in dts]
     errors = [float(e) for e in errors]
     if len(dts) != len(errors) or len(dts) < 3:
         raise ValueError("a fit needs at least 3 (dt, error) pairs of equal length")
     if any(e <= 0.0 for e in errors):
         raise ValueError("error below resolution: exact zero cannot enter a log-log fit")
-    lx = np.log10(dts)
-    ly = np.log10(errors)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.max(np.abs(np.polyval([slope, intercept], lx) - ly)))
+    lx = [math.log10(d) for d in dts]
+    ly = [math.log10(e) for e in errors]
+    if len(set(lx)) < 2:
+        raise ValueError(f"a fit needs at least 2 distinct step sizes, got {sorted(set(dts))}")
+    mean_x = math.fsum(lx) / len(lx)
+    mean_y = math.fsum(ly) / len(ly)
+    dx = [x - mean_x for x in lx]
+    slope = math.fsum(d * (y - mean_y) for d, y in zip(dx, ly)) / math.fsum(d * d for d in dx)
+    intercept = mean_y - slope * mean_x
+    try:
+        constant_C = 10.0**intercept
+    except OverflowError:
+        constant_C = math.inf
     return ConvergenceFit(
-        constant_C=float(10.0**intercept),
-        order_p=float(slope),
-        residual=residual,
+        constant_C=constant_C,
+        order_p=slope,
+        residual=max(abs(slope * x + intercept - y) for x, y in zip(lx, ly)),
         dts=tuple(dts),
         errors=tuple(errors),
     )
+
+
+def c1(p: ModelParams, theta: float | None = None) -> float:
+    """First-order constant of the almost-sure exponent: (E log F)/dt = a + c1*dt + O(dt^2).
+
+    a = lam + epsilon^2/2 - sigma^2/2 is the continuum exponent. For the
+    plain scheme c1 = 3*sigma^4/8 + sigma^2*a/2 - a^2/2; the theta scheme
+    (epsilon = 0) adds lam*theta*(lam - sigma^2). |c1|*dt is the gap C(dt)
+    between the discrete and continuum exponents at leading order. Both
+    follow from the root series of _root_series to second order in dt.
+    """
+    a = continuum_as_exponent(p)
+    plain = 0.375 * p.sigma**4 + 0.5 * p.sigma * p.sigma * a - 0.5 * a * a
+    if theta is None:
+        return plain
+    if p.epsilon != 0.0:
+        raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
+    _check_theta(theta)
+    return plain + p.lam * theta * (p.lam - p.sigma * p.sigma)
 
 
 def estimate(

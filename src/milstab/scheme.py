@@ -111,6 +111,8 @@ class LogModulusPath:
 class _StepFactor:
     """The one-step factor F = c0 + (sigma*dB + (sigma^2/2)*dB^2) / denom.
 
+    c0m1 is c0 - 1 formed from the parameters rather than by subtracting 1
+    from c0, so log1p(c0m1) keeps the digits that rounding c0 drops.
     mean_rate is r in E F = 1 + r*dt. The noise part is at least
     -1/(2*denom) for every increment, so F >= lower = c0 - 1/(2*denom). The
     almost-sure estimators need lower > floor and raise refusal, formatted
@@ -122,11 +124,12 @@ class _StepFactor:
     zeta = dB/sqrt(dt), as c0 + a1*zeta + a2*zeta^2. The two round
     differently, and both are pinned: the simulate-out goldens and the verify
     outputs freeze the dB form, the xi_expectation bits the zeta form. They
-    become one form when a change that re-pins the goldens moves F to exact
-    c0 - 1 and log1p.
+    become one form when a change that re-pins the goldens moves F to c0m1
+    and log1p.
     """
 
     c0: float
+    c0m1: float
     mean_rate: float
     sigma: float
     denom: float
@@ -181,8 +184,7 @@ class _StepFactor:
 
 def gamma_dt(p: ModelParams, dt: float) -> float:
     """Deterministic part of the one-step Milstein factor."""
-    _check_dt(dt)
-    return 1.0 + (p.lam + 0.5 * p.epsilon * p.epsilon - 0.5 * p.sigma * p.sigma) * dt
+    return _plain_factor(p, dt).c0
 
 
 def mu(p: ModelParams) -> float:
@@ -213,8 +215,11 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
 
 def _plain_factor(p: ModelParams, dt: float) -> _StepFactor:
     """The Milstein factor; its almost-sure domain gamma_dt > 3/4 keeps F > 1/4."""
+    _check_dt(dt)
+    c0m1 = (p.lam + 0.5 * p.epsilon * p.epsilon - 0.5 * p.sigma * p.sigma) * dt
     return _StepFactor(
-        c0=gamma_dt(p, dt),
+        c0=1.0 + c0m1,
+        c0m1=c0m1,
         mean_rate=p.lam + 0.5 * p.epsilon * p.epsilon,
         sigma=p.sigma,
         denom=1.0,
@@ -234,7 +239,8 @@ def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
     eta = theta_eta(p, theta, dt)  # validates theta, dt, and the pole
     denom = 1.0 - p.lam * theta * dt
     return _StepFactor(
-        c0=eta, mean_rate=p.lam / denom, sigma=p.sigma, denom=denom, dt=dt, floor=0.0,
+        c0=eta, c0m1=(p.lam - 0.5 * p.sigma * p.sigma) * dt / denom, mean_rate=p.lam / denom,
+        sigma=p.sigma, denom=denom, dt=dt, floor=0.0,
         refusal="eta - 1/(2*(1 - lam*theta*dt)) = {lower!r} must be positive to keep the log "
         "argument away from the singularity",
     )
@@ -242,7 +248,7 @@ def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
 
 def _noise_factor(sigma: float, dt: float) -> _StepFactor:
     """The composite increment sigma*dB + (sigma^2/2)*dB^2 as a c0 = 0 factor."""
-    return _StepFactor(c0=0.0, mean_rate=0.0, sigma=sigma, denom=1.0, dt=dt)
+    return _StepFactor(c0=0.0, c0m1=-1.0, mean_rate=0.0, sigma=sigma, denom=1.0, dt=dt)
 
 
 def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:

@@ -18,9 +18,11 @@ from milstab.exponents import (
     RemainderReport,
     _map_indexed,
     _mc_block,
+    _root_series,
     as_exponent_mc,
     as_exponent_path_slope,
     as_exponent_quadrature,
+    c1,
     continuum_target,
     estimate,
     fit_loglog,
@@ -31,7 +33,12 @@ from milstab.exponents import (
     theta_ms_exponent,
 )
 from milstab.lemmas import xi_expectation
-from milstab.model import InitialDatum, ModelParams, continuum_ms_exponent
+from milstab.model import (
+    InitialDatum,
+    ModelParams,
+    continuum_as_exponent,
+    continuum_ms_exponent,
+)
 from milstab.scheme import (
     LogModulusPath,
     SchemeConfig,
@@ -186,6 +193,151 @@ class TestAlmostSureQuadrature:
     def test_node_cap_skips_guard(self):
         est = as_exponent_quadrature(P_STABLE, 1e-3, nodes=1024)
         assert est.value == pytest.approx(-1.7955495083582518, abs=1e-9)
+
+
+def _factor(lam, eps, sigma, dt, theta=None):
+    p = ModelParams(lam=lam, epsilon=eps, sigma=sigma)
+    return _plain_factor(p, dt) if theta is None else _theta_factor(p, theta, dt)
+
+
+def _almost_sure(lam, eps, sigma, dt, theta=None):
+    p = ModelParams(lam=lam, epsilon=eps, sigma=sigma)
+    if theta is None:
+        return as_exponent_quadrature(p, dt).value
+    return theta_as_exponent_quadrature(p, theta, dt).value
+
+
+def _mp_exponent(lam, eps, sigma, dt, theta=None):
+    """(1/dt) * E log F by 40-digit mpmath quadrature on the exact parameters."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        lam, eps, sigma, dt = (mp.mpf(x) for x in (lam, eps, sigma, dt))
+        th = mp.mpf(0 if theta is None else theta)
+        denom = 1 - lam * th * dt
+        c0 = (1 + (lam * (1 - th) + eps * eps / 2 - sigma * sigma / 2) * dt) / denom
+        s = sigma * mp.sqrt(dt)
+
+        def integrand(y):
+            f = c0 + (s * y + s * s * y * y / 2) / denom
+            return mp.log(f) * mp.exp(-y * y / 2) / mp.sqrt(2 * mp.pi)
+
+        return float(mp.quad(integrand, [-mp.inf, -10, -3, 0, 3, 10, mp.inf]) / dt)
+
+
+class TestRootSeries:
+    """The small-noise series of _quad, and where it hands over to Gauss-Hermite."""
+
+    # (lam, epsilon, sigma, theta, dt, answered by the series)
+    ORACLE_POINTS = [
+        (8.0, 2.0, 4.0, None, 1e-3, True),
+        (8.0, 2.0, 4.0, None, 1e-7, True),
+        (6.0, 0.5, 3.5, None, 1e-5, True),
+        (8.0, 2.0, 4.0, None, 1e-2, False),
+        (1.0, 0.0, 2.0, None, 1e-2, False),
+        (8.0, 0.0, 4.0, 0.5, 1e-3, True),
+        (8.0, 0.0, 4.0, 0.5, 1e-2, False),
+        (30.0, 0.0, 8.0, 0.5, 1e-3, False),
+        (8.0, 0.0, 4.0, 1.0, 1e-5, True),
+        (-3.0, 0.0, 1.0, 1.0, 1e-4, True),
+        (8.0, 0.0, 4.0, 1.0, 1e-2, False),
+    ]
+
+    @pytest.mark.parametrize("lam, eps, sigma, theta, dt, series", ORACLE_POINTS)
+    def test_against_mpmath(self, lam, eps, sigma, theta, dt, series):
+        assert (_root_series(_factor(lam, eps, sigma, dt, theta)) is not None) == series
+        got = _almost_sure(lam, eps, sigma, dt, theta)
+        assert abs(got - _mp_exponent(lam, eps, sigma, dt, theta)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "lam, eps, sigma, theta, dt",
+        [(8.0, 2.0, 4.0, None, 1e-7), (6.0, 0.5, 3.5, None, 1e-5), (8.0, 0.0, 4.0, 1.0, 1e-5)],
+    )
+    def test_points_quadrature_refuses_are_answered(self, monkeypatch, lam, eps, sigma, theta, dt):
+        a = continuum_as_exponent(ModelParams(lam=lam, epsilon=eps, sigma=sigma))
+        value = _almost_sure(lam, eps, sigma, dt, theta)
+        assert abs(value - a) < 1e-2 * max(abs(a), 1.0)
+        monkeypatch.setattr(exponents, "_root_series", lambda f: None)
+        with pytest.raises(ValueError, match="quadrature non-convergence"):
+            _almost_sure(lam, eps, sigma, dt, theta)
+
+    @pytest.mark.parametrize(
+        "theta, dt, bits",
+        [
+            (None, 1e-1, "0x1.19590e3cdc814p+2"),
+            (None, 1e-2, "0x1.7c26a5213d334p+1"),
+            (0.5, 1e-2, "0x1.401a877f5d149p-1"),
+        ],
+    )
+    def test_quadrature_regime_keeps_its_bits(self, theta, dt, bits):
+        eps = 2.0 if theta is None else 0.0
+        assert _root_series(_factor(8.0, eps, 4.0, dt, theta)) is None
+        assert _almost_sure(8.0, eps, 4.0, dt, theta).hex() == bits
+
+    def test_refusals_come_before_the_route(self):
+        with pytest.raises(ValueError, match="must exceed 3/4"):
+            as_exponent_quadrature(ModelParams(lam=-300.0, epsilon=0.0, sigma=1.0), 1e-3, 2)
+        for nodes in (2, 1025, 3.0):
+            with pytest.raises(ValueError, match="node count"):
+                as_exponent_quadrature(P_REF, 1e-3, nodes)
+
+
+def _criterion_3_points():
+    """The ten (lam, epsilon, sigma) triples that acceptance criterion 3 draws."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 999], dtype=np.uint64)))
+    points = []
+    while len(points) < 10:
+        p = ModelParams(
+            lam=rng.uniform(-8.0, 8.0), epsilon=rng.uniform(-4.0, 4.0), sigma=rng.uniform(-5.0, 5.0)
+        )
+        if gamma_dt(p, 1e-3) > 0.9:
+            points.append(p)
+    return points
+
+
+def test_gauss_hermite_route_at_criterion_3_points(monkeypatch):
+    # criterion 3's doubling line now compares series values, so the
+    # quadrature route is checked here directly at the same points. The
+    # agreement is relative with a floor of 1: one exponent is -1.1e-3, and
+    # Gauss-Hermite's own error (rounding of c0, over dt) is up to 1e-13.
+    points = _criterion_3_points()
+    series = [as_exponent_quadrature(p, 1e-3).value for p in points]
+    monkeypatch.setattr(exponents, "_root_series", lambda f: None)
+    for p, value in zip(points, series):
+        q1 = as_exponent_quadrature(p, 1e-3, nodes=201).value
+        q2 = as_exponent_quadrature(p, 1e-3, nodes=402).value
+        assert abs(q1 - q2) <= 1e-10 * max(abs(q1), abs(q2))
+        assert abs(value - q1) <= 1e-12 * max(abs(value), abs(q1), 1.0)
+
+
+class TestFirstOrderConstant:
+    """(E log F)/dt = a + c1*dt + O(dt^2), read off the exponent at dt = 1e-6."""
+
+    @pytest.mark.parametrize(
+        "lam, eps, sigma, theta",
+        [
+            (8.0, 2.0, 4.0, None),
+            (-3.0, 1.0, 0.5, None),
+            (8.0, 0.0, 4.0, 0.5),
+            (6.0, 0.0, 4.0, 1.0),
+        ],
+    )
+    def test_matches_the_exponent(self, lam, eps, sigma, theta):
+        p = ModelParams(lam=lam, epsilon=eps, sigma=sigma)
+        dt = 1e-6
+        slope = (_almost_sure(lam, eps, sigma, dt, theta) - continuum_as_exponent(p)) / dt
+        assert slope == pytest.approx(c1(p, theta), rel=1e-3)
+
+    def test_closed_forms(self):
+        assert c1(P_REF) == 110.0
+        assert c1(ModelParams(lam=8.0, epsilon=0.0, sigma=4.0), 0.0) == c1(
+            ModelParams(lam=8.0, epsilon=0.0, sigma=4.0)
+        )
+
+    def test_theta_needs_scalar_case(self):
+        with pytest.raises(ValueError, match="epsilon = 0"):
+            c1(P_REF, 0.5)
+        with pytest.raises(ValueError, match="theta"):
+            c1(ModelParams(lam=8.0, epsilon=0.0, sigma=4.0), 1.5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -427,9 +579,12 @@ class TestThetaFamily:
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
     def test_theta_zero_quadrature_bitwise(self):
-        a = theta_as_exponent_quadrature(self.P0, 0.0, 1e-3).value
-        b = as_exponent_quadrature(self.P0, 1e-3).value
-        assert a == b
+        # dt = 1e-3 is answered by the root series, 1e-2 by Gauss-Hermite
+        for dt, series in ((1e-3, True), (1e-2, False)):
+            assert (_root_series(_plain_factor(self.P0, dt)) is not None) == series
+            a = theta_as_exponent_quadrature(self.P0, 0.0, dt).value
+            b = as_exponent_quadrature(self.P0, dt).value
+            assert a == b
 
     def test_limits(self):
         # both theta values converge to lam +- sigma^2/2 as dt shrinks
@@ -516,6 +671,29 @@ class TestFits:
     def test_zero_error_below_resolution(self):
         with pytest.raises(ValueError, match="below resolution"):
             fit_loglog([1e-2, 1e-3, 1e-4], [0.1, 0.0, 0.001])
+
+    def test_needs_two_distinct_step_sizes(self):
+        with pytest.raises(ValueError, match="at least 2 distinct step sizes"):
+            fit_loglog([1e-3, 1e-3, 1e-3], [0.2, 0.3, 0.4])
+        fit = fit_loglog([1e-3, 1e-3, 1e-4], [0.2, 0.2, 0.02])
+        assert fit.order_p == pytest.approx(1.0, rel=1e-12)
+
+    def test_matches_numpy_polyfit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            dts = 10.0 ** rng.uniform(-6.0, -1.0, size=rng.integers(3, 9))
+            errors = 10.0 ** rng.uniform(-12.0, 2.0, size=dts.size)
+            fit = fit_loglog(dts, errors)
+            lx, ly = np.log10(dts), np.log10(errors)
+            slope, intercept = np.polyfit(lx, ly, 1)
+            residual = np.max(np.abs(np.polyval([slope, intercept], lx) - ly))
+            assert fit.order_p == pytest.approx(slope, rel=1e-12, abs=1e-12)
+            assert fit.constant_C == pytest.approx(10.0**intercept, rel=1e-11)
+            assert fit.residual == pytest.approx(residual, rel=1e-11, abs=1e-12)
+
+    def test_overflowing_constant_is_infinite(self):
+        fit = fit_loglog([0.5, 0.4, 0.3], [1e100, 1e-100, 1e-300])
+        assert fit.constant_C == math.inf
 
     def test_fit_container_invariants(self):
         with pytest.raises(ValueError):

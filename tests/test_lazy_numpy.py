@@ -1,5 +1,8 @@
 """numpy loads on first array use: the closed-form calls never import it.
 
+Neither do the almost-sure quadrature calls that the root series answers,
+nor the sweeps of closed-form methods, whose fit is pure Python.
+
 The package namespace loads each module on the first read of one of its
 names, and the thread pool module loads only when a pool starts. Each case
 runs in a fresh interpreter, since this test process has all of them
@@ -115,6 +118,62 @@ NUMPY_FREE = [
     ),
     (("verify", "--suite", "all", "--dt", "1.5"), 2, "", "error: dt must lie in (0, 1), got 1.5\n"),
     (("verify", "--samples", "5"), 2, "", "error: --samples must be at least 100, got 5\n"),
+    (
+        ("exponent", "as-quad"),
+        0,
+        '{"method": "as-quad", "dt": 0.001, "value": 2.109433848084378, '
+        '"continuum_value": 2.0, "region_class": "blow-up"}\n',
+        "",
+    ),
+    (
+        ("exponent", "theta-as", "--theta", "0.5", "--epsilon", "0"),
+        0,
+        '{"method": "theta-as", "dt": 0.001, "value": 0.06443427410748065, '
+        '"continuum_value": 0.0, "region_class": "boundary"}\n',
+        "",
+    ),
+    (
+        ("sweep-dt", "ms-exact"),
+        0,
+        "# dts=1e-1,1e-2,1e-3,1e-4,1e-5\n# epsilon=2.0\n# lambda=8.0\n# method=ms-exact\n"
+        "# sigma=4.0\ndt,discrete_value,continuum_value,abs_error\n"
+        "0.1,9.643093259726262,18.0,8.356906740273738\n"
+        "0.01,16.20552145326662,18.0,1.7944785467333801\n"
+        "0.001,17.793598421964813,18.0,0.20640157803518733\n"
+        "0.0001,17.979036644961973,18.0,0.020963355038027487\n"
+        "1e-05,17.997900367124814,18.0,0.0020996328751863302\n"
+        '# fit={"constant_C": 92.58587981208142, "order_p": 0.9132281863958612, '
+        '"residual": 0.1312710158396001, "dts": [0.1, 0.01, 0.001, 0.0001, 1e-05], '
+        '"errors": [8.356906740273738, 1.7944785467333801, 0.20640157803518733, '
+        '0.020963355038027487, 0.0020996328751863302]}\n',
+        "",
+    ),
+    # the refusals of as-quad keep their order: domain, then node count
+    (
+        ("exponent", "as-quad", "--nodes", "2"),
+        2,
+        '{"error": "node count must be an integer in [3, 1024], got 2"}\n',
+        "",
+    ),
+    (
+        ("exponent", "as-quad", "--nodes", "1025"),
+        2,
+        '{"error": "node count must be an integer in [3, 1024], got 1025"}\n',
+        "",
+    ),
+    (
+        ("exponent", "as-quad", "--lambda", "-300", "--sigma", "1", "--nodes", "2"),
+        2,
+        '{"error": "gamma_dt = 0.7015 must exceed 3/4 for the almost-sure exponent '
+        'estimators"}\n',
+        "",
+    ),
+    (
+        ("sweep-dt", "ms-exact", "--dts", "1e-3,1e-3,1e-3"),
+        2,
+        "",
+        "error: a fit needs at least 2 distinct step sizes, got [0.001]\n",
+    ),
 ]
 
 
