@@ -258,15 +258,16 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
     n_paths = values["paths"]
     if n_paths < 1:
         raise ValueError(f"paths must be at least 1, got {n_paths}")
-    # t, one column per path, then the mean; each path goes straight into its column
+    # t, one column per path, then the mean; each path goes into its column as it arrives
     table = np.empty((cfg.n_steps + 1, n_paths + 2))
-
-    def one(index: int) -> None:
-        stream = RngStream(root_seed=values["seed"], stream_id=index)
-        run = simulate_path if theta is None else simulate_theta_path
-        table[:, index + 1] = run(p, cfg, stream).log_values
-
-    _map_indexed(one, n_paths, values["threads"])
+    run = simulate_path if theta is None else simulate_theta_path
+    columns = _map_indexed(
+        lambda i: run(p, cfg, RngStream(root_seed=values["seed"], stream_id=i)).log_values,
+        n_paths,
+        values["threads"],
+    )
+    for index, column in enumerate(columns, start=1):
+        table[:, index] = column
     table[:, 0] = cfg.dt * np.arange(cfg.n_steps + 1)
     table[:, -1] = table[:, 1:-1].mean(axis=1)
     pairs = _provenance(values, ("dt", "steps", "paths", "seed", "x0", "y0"))

@@ -22,6 +22,8 @@ exponents are measured by log-log regression over dt sweeps.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -79,18 +81,29 @@ def ThreadPoolExecutor(max_workers: int):
     return ThreadPoolExecutor(max_workers=max_workers)
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    """[fn(0), ..., fn(count - 1)], spread over up to `threads` worker threads.
+def _map_indexed(fn, count: int, threads: int):
+    """Yield fn(0), ..., fn(count - 1) in index order, over up to `threads` worker threads.
 
-    The pool starts no more workers than there are tasks or usable CPUs.
-    Callers give each index its own substream and combine the results in
-    index order, so the output does not depend on `threads`.
+    The pool starts no more workers than there are tasks or usable CPUs; one
+    worker runs each call inline when its result is asked for. Callers give
+    each index its own substream and reduce the results in index order, so
+    the output does not depend on `threads`. A pool runs at most two calls
+    per worker ahead of the caller, so a caller that reduces each result
+    before asking for the next holds no more than that many, however many
+    tasks there are and however slowly it takes them.
     """
     workers = min(threads, count, _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
+    if workers < 2:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = collections.deque()
+        for i in range(count):
+            ahead.append(pool.submit(fn, i))
+            if len(ahead) == 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 #: Relative tolerance of the node-doubling convergence check.
@@ -351,21 +364,22 @@ def _moments_in_place(x: np.ndarray) -> tuple[int, float, float]:
     return x.size, mean, float(np.sum(x))
 
 
-def _combine(partials) -> tuple[int, float, float]:
-    """(count, mean, M2) of the union of parts given as (count, mean, M2) triples.
+def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """(count, mean, M2) of the union of two parts given as (count, mean, M2) triples.
 
-    The parts merge in the given order by the pairwise update of Chan, Golub
-    and LeVeque (1979), so M2 does not cancel when the spread is tiny next to
-    the mean.
+    The pairwise update of Chan, Golub and LeVeque (1979), so M2 does not
+    cancel when the spread is tiny next to the mean.
     """
-    n, mean, m2 = partials[0]
-    for nb, mean_b, m2_b in partials[1:]:
-        total = n + nb
-        delta = mean_b - mean
-        mean += delta * nb / total
-        m2 += m2_b + delta * delta * n * nb / total
-        n = total
-    return n, mean, m2
+    n, mean, m2 = a
+    nb, mean_b, m2_b = b
+    total = n + nb
+    delta = mean_b - mean
+    return total, mean + delta * nb / total, m2 + (m2_b + delta * delta * n * nb / total)
+
+
+def _combine(partials) -> tuple[int, float, float]:
+    """(count, mean, M2) of the parts of the iterable partials, merged in its order."""
+    return functools.reduce(_merge, partials)
 
 
 def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int, float, float]:
@@ -432,27 +446,32 @@ def as_exponent_mc(
     )
 
 
-def as_exponent_path_slope(paths: list[LogModulusPath]) -> ExponentEstimate:
+def as_exponent_path_slope(paths) -> ExponentEstimate:
     """Mean terminal slope (log|Z_n| - log|Z_0|) / t_n across trajectories.
 
     The statistic behind trajectory plots: each path contributes its terminal
     slope, and the standard error is the cross-path standard deviation over
-    sqrt(number of paths). All paths must share dt and length.
+    sqrt(number of paths). paths is any iterable of LogModulusPath, and each
+    path is reduced to its slope as it arrives and let go once the next one
+    has, so no more than two paths of a stream are held at once. All paths
+    must share dt and length, and there must be at least 2.
     """
-    if len(paths) < 2:
-        raise ValueError(f"need at least 2 paths, got {len(paths)}")
-    dt = paths[0].dt
-    n = paths[0].n_steps
-    for path in paths[1:]:
-        if path.dt != dt or path.n_steps != n:
+    slopes = []
+    for path in paths:
+        if not slopes:
+            dt, n = path.dt, path.n_steps
+        elif path.dt != dt or path.n_steps != n:
             raise ValueError("mismatched grids: all paths must share dt and n_steps")
-    slopes = np.array([(path.log_values[-1] - path.log_values[0]) / (n * dt) for path in paths])
+        slopes.append((path.log_values[-1] - path.log_values[0]) / (n * dt))
+    if len(slopes) < 2:
+        raise ValueError(f"need at least 2 paths, got {len(slopes)}")
+    slopes = np.array(slopes)
     return ExponentEstimate(
         value=float(slopes.mean()),
         method=Method.AS_PATH_SLOPE,
         dt=dt,
-        std_error=float(slopes.std(ddof=1)) / math.sqrt(len(paths)),
-        n_samples=len(paths),
+        std_error=float(slopes.std(ddof=1)) / math.sqrt(len(slopes)),
+        n_samples=len(slopes),
     )
 
 
@@ -487,7 +506,9 @@ def fit_loglog(dts, errors) -> ConvergenceFit:
     """Fit |error| ~ C * dt^p by least squares on log10-log10 axes.
 
     The sums run in math.fsum about the mean log step size. At least two
-    distinct step sizes are needed, since one alone fixes no slope.
+    distinct step sizes are needed, since one alone fixes no slope. A
+    constant C too large for a float is infinite; one that underflows to 0 is
+    refused.
     """
     dts = [float(d) for d in dts]
     errors = [float(e) for e in errors]
@@ -508,6 +529,11 @@ def fit_loglog(dts, errors) -> ConvergenceFit:
         constant_C = 10.0**intercept
     except OverflowError:
         constant_C = math.inf
+    if constant_C == 0.0:
+        raise ValueError(
+            f"log-log fit constant C = 10**{intercept!r} underflows to 0, so the fit has "
+            "no positive C"
+        )
     return ConvergenceFit(
         constant_C=constant_C,
         order_p=slope,
@@ -565,7 +591,7 @@ def estimate(
             n_paths,
             threads,
         )
-        return as_exponent_path_slope(paths)
+        return as_exponent_path_slope(paths)  # takes each path as it is simulated
     if theta is None:
         raise ValueError(f"method {method.value} requires theta")
     if method is Method.THETA_MS_EXACT:

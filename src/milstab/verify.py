@@ -11,11 +11,13 @@ neither, and closedform always runs 10^5 ten-step paths and reads neither:
 it keeps one double per path, so following n_samples would make its memory
 grow with it.
 
-The suites draw their samples a block (MC_BLOCK) or a slice (_MC_CHUNK) at a
-time and reduce each before the next, so their memory does not grow with
-n_samples. A statistic that overflows fails its check, with no numpy warning.
-At sigma = 0 every closed-form path is one number, which is compared with
-base^n within _ULPS_PER_FACTOR ulps per step factor instead of by a z-score.
+The sampling suites draw their samples a slice (_MC_CHUNK) at a time from one
+stream and reduce each slice before the next: moments merges the (count,
+mean, M2) of each slice in order, so its memory does not grow with n_samples,
+and closedform builds a slice of paths at a time. A statistic that overflows
+fails its check, with no numpy warning. At sigma = 0 every closed-form path is
+one number, which is compared with base^n within _ULPS_PER_FACTOR ulps per
+step factor instead of by a z-score.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import sys
 
 from . import _np as np
-from .exponents import _MC_CHUNK, _MIN_SAMPLES, MC_BLOCK, _combine, _moments_in_place, _slices
+from .exponents import _MC_CHUNK, _MIN_SAMPLES, _merge, _moments_in_place
 from .lemmas import (
     BoundKind, LogBoundDomain, composite_increment_moments, gaussian_moment,
     verify_log_sandwich, xi_gamma,
@@ -93,17 +95,17 @@ def _suite_moments(*, p: ModelParams, dt: float, seed: int, nodes: int, n_sample
     n = n_samples
     mean_ref, second_ref = composite_increment_moments(p.sigma, dt)
     noise = _noise_factor(p.sigma, dt)
-    # Drawn and reduced one block at a time, from one stream: the noise and
-    # its square, each as (count, mean, M2), merged in block order.
+    # Drawn and reduced one slice at a time, from one stream: the noise and
+    # its square, each as (count, mean, M2), merged in slice order.
     stream = RngStream(root_seed=seed, stream_id=0)
-    parts = []
-    for lo in range(0, n, MC_BLOCK):
-        x = stream.normals(min(MC_BLOCK, n - lo))
-        for z in _slices(x):
-            noise.of_normals(z)
+    first = second = None
+    for lo in range(0, n, _MC_CHUNK):
+        x = noise.of_normals(stream.normals(min(_MC_CHUNK, n - lo)))
         square = _moments_in_place(x * x)  # before x itself is overwritten
-        parts.append((_moments_in_place(x), square))
-    first, second = (_combine(stats) for stats in zip(*parts))
+        if first is None:
+            first, second = _moments_in_place(x), square
+        else:
+            first, second = _merge(first, _moments_in_place(x)), _merge(second, square)
     z_scores = [_z_score(first, mean_ref), _z_score(second, second_ref)]
     checks = [
         _check(

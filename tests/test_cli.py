@@ -23,6 +23,7 @@ from milstab.cli import (
     main,
 )
 from milstab.exponents import (
+    _MC_CHUNK,
     MC_BLOCK,
     Method,
     as_exponent_quadrature,
@@ -738,8 +739,9 @@ class TestVerifyCommand:
         got = run_cli(capsys, "verify", "--suite", suite, *args)
         assert got == (2, "", f"error: {refusal}\n")
 
-    def test_moments_memory_is_bounded_by_blocks(self):
-        # drawn and reduced block by block; all 16 blocks at once held 5 arrays of them
+    def test_moments_memory_is_bounded_by_slices(self):
+        # drawn and reduced slice by slice; all 16 blocks at once held 5 arrays
+        # of them, and block by block held 2 blocks of 8 slices each
         p = ModelParams(DEFAULTS["lam"], DEFAULTS["epsilon"], DEFAULTS["sigma"])
 
         def moments(n_samples):
@@ -754,7 +756,7 @@ class TestVerifyCommand:
         finally:
             tracemalloc.stop()
         assert all(check["passed"] for check in checks)
-        assert peak <= 3 * 8 * MC_BLOCK
+        assert peak <= 4 * 8 * _MC_CHUNK
 
 
 #: One cheap run of each command that takes --seed.

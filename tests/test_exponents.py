@@ -1,6 +1,10 @@
 import math
+import re
 import sys
+import time
 import tracemalloc
+import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -498,7 +502,11 @@ class TestWorkerPool:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            @staticmethod
+            def submit(fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
 
         monkeypatch.setattr(exponents, "ThreadPoolExecutor", SerialPool)
         return sizes
@@ -516,8 +524,17 @@ class TestWorkerPool:
     )
     def test_pool_size(self, built, monkeypatch, threads, count, cpus, workers):
         monkeypatch.setattr(exponents, "_usable_cpus", lambda: cpus)
-        assert _map_indexed(lambda i: i * i, count, threads) == [i * i for i in range(count)]
+        assert list(_map_indexed(lambda i: i * i, count, threads)) == [i * i for i in range(count)]
         assert built == ([] if workers is None else [workers])
+
+    def test_runs_at_most_two_calls_per_worker_ahead(self, monkeypatch):
+        # a slow caller used to find every call started, and every result held
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: 2)
+        started = []
+        for i, got in enumerate(_map_indexed(lambda j: started.append(j) or j, 50, 2)):
+            assert got == i
+            time.sleep(0.001)
+            assert len(started) <= i + 2 * 2
 
     def test_estimators_use_the_bound(self, built, monkeypatch):
         monkeypatch.setattr(exponents, "_usable_cpus", lambda: 64)
@@ -548,6 +565,32 @@ class TestPathSlope:
         with pytest.raises(ValueError):
             as_exponent_path_slope([self._path(1.0, dt=0.1), self._path(1.0, dt=0.2)])
 
+    def test_takes_a_stream_and_lets_each_path_go(self):
+        slopes = (1.0, 3.0, -2.0, 0.5)
+        held = []
+
+        def stream():
+            for slope in slopes:
+                # only the last path handed out may still be alive when the next is made
+                assert all(ref() is None for ref in held[:-1])
+                path = self._path(slope)
+                held.append(weakref.ref(path))
+                yield path
+                del path  # this generator's own reference
+
+        est = as_exponent_path_slope(stream())
+        assert est == as_exponent_path_slope([self._path(slope) for slope in slopes])
+        assert len(held) == len(slopes)
+
+    def test_stream_refusals(self):
+        with pytest.raises(ValueError, match="^need at least 2 paths, got 1$"):
+            as_exponent_path_slope(path for path in [self._path(1.0)])
+        with pytest.raises(ValueError, match="^need at least 2 paths, got 0$"):
+            as_exponent_path_slope(iter([]))
+        grids = [self._path(1.0), self._path(1.0), self._path(1.0, n=11)]
+        with pytest.raises(ValueError, match="^mismatched grids: all paths must share dt"):
+            as_exponent_path_slope(path for path in grids)
+
     def test_estimate_dispatch_runs_paths(self):
         est = estimate(
             P_REF, 1e-3, Method.AS_PATH_SLOPE, seed=42, n_paths=10, n_steps=2000
@@ -560,6 +603,22 @@ class TestPathSlope:
             simulate_path(P_REF, cfg, RngStream(root_seed=42, stream_id=i)) for i in range(10)
         ]
         assert est.value == as_exponent_path_slope(paths).value
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_estimate_memory_does_not_grow_with_paths(self, threads):
+        # Keeping every path's log values until the last was simulated peaked
+        # at about 150 of the arrays below for 128 paths. A simulation holds
+        # about 6 at its peak, and a pool runs at most 2 paths per worker ahead.
+        n_steps = 10_000
+        estimate(P_REF, 1e-3, Method.AS_PATH_SLOPE, n_paths=2, n_steps=100)  # loads numpy.random
+        tracemalloc.start()
+        try:
+            estimate(P_REF, 1e-3, Method.AS_PATH_SLOPE, seed=5, threads=threads, n_paths=128,
+                     n_steps=n_steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * (n_steps + 1)
 
     def test_estimate_is_thread_invariant(self):
         kw = dict(seed=11, n_paths=7, n_steps=300)
@@ -694,6 +753,15 @@ class TestFits:
     def test_overflowing_constant_is_infinite(self):
         fit = fit_loglog([0.5, 0.4, 0.3], [1e100, 1e-100, 1e-300])
         assert fit.constant_C == math.inf
+
+    def test_underflowing_constant_is_refused_by_the_fit(self):
+        # the refusal used to be ConvergenceFit's own "constant_C must be positive, got 0.0"
+        refusal = (
+            "log-log fit constant C = 10**-830.4568415483334 underflows to 0, so the fit has "
+            "no positive C"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            fit_loglog([0.5, 0.4, 0.3], [1e-300, 1e-100, 1e100])
 
     def test_fit_container_invariants(self):
         with pytest.raises(ValueError):
