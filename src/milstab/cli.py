@@ -15,12 +15,14 @@ randomness derives from (--seed, stream index) pairs and partial results
 combine in index order, so outputs are byte-identical across runs and across
 --threads settings; --threads splits simulate paths, Monte Carlo blocks and
 as-slope paths. simulate writes each path straight into its column of one
-table and streams that table in blocks of ROW_BLOCK rows, in the bytes of one
+table and streams that table in slices of SLICE values, in the bytes of one
 whole-table write, so its memory is bounded by the table, not by the text;
---threads also formats those blocks on worker processes, and they are written
-in block order. CSV output is UTF-8 with LF line endings, a header row, floats
-rendered by repr, and '# key=value' provenance comments above the header
-(sorted by key; --threads and --out are execution detail and excluded).
+--threads also formats those slices on worker threads, and they are written
+in order. The formatter (milstab._floattext) computes repr's digits with
+numpy array operations, which release the interpreter lock. CSV output is
+UTF-8 with LF line endings, a header row, floats rendered by repr, and
+'# key=value' provenance comments above the header (sorted by key; --threads
+and --out are execution detail and excluded).
 
 Every write, to stdout or --out, goes through one writer, _write, argparse's
 help text included: a failed write prints one error line and exits 1. A
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -42,9 +45,8 @@ import sys
 
 from . import _np as np
 from . import verify
-from .exponents import (
-    MS_METHODS, Method, _map_indexed, _usable_cpus, continuum_target, estimate, fit_loglog,
-)
+from ._floattext import SLICE, slice_text
+from .exponents import MS_METHODS, Method, _map_indexed, continuum_target, estimate, fit_loglog
 from .model import (
     InitialDatum,
     ModelParams,
@@ -92,9 +94,6 @@ _RUN_ARGS = {
 
 #: Config files name a key by its flag without the dashes, or as itself.
 _CONFIG_NAMES = {flag[2:]: key for key, (flag, *_) in _PARAMS.items() if flag}
-
-#: Rows per block of `simulate` output; blocks are formatted and written one by one.
-ROW_BLOCK = 1024
 
 #: Largest grid `region --sigma-range` accepts; the default grid has 101 points.
 MAX_SIGMA_POINTS = 100_000
@@ -274,43 +273,16 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
     if theta is not None:
         pairs["theta"] = theta
     header = ["t"] + [f"path_{i}" for i in range(n_paths)] + ["mean"]
-    if values["format"] == "json":
+    as_json = values["format"] == "json"
+    if as_json:
         head = json.dumps({"params": pairs, "columns": header, "rows": []})[:-2]
-        fmt, sep, tail = _json_block, ", ", "]}\n"
+        tail = "]}\n"
     else:
-        head = _csv_text(pairs, header, [])
-        fmt, sep, tail = _csv_block, "", ""
-    blocks = [table[i : i + ROW_BLOCK] for i in range(0, len(table), ROW_BLOCK)]
-    workers = min(values["threads"], len(blocks), _usable_cpus())
-    if workers < 2:
-        return _write(_joined(head, map(fmt, blocks), sep, tail), ns.out)
-    # Float repr holds the GIL, so only processes format blocks in parallel.
-    # Imported here, as importing the pool would cost every call 15-19 ms.
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        return _write(_joined(head, pool.map(fmt, blocks), sep, tail), ns.out)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _csv_block(block: np.ndarray) -> str:
-    return "".join(map(_csv_row, block.tolist()))
-
-
-def _json_block(block: np.ndarray) -> str:
-    return json.dumps(block.tolist())[1:-1]
-
-
-def _joined(head: str, texts, sep: str, tail: str):
-    """head, the texts with sep between them, then tail, one piece at a time."""
-    yield head
-    for i, text in enumerate(texts):
-        if i:
-            yield sep
-        yield text
-    yield tail
+        head, tail = _csv_text(pairs, header, []), ""
+    texts = _map_indexed(
+        lambda i: slice_text(table, i * SLICE, as_json), -(-table.size // SLICE), values["threads"]
+    )
+    return _write(itertools.chain([head], texts, [tail]), ns.out)
 
 
 def _estimator_kwargs(values: dict) -> dict:
@@ -523,6 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a spinning helper thread when numpy loads, and no
+    # call here makes a multi-threaded BLAS call; a value already set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns, _resolve(ns))

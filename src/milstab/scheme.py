@@ -262,13 +262,20 @@ def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
 
 
 def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log0 and its running sums with log|factors|, exact zeros flagged and clamped."""
-    af = np.abs(factors)
-    flags = af == 0.0
-    logs = np.where(flags, LOG_CLAMP, np.log(np.where(flags, 1.0, af)))
-    log_values = np.empty(len(factors) + 1)
+    """log0 and its running sums with log|factors|, exact zeros flagged and clamped.
+
+    factors is overwritten with its clamped logs, so beside it only the
+    returned arrays are allocated.
+    """
+    logs = np.abs(factors, out=factors)
+    flags = logs == 0.0
+    np.copyto(logs, 1.0, where=flags)
+    np.log(logs, out=logs)
+    np.copyto(logs, LOG_CLAMP, where=flags)
+    log_values = np.empty(len(logs) + 1)
     log_values[0] = log0
-    log_values[1:] = log0 + np.cumsum(logs)
+    np.cumsum(logs, out=log_values[1:])
+    log_values[1:] += log0
     return log_values, flags
 
 

@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 from conftest import src_env
 
-from milstab import cli, verify
+from milstab import cli, exponents, verify
 from milstab.cli import (
     _METHOD_KEYS,
     DEFAULTS,
     MAX_SIGMA_POINTS,
-    ROW_BLOCK,
     _parse_sigma_range,
     main,
 )
+from milstab._floattext import SLICE
 from milstab.exponents import (
     _MC_CHUNK,
     MC_BLOCK,
@@ -222,11 +222,17 @@ class TestSimulateCommand:
         assert "cannot write" in err
 
 
-class TestSimulateStreaming:
-    """simulate writes its table in ROW_BLOCK blocks, serially or on worker processes."""
+def _one_path_steps(slices):
+    """Steps whose one-path table (3 values a row) fills exactly `slices` slices."""
+    return slices * SLICE // 3 - 1
 
-    # three whole blocks and a partial one of 8 rows (steps + 1 rows in all)
-    STEPS = 3 * ROW_BLOCK + 7
+
+class TestSimulateStreaming:
+    """simulate writes its table in slices of SLICE values, formatted serially or on threads."""
+
+    # steps + 1 rows of 5 values: three whole slices and a partial one, with
+    # the slice edges inside rows
+    STEPS = (3 * SLICE + 7) // 5
     PATHS = 3
     SEED = 9
 
@@ -265,6 +271,22 @@ class TestSimulateStreaming:
             out = target.read_bytes().decode("utf-8")
         assert out == self._expected(fmt)
 
+    @pytest.mark.parametrize("steps", [10, 2100])
+    @pytest.mark.parametrize("paths", [1, 3, 200])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_do_not_depend_on_threads(self, capsys, fmt, paths, steps):
+        # 200 paths of 2100 steps make 52 slices; every other table makes fewer
+        # slices than 4 threads, and 10 steps make one
+        outputs = {
+            threads: run_cli(
+                capsys, "simulate", "--steps", str(steps), "--paths", str(paths),
+                "--seed", "11", "--format", fmt, "--threads", str(threads),
+            )
+            for threads in (1, 2, 4)
+        }
+        assert outputs[1][0] == 0 and outputs[1][2] == ""
+        assert outputs[2] == outputs[1] and outputs[4] == outputs[1]
+
     @pytest.mark.parametrize("seed", [0, 1, 5, 17, 42, 63])
     def test_simulate_out_goldens(self, monkeypatch, tmp_path, seed):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
@@ -276,12 +298,12 @@ class TestSimulateStreaming:
     @pytest.mark.parametrize(
         "threads, steps, cpus, workers",
         [
-            (1, 4 * ROW_BLOCK, 4, None),  # one thread asked for
-            (64, 10, 4, None),  # a single block
-            (2, 4 * ROW_BLOCK, 1, None),  # a single usable CPU
-            (64, 2 * ROW_BLOCK, 4, 3),  # limited by the block count (steps + 1 rows)
-            (64, 6 * ROW_BLOCK, 4, 4),  # limited by the CPUs
-            (2, 6 * ROW_BLOCK, 4, 2),  # limited by --threads
+            (1, _one_path_steps(4), 4, None),  # one thread asked for
+            (64, 10, 4, None),  # a single slice
+            (2, _one_path_steps(4), 1, None),  # a single usable CPU
+            (64, _one_path_steps(3), 4, 3),  # limited by the slice count
+            (64, _one_path_steps(6), 4, 4),  # limited by the CPUs
+            (2, _one_path_steps(6), 4, 2),  # limited by --threads
         ],
     )
     def test_pool_size(self, capsys, monkeypatch, threads, steps, cpus, workers):
@@ -291,13 +313,21 @@ class TestSimulateStreaming:
             def __init__(self, max_workers):
                 built.append(max_workers)
 
-            map = staticmethod(map)
+            def __enter__(self):
+                return self
 
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
+            def __exit__(self, *exc):
+                return False
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            @staticmethod
+            def submit(fn, *args):
+                done = concurrent.futures.Future()
+                done.set_result(fn(*args))
+                return done
+
+        # one path runs inline, so a pool can only be the one that formats slices
+        monkeypatch.setattr(exponents, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: cpus)
         args = ("simulate", "--steps", str(steps), "--paths", "1")
         code, out, _ = run_cli(capsys, *args, "--threads", str(threads))
         assert code == 0

@@ -10,6 +10,7 @@ loaded already.
 """
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -209,7 +210,9 @@ def test_help_skips_numpy(capsys):
 def test_package_import_skips_numpy():
     code = (
         "import sys, milstab, milstab.cli\n"
-        "from milstab import _np\n"
+        "from milstab import _floattext, _np\n"
+        "if _floattext._tables.cache_info().currsize or _floattext._templates.cache_info().currsize:\n"
+        "    raise SystemExit('a formatter table got built')\n"
         "try:\n"
         "    _np.__getattr__('__foo__')\n"
         "except AttributeError:\n"
@@ -405,8 +408,9 @@ def test_pool_module_loads_only_with_a_pool(args, loaded):
     assert _python(_POOL_PROBE, *args).splitlines()[-1] == str(loaded)
 
 
-def test_cli_imports_three_private_sibling_names():
-    # the verify suites live in milstab.verify, so cli needs no other module's internals
+def test_cli_imports_two_private_sibling_names():
+    # the verify suites live in milstab.verify and the worker pool sizes itself,
+    # so cli needs no other module's internals
     tree = ast.parse(Path(cli.__file__).read_text())
     private = sorted(
         alias.name
@@ -415,4 +419,52 @@ def test_cli_imports_three_private_sibling_names():
         for alias in node.names
         if alias.name.startswith("_")
     )
-    assert private == ["_U64", "_map_indexed", "_usable_cpus"]
+    assert private == ["_U64", "_map_indexed"]
+
+
+#: Runs cli.main on argv, if any, after `import milstab`; prints the OpenBLAS
+#: thread setting numpy saw when it loaded (none if it did not) and the one left.
+_BLAS_PROBE = """
+import os, sys
+
+seen = []
+
+class AtNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, AtNumpyImport())
+import milstab
+
+if sys.argv[1:]:
+    from milstab import cli
+
+    assert cli.main(sys.argv[1:]) == 0
+print(seen, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+SIMULATE_QUIETLY = ("simulate", "--steps", "10", "--paths", "2", "--out", os.devnull)
+
+
+@pytest.mark.parametrize(
+    "args, preset, printed",
+    [
+        (SIMULATE_QUIETLY, None, "['1'] 1"),  # one BLAS thread from the first numpy import
+        (SIMULATE_QUIETLY, "3", "['3'] 3"),  # a user's own setting is kept
+        ((), None, "[] None"),  # the library leaves the environment alone
+    ],
+    ids=["cli", "preset", "import"],
+)
+def test_cli_runs_numpy_with_one_blas_thread(args, preset, printed):
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == printed + "\n"

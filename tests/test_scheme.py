@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,36 @@ class TestAccumulate:
     def test_negative_factor_uses_modulus(self):
         logs, _ = _accumulate(0.0, np.array([-3.0]))
         assert logs[1] == pytest.approx(math.log(3.0))
+
+    def test_bits_are_pinned(self):
+        # the whole-array form: log0 + cumsum(where(flags, LOG_CLAMP, log(|F|)))
+        logs, flags = _accumulate(0.25, np.array([2.0, 0.0, -0.5, 3.0]))
+        assert [v.hex() for v in logs.tolist()] == [
+            "0x1.0000000000000p-2", "0x1.e2e42fefa39efp-1", "-0x1.740746f404172p+9",
+            "-0x1.7460000000000p+9", "-0x1.73d360ac2a97ep+9",
+        ]
+        assert flags.tolist() == [False, True, False, False]
+        cfg = SchemeConfig(dt=1e-3, n_steps=6, initial=InitialDatum(3.0, 4.0))
+        path = simulate_path(P_REF, cfg, RngStream(root_seed=42, stream_id=7))
+        assert [v.hex() for v in path.log_values.tolist()] == [
+            "0x1.9c041f7ed8d33p+0", "0x1.9144b583081b2p+0", "0x1.9a42c6d05e248p+0",
+            "0x1.9f6fb10d1fcf6p+0", "0x1.b8e3454e24fa2p+0", "0x1.cc3fe9d525762p+0",
+            "0x1.bc2215c7a8a86p+0",
+        ]
+
+    def test_path_peak_is_three_step_arrays(self):
+        # the normals turn into factors and then into logs in place, so a path
+        # holds them and its log_values (and the one-byte flags) at once
+        n = 10**5
+        cfg = SchemeConfig(dt=1e-3, n_steps=n, initial=DATUM)
+        simulate_path(P_REF, cfg, RngStream(root_seed=1, stream_id=0))  # warm numpy up
+        tracemalloc.start()
+        try:
+            simulate_path(P_REF, cfg, RngStream(root_seed=1, stream_id=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n
 
 
 class TestSimulate:
