@@ -105,15 +105,16 @@ def slice_text(table, start: int, json: bool = False) -> str:
     values = np.ascontiguousarray(table.reshape(-1)[start : start + SLICE], dtype=np.float64)
     templates, n_seps = _templates(json)
     ok, lead, groups, digits, decpt = _shortest(values)
-    cells = _digit_cells(lead, groups)
 
     index = np.arange(start, start + values.size)
-    last_col = index % cols == cols - 1
-    sep = last_col.astype(np.intp)
+    col = index % cols
+    sep = (col == cols - 1).astype(np.intp)
     if json:
-        sep += (last_col & (index >= (rows - 1) * cols)) + 3 * (index % cols == 0)
+        sep += (sep == 1) & (index >= (rows - 1) * cols)
+        sep += 3 * (col == 0)
     row = (((decpt - _DECPT[0]) * 17 + digits - 1) * 2 + (values < 0)) * n_seps + sep
-    cells &= templates.take(np.where(ok, row, sep), axis=0)
+    cells = templates.take(np.where(ok, row, sep), axis=0)
+    _fill_digits(cells, lead, groups)
 
     text = _json.dumps if json else repr
     for i in np.flatnonzero(~ok).tolist():
@@ -197,12 +198,14 @@ def _digit_groups(rounded):
     return lead, groups
 
 
-def _digit_cells(lead, groups):
-    """Rows of 0xFF with the 17 digit bytes in the integer and the fraction slots."""
+def _fill_digits(cells, lead, groups) -> None:
+    """Turn the 0xFF digit slots of template rows into the 17 digit bytes."""
     four = _tables()[3]
-    cells = np.full((lead.size, _WIDTH), 0xFF, np.uint8)
     words = cells.view(np.uint32)
     for i, group in enumerate(groups, start=1):
-        words[:, _INT // 4 + i] = words[:, _FRAC // 4 + i] = four.take(group)
-    cells[:, _INT] = cells[:, _FRAC] = lead + ord("0")
-    return cells
+        word = four.take(group)
+        words[:, _INT // 4 + i] &= word
+        words[:, _FRAC // 4 + i] &= word
+    lead = (lead + ord("0")).astype(np.uint8)
+    cells[:, _INT] &= lead
+    cells[:, _FRAC] &= lead

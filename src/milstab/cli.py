@@ -45,7 +45,6 @@ import sys
 
 from . import _np as np
 from . import verify
-from ._floattext import SLICE, slice_text
 from .exponents import MS_METHODS, Method, _map_indexed, continuum_target, estimate, fit_loglog
 from .model import (
     InitialDatum,
@@ -279,6 +278,10 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
         tail = "]}\n"
     else:
         head, tail = _csv_text(pairs, header, []), ""
+    # Imported here: only simulate formats a table, and without cached bytecode
+    # every other call would compile the module for nothing.
+    from ._floattext import SLICE, slice_text
+
     texts = _map_indexed(
         lambda i: slice_text(table, i * SLICE, as_json), -(-table.size // SLICE), values["threads"]
     )
