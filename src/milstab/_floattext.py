@@ -18,9 +18,15 @@ q that still lands inside (V - h, V + h): 17 digits (q = 1) always do; q = 10
 may; and as the interval is narrower than 100 it holds at most one multiple
 of 100, whose trailing zeros then give q. Whatever this exact path does not
 cover gets Python's own text instead: zero, non-finite and out-of-range
-values, a power-of-two significand (whose interval is lopsided), an exact tie
-between two roundings, and a multiple of the first q that fails lying on the
-interval's boundary (where the parity of the significand decides).
+values, a power-of-two significand (whose interval is lopsided), and an exact
+tie between the two nearest roundings (where Python rounds half to even).
+
+The interval's ends, where the parity of the significand would decide, never
+matter here. With x = m * 2**e (2**52 <= m < 2**53), the ends
+are (2m +- 1) * 2**(e-1) * 10**p, a multiple of 10 only if e + p >= 2, which
+in fixed notation leaves 2**53 <= x < 1e16 (e = 1, p = 1). There V = 20 * m
+is itself a multiple of 10, and the ends are odd multiples of 10, so no end
+is the nearest multiple of 10 or any multiple of 100.
 
 Each value gets a fixed row of byte slots: a JSON row's '[', the sign, the
 17 digits as the integer part, '0.' and up to three zeros for |x| < 1, the
@@ -147,7 +153,7 @@ def _shortest(values):
     # 2**-53 * 10**p, so exact. V is a multiple of 2**-46, so the sums and
     # differences below that are small enough to matter are exact too.
     h = (bits & np.uint64(0x7FF << 52)).view(np.float64) * (scale * 2.0**-53)
-    ok &= (whole >= 10**16) & (whole < 10**17) & (f != 0.5)
+    ok &= (whole >= 10**16) & (whole < 10**17)
 
     r10, r100 = whole % 10, whole % 100
     below, above = r10 + f, (10 - r10) - f
@@ -156,7 +162,9 @@ def _shortest(values):
     below100, above100 = r100 + f, (100 - r100) - f
     gap100 = np.minimum(below100, above100)
     in100 = gap100 < h
-    ok &= (gap10 != h) & ~(in10 & ((below == above) | (gap100 == h)))
+    # Python's own text for an exact tie between the two nearest roundings:
+    # to 17 digits when no multiple of 10 is inside, to 16 when two are
+    ok &= np.where(in10, below != above, f != 0.5)
     rounded = np.where(
         in100,
         whole - r100 + 100 * (above100 < below100),
@@ -175,13 +183,6 @@ def _shortest(values):
     for group in groups[1:]:
         zeros = zeros_of.take(group)
         count = zeros + (zeros == 4) * count
-    # and the multiples of 10 * q must all lie off the interval's ends
-    many = np.flatnonzero(in100 & ok & ~carry)
-    if many.size:
-        w, fm, hm, next_q = whole[many], f[many], h[many], 10 * 10 ** count[many]
-        for end in (fm + hm, fm - hm):
-            on = end == np.floor(end)
-            ok[many[on & ((w + end.astype(np.int64)) % next_q == 0)]] = False
     return ok, lead, groups, 17 - count, decpt
 
 

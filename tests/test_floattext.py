@@ -60,7 +60,12 @@ def _neighbours(values):
 
 POWERS_OF_TWO = [2.0**e for e in range(-20, 60)]
 RANGE_ENDS = _neighbours([1e-4, 1e16, 1e-5, 1e15, 1e17, 0.001, 1.0, 10.0])
-TIES = [2.5, 0.125, 1e15 + 0.5, 0.5, 1.5, 12.5, 0.375, 9007199254740993.0, 4503599627370497.5]
+# the last three are eighths near 5.6e14: a 17-digit tie that 16 digits
+# avoid, and two ties between 16-digit roundings
+TIES = [
+    2.5, 0.125, 1e15 + 0.5, 0.5, 1.5, 12.5, 0.375, 9007199254740993.0, 4503599627370497.5,
+    (2**52 + 1) / 8, (2**52 + 2) / 8, (2**52 + 6) / 8,
+]
 SEVENTEEN_DIGITS = [
     0.30000000000000004, 1.0000000000000002, 9.999999999999998, 123456.78901234568,
     2.2250738585072014e-3, 1234567890123456.8, 0.00012345678901234567, -5.551115123125783e-05,
