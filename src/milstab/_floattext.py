@@ -131,8 +131,9 @@ def slice_text(table, start: int, json: bool = False) -> str:
 
 
 def _shortest(values):
-    """(covered by the exact path, then of the digits: the first, the 4-digit
-    groups of the other 16, the count before zero pad, and decpt)."""
+    """For each value: whether the exact path covers it, and its shortest
+    digits as the first digit, the other 16 (zero padded) in four 4-digit
+    groups, the count of digits and decpt."""
     pow10, pow10_hi, pow10_lo, _, zeros_of = _tables()
     bits = values.view(np.uint64)
     ax = np.abs(values)

@@ -15,7 +15,7 @@ randomness derives from (--seed, stream index) pairs and partial results
 combine in index order, so outputs are byte-identical across runs and across
 --threads settings; --threads splits simulate paths, Monte Carlo blocks and
 as-slope paths. simulate writes each path straight into its column of one
-table and streams that table in slices of SLICE values, in the bytes of one
+table and streams that table in slices of 2^13 values, in the bytes of one
 whole-table write, so its memory is bounded by the table, not by the text;
 --threads also formats those slices on worker threads, and they are written
 in order. The formatter (milstab._floattext) computes repr's digits with
