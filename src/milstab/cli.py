@@ -73,7 +73,8 @@ _PARAMS = {
     "seed": ("--seed", int, 42, "root seed for all substreams"),
     "nodes": ("--nodes", int, DEFAULT_NODES, "quadrature node count"),
     "samples": ("--samples", int, 10**6, "Monte Carlo sample count"),
-    "theta": ("--theta", float, None, "theta-scheme implicitness (requires epsilon 0)"),
+    "theta": ("--theta", float, None, "theta-scheme implicitness (requires epsilon 0); read "
+              "by simulate and the theta-ms and theta-as methods, ignored by the others"),
     "dts": ("--dts", str, "1e-1,1e-2,1e-3,1e-4,1e-5", "comma separated step sizes"),
     "sigma_range": ("--sigma-range", str, "0:5:0.05", "sigma grid as lo:hi:step"),
     "suite": ("--suite", str, "all", "which checks to run"),

@@ -40,7 +40,7 @@ from .scheme import (
     LogModulusPath,
     SchemeConfig,
     _check_dt,
-    _check_theta,
+    _check_theta_scheme,
     _plain_factor,
     _StepFactor,
     _theta_factor,
@@ -355,7 +355,9 @@ def _moments_in_place(x: np.ndarray) -> tuple[int, float, float]:
 
     mean has the bits of np.mean(x) and M2 / (count - 1) those of
     np.var(x, ddof=1): both sums run over the whole array, and the
-    deviations are squared in _MC_CHUNK slices.
+    deviations are squared in _MC_CHUNK slices. It reduces each Monte Carlo
+    block (_mc_block), the path slopes (as_exponent_path_slope) and the
+    samples of the moments and closedform verify suites.
     """
     mean = float(np.sum(x)) / x.size
     for dev in _slices(x):
@@ -377,9 +379,13 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[in
     return total, mean + delta * nb / total, m2 + (m2_b + delta * delta * n * nb / total)
 
 
-def _combine(partials) -> tuple[int, float, float]:
-    """(count, mean, M2) of the parts of the iterable partials, merged in its order."""
-    return functools.reduce(_merge, partials)
+def _std_error(stats: tuple[int, float, float]) -> float:
+    """Standard error sqrt(M2/(n - 1))/sqrt(n) of the mean of a (count, mean, M2) triple.
+
+    The bits of np.std(x, ddof=1)/sqrt(n) for the samples x behind stats.
+    """
+    n, _, m2 = stats
+    return math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int, float, float]:
@@ -435,12 +441,14 @@ def as_exponent_mc(
         threads,
     )
 
-    n, mean, m2 = _combine(partials)  # in block order
+    n, mean, m2 = functools.reduce(_merge, partials)  # in block order
     var = m2 / (n - 1)
     return ExponentEstimate(
         value=mean / dt,
         method=Method.AS_MONTE_CARLO,
         dt=dt,
+        # sqrt(var/n), not _std_error's sqrt(var)/sqrt(n): the two round
+        # differently, and every as-mc output prints this one.
         std_error=math.sqrt(var / n) / dt,
         n_samples=n_samples,
     )
@@ -449,12 +457,14 @@ def as_exponent_mc(
 def as_exponent_path_slope(paths) -> ExponentEstimate:
     """Mean terminal slope (log|Z_n| - log|Z_0|) / t_n across trajectories.
 
-    The statistic behind trajectory plots: each path contributes its terminal
-    slope, and the standard error is the cross-path standard deviation over
-    sqrt(number of paths). paths is any iterable of LogModulusPath, and each
-    path is reduced to its slope as it arrives and let go once the next one
-    has, so no more than two paths of a stream are held at once. All paths
-    must share dt and length, and there must be at least 2.
+    The statistic behind trajectory plots and estimate's as-slope method:
+    each path contributes its terminal slope, the slopes are reduced by
+    _moments_in_place, and the standard error is _std_error's
+    sqrt(M2/(n - 1))/sqrt(n) over the n paths. paths is any iterable of
+    LogModulusPath, and each path is reduced to its slope as it arrives and
+    let go once the next one has, so no more than two paths of a stream are
+    held at once. All paths must share dt and length, and there must be at
+    least 2.
     """
     slopes = []
     for path in paths:
@@ -465,14 +475,9 @@ def as_exponent_path_slope(paths) -> ExponentEstimate:
         slopes.append((path.log_values[-1] - path.log_values[0]) / (n * dt))
     if len(slopes) < 2:
         raise ValueError(f"need at least 2 paths, got {len(slopes)}")
-    slopes = np.array(slopes)
-    return ExponentEstimate(
-        value=float(slopes.mean()),
-        method=Method.AS_PATH_SLOPE,
-        dt=dt,
-        std_error=float(slopes.std(ddof=1)) / math.sqrt(len(slopes)),
-        n_samples=len(slopes),
-    )
+    stats = _moments_in_place(np.array(slopes))
+    return ExponentEstimate(value=stats[1], method=Method.AS_PATH_SLOPE, dt=dt,
+                            std_error=_std_error(stats), n_samples=stats[0])
 
 
 def theta_ms_exponent(p: ModelParams, theta: float, dt: float) -> ExponentEstimate:
@@ -556,9 +561,7 @@ def c1(p: ModelParams, theta: float | None = None) -> float:
     plain = 0.375 * p.sigma**4 + 0.5 * p.sigma * p.sigma * a - 0.5 * a * a
     if theta is None:
         return plain
-    if p.epsilon != 0.0:
-        raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
-    _check_theta(theta)
+    _check_theta_scheme(p, theta)
     return plain + p.lam * theta * (p.lam - p.sigma * p.sigma)
 
 
@@ -586,6 +589,8 @@ def estimate(
     if method is Method.AS_PATH_SLOPE:
         datum = initial if initial is not None else InitialDatum(1.0, 0.0)
         cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=datum)
+        if n_paths < 2:  # before any path is simulated
+            raise ValueError(f"need at least 2 paths, got {n_paths}")
         paths = _map_indexed(
             lambda i: simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)),
             n_paths,

@@ -200,17 +200,13 @@ def mu(p: ModelParams) -> float:
 def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     """Deterministic part eta_dt of the theta-Milstein factor.
 
-    Requires 1 - lam*theta*dt > 0; at that pole the implicit step is
-    ill-posed. For theta = 0 (and epsilon = 0) eta_dt reduces to gamma_dt.
+    The c0 of _theta_factor, so it refuses what that factor refuses: epsilon
+    != 0, theta outside [0, 1], dt outside (0, 1) and 1 - lam*theta*dt <= 0,
+    where the implicit step is ill-posed. For theta = 0 eta_dt reduces to
+    gamma_dt. It is public as milstab.theta_eta; inside the package the theta
+    estimators and paths read _theta_factor itself.
     """
-    _check_dt(dt)
-    _check_theta(theta)
-    denom = 1.0 - p.lam * theta * dt
-    if denom <= 0.0:
-        raise ValueError(
-            f"implicit step ill-posed: 1 - lam*theta*dt = {denom!r} must be positive"
-        )
-    return (1.0 + (p.lam * (1.0 - theta) - 0.5 * p.sigma * p.sigma) * dt) / denom
+    return _theta_factor(p, theta, dt).c0
 
 
 def _plain_factor(p: ModelParams, dt: float) -> _StepFactor:
@@ -229,17 +225,30 @@ def _plain_factor(p: ModelParams, dt: float) -> _StepFactor:
     )
 
 
-def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
-    """The scalar theta-Milstein factor; with theta = 0 its F is the plain one.
+def _check_theta_scheme(p: ModelParams, theta: float) -> None:
+    """Refuse a theta scheme for epsilon != 0 or theta outside [0, 1], in that order.
 
-    Its almost-sure domain only keeps F positive.
+    The checks of _theta_factor that need no dt, so exponents.c1 shares them.
     """
     if p.epsilon != 0.0:
         raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
-    eta = theta_eta(p, theta, dt)  # validates theta, dt, and the pole
+    _check_theta(theta)
+
+
+def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
+    """The scalar theta-Milstein factor; with theta = 0 its F is the plain one.
+
+    It checks epsilon and theta (_check_theta_scheme), then dt, then the pole
+    1 - lam*theta*dt > 0. Its almost-sure domain only keeps F positive.
+    """
+    _check_theta_scheme(p, theta)
+    _check_dt(dt)
     denom = 1.0 - p.lam * theta * dt
+    if denom <= 0.0:
+        raise ValueError(f"implicit step ill-posed: 1 - lam*theta*dt = {denom!r} must be positive")
     return _StepFactor(
-        c0=eta, c0m1=(p.lam - 0.5 * p.sigma * p.sigma) * dt / denom, mean_rate=p.lam / denom,
+        c0=(1.0 + (p.lam * (1.0 - theta) - 0.5 * p.sigma * p.sigma) * dt) / denom,
+        c0m1=(p.lam - 0.5 * p.sigma * p.sigma) * dt / denom, mean_rate=p.lam / denom,
         sigma=p.sigma, denom=denom, dt=dt, floor=0.0,
         refusal="eta - 1/(2*(1 - lam*theta*dt)) = {lower!r} must be positive to keep the log "
         "argument away from the singularity",

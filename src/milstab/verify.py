@@ -22,11 +22,12 @@ step factor instead of by a z-score.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
 from . import _np as np
-from .exponents import _MC_CHUNK, _MIN_SAMPLES, _merge, _moments_in_place
+from .exponents import _MC_CHUNK, _MIN_SAMPLES, _merge, _moments_in_place, _std_error
 from .lemmas import (
     BoundKind, LogBoundDomain, composite_increment_moments, gaussian_moment,
     verify_log_sandwich, xi_gamma,
@@ -51,8 +52,7 @@ def _z_score(stats: tuple[int, float, float], ref: float) -> float:
     NaN if either is not finite. Samples that do not vary give 0 when their
     mean equals ref exactly and infinity otherwise.
     """
-    n, mean, m2 = stats
-    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    mean, se = stats[1], _std_error(stats)
     if not (math.isfinite(mean) and math.isfinite(se)):
         return math.nan
     if se == 0.0:
@@ -95,17 +95,17 @@ def _suite_moments(*, p: ModelParams, dt: float, seed: int, nodes: int, n_sample
     n = n_samples
     mean_ref, second_ref = composite_increment_moments(p.sigma, dt)
     noise = _noise_factor(p.sigma, dt)
-    # Drawn and reduced one slice at a time, from one stream: the noise and
-    # its square, each as (count, mean, M2), merged in slice order.
     stream = RngStream(root_seed=seed, stream_id=0)
-    first = second = None
-    for lo in range(0, n, _MC_CHUNK):
+
+    def slice_moments(lo: int):
         x = noise.of_normals(stream.normals(min(_MC_CHUNK, n - lo)))
         square = _moments_in_place(x * x)  # before x itself is overwritten
-        if first is None:
-            first, second = _moments_in_place(x), square
-        else:
-            first, second = _merge(first, _moments_in_place(x)), _merge(second, square)
+        return _moments_in_place(x), square
+
+    # Drawn and reduced one slice at a time, from one stream: the noise and
+    # its square, each as (count, mean, M2), merged by _merge in slice order.
+    first, second = functools.reduce(lambda acc, part: tuple(map(_merge, acc, part)),
+                                     map(slice_moments, range(0, n, _MC_CHUNK)))
     z_scores = [_z_score(first, mean_ref), _z_score(second, second_ref)]
     checks = [
         _check(

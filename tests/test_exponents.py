@@ -591,6 +591,14 @@ class TestPathSlope:
         with pytest.raises(ValueError, match="^mismatched grids: all paths must share dt"):
             as_exponent_path_slope(path for path in grids)
 
+    @pytest.mark.parametrize("n_paths", [-5, 0, 1])
+    def test_estimate_refuses_too_few_paths_before_simulating(self, monkeypatch, n_paths):
+        calls = []
+        monkeypatch.setattr(exponents, "simulate_path", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^need at least 2 paths, got {n_paths}$"):
+            estimate(P_REF, 1e-3, Method.AS_PATH_SLOPE, n_paths=n_paths, n_steps=10**7)
+        assert calls == []
+
     def test_estimate_dispatch_runs_paths(self):
         est = estimate(
             P_REF, 1e-3, Method.AS_PATH_SLOPE, seed=42, n_paths=10, n_steps=2000

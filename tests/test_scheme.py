@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milstab.exponents import _MC_CHUNK
+from milstab.exponents import _MC_CHUNK, Method, estimate
 from milstab.model import InitialDatum, ModelParams
 from milstab.scheme import (
     LOG_CLAMP,
@@ -177,6 +177,19 @@ class TestAccumulate:
             "0x1.bc2215c7a8a86p+0",
         ]
 
+    @pytest.mark.parametrize(
+        "seed, n_paths, value, std_error",
+        [
+            (7, 2, "0x1.e8e9b954c4d80p-5", "0x1.2076d890755adp+2"),
+            (2024, 9, "0x1.1bf71a779e914p+2", "0x1.d34ea6698dab7p+0"),
+        ],
+    )
+    def test_path_slope_bits_are_pinned(self, seed, n_paths, value, std_error):
+        # the bits of np.mean(slopes) and np.std(slopes, ddof=1)/sqrt(n_paths)
+        est = estimate(P_REF, 1e-3, Method.AS_PATH_SLOPE, seed=seed, n_paths=n_paths,
+                       n_steps=500)
+        assert (est.value.hex(), est.std_error.hex()) == (value, std_error)
+
     def test_path_peak_is_three_step_arrays(self):
         # the normals turn into factors and then into logs in place, so a path
         # holds them and its log_values (and the one-byte flags) at once
@@ -270,6 +283,28 @@ class TestThetaScheme:
         cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM, theta=0.5)
         with pytest.raises(ValueError):
             simulate_theta_path(P_REF, cfg, RngStream(root_seed=0, stream_id=0))
+
+    def test_eta_refuses_epsilon_as_the_factor_does(self):
+        p = ModelParams(lam=1.0, epsilon=0.5, sigma=1.0)
+        message = "theta scheme requires epsilon = 0, got epsilon = 0.5"
+        for fn in (theta_eta, _theta_factor):
+            with pytest.raises(ValueError) as exc:
+                fn(p, 0.5, 1e-3)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "p, theta, dt, message",
+        [
+            (ModelParams(20.0, 0.5, 1.0), 1.5, 2.0, "theta scheme requires epsilon = 0"),
+            (ModelParams(20.0, 0.0, 1.0), 1.5, 2.0, "theta must lie in [0, 1]"),
+            (ModelParams(20.0, 0.0, 1.0), 1.0, 2.0, "dt must lie in (0, 1)"),
+            (ModelParams(20.0, 0.0, 1.0), 1.0, 0.1, "implicit step ill-posed"),
+        ],
+    )
+    def test_factor_checks_epsilon_theta_dt_then_the_pole(self, p, theta, dt, message):
+        with pytest.raises(ValueError) as exc:
+            _theta_factor(p, theta, dt)
+        assert str(exc.value).startswith(message)
 
     def test_theta_required(self):
         p = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
