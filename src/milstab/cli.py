@@ -22,15 +22,19 @@ in order. The formatter (milstab._floattext) computes repr's digits with
 numpy array operations, which release the interpreter lock. CSV output is
 UTF-8 with LF line endings, a header row, floats rendered by repr, and
 '# key=value' provenance comments above the header (sorted by key; --threads
-and --out are execution detail and excluded).
+and --out are execution detail and excluded). _table owns the layout of
+every result table, CSV or {"params", "rows", ...} JSON: exponent's CSV,
+sweep-dt, region and simulate's CSV head all go through it.
 
 Every write, to stdout or --out, goes through one writer, _write, argparse's
 help text included: a failed write prints one error line and exits 1. A
 refused estimate's JSON error object goes where a result would.
 
-Exit codes: 0 success, 1 failed verification or unwritable output, 2 bad
-configuration or an estimator precondition violation. A reader that closes
-stdout early (milstab simulate | head) ends the output quietly with 0.
+Exit codes: 0 success, 1 failed verification, unwritable output or a table
+too large for memory, 2 bad configuration or an estimator precondition
+violation. simulate with --theta checks the theta scheme first, in the theta
+estimators' order. A reader that closes stdout early (milstab simulate |
+head) ends the output quietly with 0.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .model import (
     as_boundary_epsilon,
     classify,
 )
-from .scheme import SchemeConfig, simulate_path, simulate_theta_path
+from .scheme import SchemeConfig, simulate_path, simulate_theta_path, theta_eta
 from .stochastics import _U64, DEFAULT_NODES, RngStream
 
 # perfbench/spans.py patches these names on this module; they go with its tracer.
@@ -191,19 +195,23 @@ def _provenance(values: dict, keys) -> dict:
     return pairs
 
 
-def _cells(row: dict, header: list[str], missing: str = "") -> list:
-    """A row dict as CSV cells in header order, absent or None values as missing."""
-    return [missing if row.get(key) is None else row[key] for key in header]
-
-
 def _csv_row(cells) -> str:
     return ",".join(map(str, cells)) + "\n"
 
 
-def _csv_text(pairs: dict, header: list[str], rows) -> str:
-    """'# key=value' provenance lines sorted by key, the header, then the rows."""
+def _table(values: dict, pairs: dict, header: list[str], rows, missing: str = "", **extra) -> str:
+    """A result table in the chosen format: the one owner of its layout.
+
+    JSON is one object {"params": pairs, "rows": rows, **extra}. CSV is the
+    '# key=value' provenance lines sorted by key, the header, then each row
+    dict's cells in header order with absent or None values as missing; extra
+    is left out of it.
+    """
+    if values["format"] == "json":
+        return json.dumps({"params": pairs, "rows": rows, **extra}) + "\n"
     lines = [f"# {key}={value}\n" for key, value in sorted(pairs.items())]
-    return "".join([*lines, _csv_row(header), *map(_csv_row, rows)])
+    cells = ([missing if row.get(key) is None else row[key] for key in header] for row in rows)
+    return "".join([*lines, _csv_row(header), *map(_csv_row, cells)])
 
 
 def _write(pieces, out: str | None = None) -> int:
@@ -253,6 +261,8 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
     p = _model(values)
     datum = InitialDatum(values["x0"], values["y0"])
     theta = values["theta"]
+    if theta is not None:  # the theta scheme's own checks, in the estimators' order
+        theta_eta(p, theta, values["dt"])
     cfg = SchemeConfig(dt=values["dt"], n_steps=values["steps"], initial=datum, theta=theta)
     n_paths = values["paths"]
     if n_paths < 1:
@@ -278,7 +288,7 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
         head = json.dumps({"params": pairs, "columns": header, "rows": []})[:-2]
         tail = "]}\n"
     else:
-        head, tail = _csv_text(pairs, header, []), ""
+        head, tail = _table(values, pairs, header, []), ""
     # Imported here: only simulate formats a table, and without cached bytecode
     # every other call would compile the module for nothing.
     from ._floattext import SLICE, slice_text
@@ -336,9 +346,7 @@ def _cmd_exponent(ns: argparse.Namespace, values: dict) -> int:
         "region_class": classify(p, sense).class_.value,
     }
     if values["format"] == "csv":
-        header = list(obj)
-        text = _csv_text(_method_pairs(method, values), header, [_cells(obj, header)])
-        return _write([text], ns.out)
+        return _write([_table(values, _method_pairs(method, values), list(obj), [obj])], ns.out)
     if est.std_error is None:
         del obj["std_error"]
     return _write([json.dumps(obj) + "\n"], ns.out)
@@ -351,7 +359,6 @@ def _cmd_sweep_dt(ns: argparse.Namespace, values: dict) -> int:
     target = continuum_target(p, method)
     kwargs = _estimator_kwargs(values)
     rows = []
-    fit_points = []
     for dt in dts:
         row = {"dt": dt, "continuum_value": target, "discrete_value": None, "abs_error": None}
         rows.append(row)
@@ -360,27 +367,18 @@ def _cmd_sweep_dt(ns: argparse.Namespace, values: dict) -> int:
         except ValueError as exc:
             row["error"] = str(exc)
             continue
-        err = abs(value - target)
-        row.update(discrete_value=value, abs_error=err)
-        if err > 0.0:
-            fit_points.append((dt, err))
-    fit = None
-    if len(fit_points) >= 3:
-        fit = dataclasses.asdict(fit_loglog(*zip(*fit_points)))
-    pairs = _method_pairs(method, values)
-    pairs["dts"] = values["dts"]
+        row.update(discrete_value=value, abs_error=abs(value - target))
+    # `or` and `>` keep None, 0.0 and NaN errors out of the fit
+    points = [(row["dt"], row["abs_error"]) for row in rows if (row["abs_error"] or 0.0) > 0.0]
+    fit = dataclasses.asdict(fit_loglog(*zip(*points))) if len(points) >= 3 else None
+    pairs = {**_method_pairs(method, values), "dts": values["dts"]}
+    header = ["dt", "discrete_value", "continuum_value", "abs_error"]
+    text = _table(values, pairs, header, rows, "error", fit=fit)
     csv_sidecar = values["format"] == "csv" and ns.out is not None
-
-    if values["format"] == "json":
-        obj = {"params": pairs, "rows": rows, "fit": fit}
-        text = json.dumps(obj) + "\n"
-    else:
-        header = ["dt", "discrete_value", "continuum_value", "abs_error"]
-        text = _csv_text(pairs, header, [_cells(row, header, "error") for row in rows])
-        # CSV on stdout carries the fit as a trailing comment; with --out it
-        # goes to a .fit.json sidecar instead.
-        if fit is not None and not csv_sidecar:
-            text += f"# fit={json.dumps(fit)}\n"
+    # CSV on stdout carries the fit as a trailing comment; with --out it
+    # goes to a .fit.json sidecar instead.
+    if values["format"] == "csv" and fit is not None and not csv_sidecar:
+        text += f"# fit={json.dumps(fit)}\n"
 
     code = _write([text], ns.out)
     if code != 0:
@@ -412,10 +410,7 @@ def _cmd_region(ns: argparse.Namespace, values: dict) -> int:
                 "class_at_epsilon_0": classify(at_zero, Sense.ALMOST_SURE).class_.value,
             }
         )
-    if values["format"] == "json":
-        return _write([json.dumps({"params": pairs, "rows": rows}) + "\n"], ns.out)
-    header = list(rows[0])
-    return _write([_csv_text(pairs, header, [_cells(row, header) for row in rows])], ns.out)
+    return _write([_table(values, pairs, list(rows[0]), rows)], ns.out)
 
 
 #: Arguments whose values come from a fixed list.
@@ -508,6 +503,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # the result cannot be produced here; the input is not bad
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -204,6 +204,45 @@ class TestSimulateCommand:
         assert code == 2
         assert "epsilon" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--epsilon 0.5 --theta 1.5 --dt 2", "theta scheme requires epsilon = 0"),
+            ("--epsilon 0 --theta 1.5 --dt 2", "theta must lie in [0, 1]"),
+            ("--epsilon 0 --theta 1 --dt 2", "dt must lie in (0, 1)"),
+            ("--epsilon 0 --theta 1 --dt 0.1", "implicit step ill-posed"),
+        ],
+    )
+    def test_theta_checks_in_the_estimators_order(self, capsys, flags, message):
+        # the cases of _theta_factor's own order test, at lambda 20 and sigma 1
+        args = ["--lambda", "20", "--sigma", "1", *flags.split()]
+        code, _, simulate_err = run_cli(capsys, "simulate", *args)
+        assert code == 2 and simulate_err.startswith(f"error: {message}")
+        code, _, exponent_err = run_cli(capsys, "exponent", "theta-ms", *args, "--format", "csv")
+        assert code == 2
+        assert simulate_err == exponent_err
+
+    def test_theta_refused_before_the_table_is_allocated(self, capsys):
+        # 10^13 steps would need a 291 TiB table; the epsilon refusal comes first
+        code, out, err = run_cli(
+            capsys, "simulate", "--epsilon", "0.5", "--theta", "0.5",
+            "--steps", "10000000000000", "--paths", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: theta scheme requires epsilon = 0, got epsilon = 0.5\n"
+
+    def test_table_too_large_is_one_error_line(self):
+        # 291 TiB exceeds any 47-bit address space, so the allocation fails at once
+        proc = subprocess.run(
+            [sys.executable, "-m", "milstab", "simulate", "--steps", "10000000000000",
+             "--paths", "2"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sim.csv"
         code, out, _ = run_cli(
@@ -484,6 +523,26 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep-dt", "as-quad", "--dts", "0.5,1e-3,1e-4")
         assert code == 1
         assert "fewer than 3" in err
+
+    def test_all_zero_errors_leave_no_fit(self, capsys):
+        # without noise or drift every estimate is exact: each error is 0.0 and none is fitted
+        args = ("sweep-dt", "ms-exact", "--lambda", "0", "--epsilon", "0", "--sigma", "0")
+        dts = [0.1, 0.01, 0.001, 0.0001, 1e-05]
+        code, out, err = run_cli(capsys, *args, "--format", "json")
+        assert code == 1
+        assert err == "error: fewer than 3 usable step sizes, no convergence fit\n"
+        obj = json.loads(out)
+        assert obj["fit"] is None
+        assert obj["rows"] == [
+            {"dt": dt, "continuum_value": 0.0, "discrete_value": 0.0, "abs_error": 0.0}
+            for dt in dts
+        ]
+        code, out, csv_err = run_cli(capsys, *args)
+        assert (code, csv_err) == (1, err)
+        comments, header, rows = parse_csv(out)
+        assert not any(line.startswith("# fit=") for line in comments)
+        assert header == ["dt", "discrete_value", "continuum_value", "abs_error"]
+        assert rows == [[str(dt), "0.0", "0.0", "0.0"] for dt in dts]
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -4,7 +4,8 @@ Sampled means and standard errors go through the (count, mean, M2) triples of
 milstab.exponents (_moments_in_place, _merge, _std_error), so no module
 reduces with numpy's std or var. The theta scheme's refusals are raised by
 milstab.scheme alone (_check_theta_scheme and _theta_factor), so each text
-occurs once.
+occurs once. The CLI's result tables are laid out by cli._table alone; only
+simulate's streamed JSON head builds its own {"params": ...} object.
 """
 
 import ast
@@ -46,3 +47,15 @@ def test_theta_refusal_stated_once(text):
         for _ in range(node.value.count(text))
     ]
     assert [name for name, _ in found] == ["scheme.py"]
+
+
+def test_result_table_layout_has_one_owner():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    owners = [
+        getattr(statement, "name", "<module>")
+        for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Dict)
+        and any(isinstance(key, ast.Constant) and key.value == "params" for key in node.keys)
+    ]
+    assert sorted(owners) == ["_cmd_simulate", "_table"]

@@ -1,0 +1,141 @@
+"""Compare the CLI's bytes between two source trees.
+
+    python3 tools/cli_bytes.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a milstab package (a
+checkout's src/). Each run of one fixed matrix of `python -m milstab` calls
+goes once against each tree, in a fresh empty working directory, and the two
+results are compared: exit code, stdout, stderr and every file the run
+wrote. Each run that differs is printed with what differs; the exit code is
+1 if any run differs, else 0. Standard library only.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+#: Small sizes, so that the whole matrix stays quick.
+_SLOPE = "--paths 3 --steps 40 --seed 5"
+_MC = "--samples 5000 --seed 3"
+_THETA = "--epsilon 0 --theta 0.5"
+_METHODS = {
+    "ms-exact": "",
+    "as-quad": "",
+    "as-mc": _MC,
+    "as-slope": _SLOPE,
+    "theta-ms": _THETA,
+    "theta-as": _THETA,
+}
+_SIM = "simulate --steps 30 --paths 3 --seed 9"
+_SWEEP = "--dts 1e-2,1e-3,1e-4"
+
+#: Every subcommand, each method, csv and json, stdout and --out, and refusals.
+MATRIX = [
+    "--help",
+    *(f"{name} --help" for name in ("simulate", "exponent", "sweep-dt", "region", "verify")),
+    # simulate
+    *(f"{_SIM} --format {fmt}{out}" for fmt in ("csv", "json") for out in ("", " --out t.txt")),
+    *(f"{_SIM} {_THETA} --format {fmt}" for fmt in ("csv", "json")),
+    f"{_SIM} {_THETA} --threads 2 --out t.csv",
+    f"{_SIM} {_THETA} --format json --out t.json",
+    f"{_SIM} --threads 2 --format json",
+    f"{_SIM} --paths 0",
+    f"{_SIM} --epsilon 0.5 --theta 0.5",
+    f"{_SIM} --epsilon 0 --theta 1.5",
+    f"{_SIM} --lambda 20 --epsilon 0 --theta 1 --dt 0.1",
+    f"{_SIM} --out no/such/dir.csv",
+    # exponent
+    *(
+        f"exponent {method} {flags} --format {fmt}"
+        for method, flags in _METHODS.items()
+        for fmt in ("csv", "json")
+    ),
+    *(f"exponent {method} {flags} --out e.txt" for method, flags in _METHODS.items()),
+    "exponent as-quad --format csv --out e.txt",
+    f"exponent as-mc {_MC} --threads 2",
+    f"exponent as-slope {_SLOPE} --threads 2 --format csv",
+    "exponent as-quad --lambda -300 --sigma 1 --epsilon 0 --format json",
+    "exponent as-quad --lambda -300 --sigma 1 --epsilon 0 --format csv",
+    "exponent as-quad --lambda -300 --sigma 1 --epsilon 0 --out e.json",
+    "exponent theta-ms --epsilon 0.5 --theta 0.5 --format csv",
+    "exponent ms-exact --dt 2 --format csv",
+    "exponent ms-exact --config no-such-config.json",
+    # sweep-dt
+    *(
+        f"sweep-dt {method} {flags} {_SWEEP} --format {fmt}"
+        for method, flags in _METHODS.items()
+        for fmt in ("csv", "json")
+    ),
+    *(f"sweep-dt {method} {flags} {_SWEEP} --out s.csv" for method, flags in _METHODS.items()),
+    f"sweep-dt ms-exact {_SWEEP} --format json --out s.json",
+    "sweep-dt as-quad --dts 0.5,1e-3,1e-4,1e-5",
+    "sweep-dt as-quad --dts 0.5,1e-3,1e-4",
+    "sweep-dt as-quad --dts 0.5,1e-3,1e-4 --out s.csv",
+    "sweep-dt as-quad --lambda -300 --sigma 1 --epsilon 0 --dts 1e-3,1e-4,1e-5,1e-6 --format json",
+    *(
+        f"sweep-dt ms-exact --lambda 0 --epsilon 0 --sigma 0 --format {fmt}"
+        for fmt in ("csv", "json")
+    ),
+    "sweep-dt ms-exact --dts ,",
+    # region
+    *(f"region --lambda 2 --sigma-range 0:4:2 --format {fmt}" for fmt in ("csv", "json")),
+    "region --format json --out r.json",
+    "region --out r.csv",
+    "region --sigma-range 1:0:1",
+    # verify
+    "verify --suite lemmas",
+    "verify --suite closedform --out v.json",
+    "verify --suite moments --samples 1000",
+    "verify --suite moments --samples 10",
+]
+
+
+def run(src: str, args: str) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of one call against src."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(src).resolve()),
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "COLUMNS": "80",
+    }
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-m", "milstab", *args.split()],
+            cwd=cwd, env=env, capture_output=True, timeout=600,
+        )
+        files = {path.name: path.read_bytes() for path in sorted(Path(cwd).iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def compare(old_src: str, new_src: str, matrix=MATRIX) -> list[str]:
+    """One line per run of matrix whose results differ between the trees."""
+
+    def differs(args: str) -> str | None:
+        old, new = run(old_src, args), run(new_src, args)
+        names = ("exit", "stdout", "stderr", "files")
+        parts = [name for name, a, b in zip(names, old, new) if a != b]
+        return f"{args}: {', '.join(parts)} differ" if parts else None
+
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:  # a 2-core host
+        return [line for line in pool.map(differs, matrix) if line is not None]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python3 tools/cli_bytes.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    diffs = compare(*argv)
+    for line in diffs:
+        print(line)
+    print(f"{len(MATRIX)} runs, {len(diffs)} differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
