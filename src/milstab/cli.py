@@ -57,10 +57,11 @@ from .model import (
     as_boundary_epsilon,
     classify,
 )
-from .scheme import SchemeConfig, simulate_path, simulate_theta_path, theta_eta
+from .scheme import SchemeConfig, simulate_path, theta_eta
 from .stochastics import _U64, DEFAULT_NODES, RngStream
 
 # perfbench/spans.py patches these names on this module; they go with its tracer.
+from .scheme import simulate_theta_path  # noqa: F401
 from .verify import (  # noqa: F401
     composite_increment_moments, gauss_hermite_rule, gaussian_moment,
     verify_log_sandwich, xi_gamma,
@@ -113,8 +114,8 @@ def _coerce(key: str, value):
         return value
     kind = "an integer" if cast is int else "a number"
     try:
-        # JSON true/false would otherwise read as 1/0.
-        number = None if isinstance(value, bool) else cast(value)
+        # JSON true/false would otherwise read as 1/0, and "1e-3" as 0.001.
+        number = None if isinstance(value, (bool, str)) else cast(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (cast is int and number != value):
@@ -269,9 +270,9 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
         raise ValueError(f"paths must be at least 1, got {n_paths}")
     # t, one column per path, then the mean; each path goes into its column as it arrives
     table = np.empty((cfg.n_steps + 1, n_paths + 2))
-    run = simulate_path if theta is None else simulate_theta_path
+    seed = values["seed"]
     columns = _map_indexed(
-        lambda i: run(p, cfg, RngStream(root_seed=values["seed"], stream_id=i)).log_values,
+        lambda i: simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)).log_values,
         n_paths,
         values["threads"],
     )

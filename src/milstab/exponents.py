@@ -150,6 +150,8 @@ class ExponentEstimate:
             raise ValueError(f"std_error is required for method {self.method.value}")
         if not stochastic and self.std_error is not None:
             raise ValueError(f"std_error must be absent for method {self.method.value}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"{self.method.value} exponent must be finite, got {self.value!r}")
         if self.std_error is not None and not self.std_error >= 0.0:
             raise ValueError(f"std_error must be nonnegative, got {self.std_error!r}")
 
@@ -577,7 +579,7 @@ def estimate(
     threads: int = 1,
     n_paths: int = 50,
     n_steps: int = 10**4,
-    initial: InitialDatum | None = None,
+    initial: InitialDatum = InitialDatum(1.0, 0.0),
 ) -> ExponentEstimate:
     """Dispatch a single-dt exponent estimate for the given method."""
     if method is Method.MS_EXACT:
@@ -587,8 +589,7 @@ def estimate(
     if method is Method.AS_MONTE_CARLO:
         return as_exponent_mc(p, dt, n_samples, seed, threads=threads)
     if method is Method.AS_PATH_SLOPE:
-        datum = initial if initial is not None else InitialDatum(1.0, 0.0)
-        cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=datum)
+        cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=initial)
         if n_paths < 2:  # before any path is simulated
             raise ValueError(f"need at least 2 paths, got {n_paths}")
         paths = _map_indexed(

@@ -26,7 +26,9 @@ and denom = 1 - lam*theta*dt, with
     eta_dt = (1 + (lam*(1-theta) - sigma^2/2)*dt) / (1 - lam*theta*dt).
 
 _StepFactor holds this factor, and the almost-sure domain of its scheme,
-once for path simulation and for every exponent estimator. Trajectories are
+once for path simulation and for every exponent estimator. One function,
+simulate_path, generates trajectories of both schemes: SchemeConfig.theta
+names the scheme, and the theta factor alone checks theta. Trajectories are
 accumulated as sums of log|factor|; the raw product would overflow within a
 few hundred steps for blow-up parameters, so |Z_n| itself is never
 materialized.
@@ -52,19 +54,15 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must lie in (0, 1), got {dt!r}")
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Step size, horizon, initial datum, and optional implicitness.
+    """Step size, horizon, initial datum, and the scheme.
 
-    theta absent means the plain Milstein scheme; theta in [0, 1] selects the
-    drift-implicit variant. The step size must satisfy 0 < dt < 1. The
-    well-posedness condition 1 - lam*theta*dt > 0 involves the drift and is
-    checked when a trajectory is generated.
+    theta names the scheme: absent is the plain Milstein scheme, a number the
+    drift-implicit theta variant. The step size must satisfy 0 < dt < 1 and
+    n_steps must be positive. The theta factor, which simulate_path builds
+    before any draw, checks the rest: epsilon = 0, theta in [0, 1] and the
+    well-posedness condition 1 - lam*theta*dt > 0.
     """
 
     dt: float
@@ -76,8 +74,6 @@ class SchemeConfig:
         _check_dt(self.dt)
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
-        if self.theta is not None:
-            _check_theta(self.theta)
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,9 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     != 0, theta outside [0, 1], dt outside (0, 1) and 1 - lam*theta*dt <= 0,
     where the implicit step is ill-posed. For theta = 0 eta_dt reduces to
     gamma_dt. It is public as milstab.theta_eta; inside the package the theta
-    estimators and paths read _theta_factor itself.
+    estimators and simulate_path read _theta_factor itself. cli's simulate
+    calls it before it builds a SchemeConfig, so that theta is refused before
+    dt, in the order of the theta estimators.
     """
     return _theta_factor(p, theta, dt).c0
 
@@ -232,7 +230,8 @@ def _check_theta_scheme(p: ModelParams, theta: float) -> None:
     """
     if p.epsilon != 0.0:
         raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
-    _check_theta(theta)
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
 
 
 def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
@@ -288,31 +287,22 @@ def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return log_values, flags
 
 
-def _simulate(f: _StepFactor, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
-    log0 = 0.5 * math.log(cfg.initial.squared_modulus())
-    log_values, flags = _accumulate(log0, f.of_normals(stream.normals(cfg.n_steps)))
-    return LogModulusPath(dt=f.dt, log_values=log_values, flags=flags)
-
-
 def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
-    """Generate one Milstein trajectory of log|Z_n|.
+    """Generate one trajectory of log|Z_n| of the scheme cfg.theta names.
 
+    cfg.theta None is the plain Milstein scheme; a number is the scalar
+    theta-Milstein scheme, whose factor refuses epsilon != 0, theta outside
+    [0, 1] and a pole before any increment is drawn. With theta = 0 that
+    factor coincides bit for bit with the plain one on shared increments.
     Draws n_steps increments dB = sqrt(dt)*zeta from the stream, accumulates
     log|factor| step by step, and flags (without aborting) any step whose
     factor underflows to zero.
     """
-    if cfg.theta is not None:
-        raise ValueError("cfg.theta must be absent for the plain Milstein scheme")
-    return _simulate(_plain_factor(p, cfg.dt), cfg, stream)
+    f = _plain_factor(p, cfg.dt) if cfg.theta is None else _theta_factor(p, cfg.theta, cfg.dt)
+    log0 = 0.5 * math.log(cfg.initial.squared_modulus())
+    log_values, flags = _accumulate(log0, f.of_normals(stream.normals(cfg.n_steps)))
+    return LogModulusPath(dt=cfg.dt, log_values=log_values, flags=flags)
 
 
-def simulate_theta_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
-    """Generate one theta-Milstein trajectory of log|X_n| (scalar case).
-
-    The theta scheme is defined for the scalar equation, so epsilon must be 0.
-    With theta = 0 the per-step factor coincides bit for bit with the plain
-    Milstein factor on shared increments.
-    """
-    if cfg.theta is None:
-        raise ValueError("cfg.theta is required for the theta scheme")
-    return _simulate(_theta_factor(p, cfg.theta, cfg.dt), cfg, stream)
+#: The name of simulate_path for theta configs, kept for existing callers.
+simulate_theta_path = simulate_path

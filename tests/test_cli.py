@@ -124,6 +124,23 @@ class TestExponentCommand:
         assert err == ""
         assert out == json.dumps({"error": refusal}) + "\n"
 
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            (("ms-exact", "--lambda", "1e200", "--dt", "0.5"), "inf"),
+            (("ms-exact", "--sigma", "1e100", "--dt", "0.5"), "inf"),
+            (("as-quad", "--epsilon", "1e200"), "inf"),
+            (("as-mc", "--epsilon", "1e200", "--samples", "1000"), "inf"),
+            (("as-slope", "--epsilon", "1e200", "--steps", "10", "--paths", "2"), "inf"),
+        ],
+        ids=["ms-exact-lambda", "ms-exact-sigma", "as-quad", "as-mc", "as-slope"],
+    )
+    def test_non_finite_exponent_is_refused(self, capsys, args, value):
+        code, out, _ = run_cli(capsys, "exponent", *args)
+        assert code == 2
+        refusal = f"{args[0]} exponent must be finite, got {value}"
+        assert out == json.dumps({"error": refusal}) + "\n"
+
     def test_precondition_error_follows_out(self, capsys, tmp_path):
         target = tmp_path / "x.json"
         code, out, err = run_cli(
@@ -230,6 +247,24 @@ class TestSimulateCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: theta scheme requires epsilon = 0, got epsilon = 0.5\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_theta_zero_gives_the_plain_rows(self, capsys, fmt, threads):
+        # only the theta provenance tells the theta = 0 scheme from the plain one
+        args = ["simulate", "--epsilon", "0", "--steps", "64", "--paths", "3", "--format", fmt,
+                "--threads", threads]
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, theta, _ = run_cli(capsys, *args, "--theta", "0")
+        assert code == 0
+        if fmt == "csv":
+            assert "# theta=0.0\n" in theta
+            assert theta.replace("# theta=0.0\n", "") == plain
+        else:
+            obj = json.loads(theta)
+            assert obj["params"].pop("theta") == 0.0
+            assert obj == json.loads(plain)
 
     def test_table_too_large_is_one_error_line(self):
         # 291 TiB exceeds any 47-bit address space, so the allocation fails at once
@@ -518,6 +553,15 @@ class TestSweepCommand:
             "error": PLAIN_REFUSAL,
         }
         assert all("error" not in row for row in rows[1:])
+
+    def test_non_finite_exponent_rows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep-dt", "ms-exact", "--lambda", "1e155", "--format", "json"
+        )
+        assert code == 1
+        assert "fewer than 3" in err
+        rows = json.loads(out)["rows"]
+        assert [row["error"] for row in rows] == ["ms-exact exponent must be finite, got inf"] * 5
 
     def test_too_few_successes(self, capsys):
         code, out, err = run_cli(capsys, "sweep-dt", "as-quad", "--dts", "0.5,1e-3,1e-4")
@@ -909,6 +953,10 @@ class TestConfigPrecedence:
             '{"seed": true}',
             '{"lambda": false}',
             '{"theta": true}',
+            '{"lam": "-1"}',
+            '{"dt": "1e-3"}',
+            '{"x0": "1"}',
+            '{"theta": "0.5"}',
         ],
     )
     def test_values_of_the_wrong_json_type(self, capsys, tmp_path, text):

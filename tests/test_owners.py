@@ -36,7 +36,8 @@ def test_no_numpy_std_or_var_reduction():
 
 
 @pytest.mark.parametrize(
-    "text", ["theta scheme requires epsilon = 0", "implicit step ill-posed"]
+    "text",
+    ["theta scheme requires epsilon = 0", "theta must lie in [0, 1]", "implicit step ill-posed"],
 )
 def test_theta_refusal_stated_once(text):
     found = [

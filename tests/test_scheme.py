@@ -307,10 +307,34 @@ class TestThetaScheme:
         assert str(exc.value).startswith(message)
 
     def test_theta_required(self):
+        # a theta config needs a theta in [0, 1]; the factor refuses it before any draw
         p = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
-        cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM)
+        cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM, theta=1.5)
+        stream = RngStream(root_seed=0, stream_id=0)
         with pytest.raises(ValueError):
-            simulate_theta_path(p, cfg, RngStream(root_seed=0, stream_id=0))
+            simulate_path(p, cfg, stream)
+        assert stream.position == 0
+
+    #: float.hex of log|X_n| at lam 6, sigma 4, dt 1e-2, seed 7, stream 3, recorded
+    #: from simulate_theta_path while it had a body of its own.
+    THETA_PATH_BITS = {
+        0.5: [
+            "0x0.0p+0", "-0x1.879d35ca55034p-1", "-0x1.55cf6b2d6ca92p+0", "-0x1.a8b96810ac4b0p+0",
+            "-0x1.148a213223154p+1", "-0x1.573d189bc4151p+1", "-0x1.7637b2db56cfbp+1",
+        ],
+        1.0: [
+            "0x0.0p+0", "-0x1.9abcc3cd50782p-1", "-0x1.65bb57fcf320bp+0", "-0x1.bbca4044f5e14p+0",
+            "-0x1.20c28a5a4da52p+1", "-0x1.6648984ed5795p+1", "-0x1.8662d12093ae0p+1",
+        ],
+    }
+
+    @pytest.mark.parametrize("theta", sorted(THETA_PATH_BITS))
+    def test_simulate_path_reads_the_scheme_from_the_config(self, theta):
+        p = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
+        cfg = SchemeConfig(dt=1e-2, n_steps=6, initial=DATUM, theta=theta)
+        path = simulate_path(p, cfg, RngStream(root_seed=7, stream_id=3))
+        assert [v.hex() for v in path.log_values.tolist()] == self.THETA_PATH_BITS[theta]
+        assert not path.flags.any()
 
     @pytest.mark.parametrize("seed", [0, 42, 9001])
     def test_theta_zero_bitwise_identical(self, seed):
@@ -335,17 +359,23 @@ class TestConfigValidation:
             SchemeConfig(dt=1e-3, n_steps=0, initial=DATUM)
 
     def test_theta_range(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=1.5)
+        # SchemeConfig leaves theta to the theta factor, which simulate_path builds
+        p = ModelParams(lam=1.0, epsilon=0.0, sigma=1.0)
+        for theta in (-0.1, 1.5, math.nan):
+            cfg = SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=theta)
+            with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+                simulate_path(p, cfg, RngStream(root_seed=0, stream_id=0))
 
     def test_theta_refusal_text(self):
-        # SchemeConfig and theta_eta refuse a theta outside [0, 1] in the same words
+        # simulate_path and theta_eta refuse a theta outside [0, 1] in the same words
         message = "theta must lie in [0, 1], got 1.5"
+        p = ModelParams(lam=1.0, epsilon=0.0, sigma=1.0)
+        cfg = SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=1.5)
         with pytest.raises(ValueError) as exc:
-            SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=1.5)
+            simulate_path(p, cfg, RngStream(root_seed=0, stream_id=0))
         assert str(exc.value) == message
         with pytest.raises(ValueError) as exc:
-            theta_eta(ModelParams(lam=1.0, epsilon=0.0, sigma=1.0), 1.5, 1e-3)
+            theta_eta(p, 1.5, 1e-3)
         assert str(exc.value) == message
 
     def test_path_flags_length(self):

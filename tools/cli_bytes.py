@@ -47,6 +47,8 @@ MATRIX = [
     f"{_SIM} --paths 0",
     f"{_SIM} --epsilon 0.5 --theta 0.5",
     f"{_SIM} --epsilon 0 --theta 1.5",
+    f"{_SIM} --epsilon 0 --theta 1.5 --dt 2",
+    f"{_SIM} --epsilon 0 --theta 0",
     f"{_SIM} --lambda 20 --epsilon 0 --theta 1 --dt 0.1",
     f"{_SIM} --out no/such/dir.csv",
     # exponent
