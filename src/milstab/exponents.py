@@ -359,12 +359,14 @@ def _moments_in_place(x: np.ndarray) -> tuple[int, float, float]:
     np.var(x, ddof=1): both sums run over the whole array, and the
     deviations are squared in _MC_CHUNK slices. It reduces each Monte Carlo
     block (_mc_block), the path slopes (as_exponent_path_slope) and the
-    samples of the moments and closedform verify suites.
+    samples of the moments and closedform verify suites. A non-finite mean
+    or an overflowing square gives a non-finite M2, with no numpy warning.
     """
     mean = float(np.sum(x)) / x.size
-    for dev in _slices(x):
-        dev -= mean
-        dev *= dev
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dev in _slices(x):
+            dev -= mean
+            dev *= dev
     return x.size, mean, float(np.sum(x))
 
 

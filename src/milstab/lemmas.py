@@ -7,8 +7,11 @@ from both sides on their stated domains. The piecewise correction
     xi_gamma(x) = 9*x^3 / gamma^3      for -2*gamma/3 < x < 0,
 
 is what makes the lower bound valid. Its expectation under the composite
-Milstein increment decays like |sigma*sqrt(dt)|^3 and controls the gap
-between the discrete and continuum almost-sure exponents.
+Milstein increment N = s*zeta + (s^2/2)*zeta^2, s = sigma*sqrt(dt), controls
+the gap between the discrete and continuum almost-sure exponents. xi is a
+piecewise polynomial in N, so xi_expectation is a finite sum of complete and
+truncated standard normal moments, in closed form with no quadrature and no
+numpy; it decays like -(18/sqrt(2*pi)) * |s|^3/gamma^3 for small s.
 """
 
 from __future__ import annotations
@@ -19,16 +22,12 @@ from enum import Enum
 
 from . import _np as np
 from .model import ModelParams
-from .scheme import _noise_factor, _plain_factor
-from .stochastics import DEFAULT_NODES, _legendre_table, gauss_hermite_rule
+from .scheme import _plain_factor
+
+# perfbench/spans.py patches this name on this module; it goes with its tracer.
+from .stochastics import gauss_hermite_rule  # noqa: F401
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-#: Half-width at which the Gauss-Legendre correction interval is clipped.
-#: The standard normal mass beyond |y| = 13 is below 1e-36, so the clipped
-#: integral agrees with the full one far past every tolerance in use, while
-#: keeping the fixed-order rule accurate when the sign-change interval is huge.
-_CORRECTION_CLIP = 13.0
 
 
 class BoundKind(Enum):
@@ -175,7 +174,7 @@ def gaussian_moment(order: int, dt: float) -> float:
     Zero for odd order; (order-1)!! * dt^(order/2) for even order, the
     double-factorial ladder.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    if not (isinstance(order, int) or isinstance(order, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -196,40 +195,56 @@ def composite_increment_moments(sigma: float, dt: float) -> tuple[float, float]:
     return 0.5 * s2 * dt, s2 * dt + 0.75 * s2 * s2 * dt * dt
 
 
-def xi_expectation(p: ModelParams, dt: float, nodes: int = DEFAULT_NODES) -> float:
-    """E[xi_gamma(N)] for the composite increment N = sigma*dB + (sigma^2/2)*dB^2.
+#: E[zeta^k] of a standard normal zeta for k = 0..8.
+_NORMAL_MOMENTS = (1.0, *(gaussian_moment(k, 1.0) for k in range(1, 9)))
+
+
+def _truncated_moments(a: float) -> list[float]:
+    """M_k, the integral of y^k * phi(y) over [a, 0] for a < 0, at k = 0..8.
+
+    M_0 = erf(-a/sqrt(2))/2 and M_1 = phi(a) - phi(0); integration by parts
+    gives M_k = a^(k-1)*phi(a) + (k-1)*M_(k-2). Where phi(a) underflows to 0
+    the boundary term is 0, and a^(k-1), which may overflow, is not formed.
+    """
+    phi_a = math.exp(-0.5 * a * a) / _SQRT_2PI
+    m = [0.5 * math.erf(-a / math.sqrt(2.0)), phi_a - 1.0 / _SQRT_2PI]
+    for k in range(2, 9):
+        m.append((a ** (k - 1) * phi_a if phi_a else 0.0) + (k - 1) * m[k - 2])
+    return m
+
+
+def _power_integral(b1: float, b2: float, j: int, moments) -> float:
+    """Integral of (b1*y + b2*y^2)^j against a measure with y^k moments moments[k].
+
+    The binomial expansion sum_i C(j, i) * b1^i * b2^(j-i) * moments[2j - i].
+    """
+    return sum(math.comb(j, i) * b1**i * b2 ** (j - i) * moments[2 * j - i] for i in range(j + 1))
+
+
+def xi_expectation(p: ModelParams, dt: float) -> float:
+    """E[xi_gamma(N)], N = sigma*dB + (sigma^2/2)*dB^2 the composite increment, in closed form.
 
     Requires gamma_dt > 3/4, which keeps N inside xi's domain (N >= -1/2 >
-    -2*gamma/3). After substituting zeta = dB/sqrt(dt) the expectation splits
-    at the sign change of N(y) = s*y + (s^2/2)*y^2, s = sigma*sqrt(dt):
+    -2*gamma/3). With zeta = dB/sqrt(dt) and s = |sigma|*sqrt(dt) (E xi is
+    even in sigma), N = s*zeta + (s^2/2)*zeta^2 is negative exactly between
+    its roots zeta = -2/s and 0, so
 
-    * the x >= 0 branch value -N^4/(4*gamma^4) is a degree-8 polynomial in y,
-      integrated exactly over the whole line by the Gauss-Hermite rule;
-    * on the interval between the roots y = 0 and y = -2/s, where N < 0, the
-      correction (9*N^3/gamma^3 + N^4/(4*gamma^4)) * phi(y) is added back via
-      Gauss-Legendre, with the interval clipped to |y| <= 13.
+        E xi = -E[N^4]/(4*gamma^4)
+               + integral over [-2/s, 0] of (9*N^3/gamma^3 + N^4/(4*gamma^4)) * phi.
 
-    The result is <= 0 (both branches of xi are) and decays like
-    |s|^3/gamma^3 for small s.
+    Both terms expand binomially in N/gamma = (s/gamma)*zeta +
+    (s^2/(2*gamma))*zeta^2: the first over the complete normal moments
+    (E[N^4] = 3*s^4 + (45/2)*s^6 + (105/16)*s^8), the second over the
+    truncated ones of _truncated_moments. The result is <= 0 (both branches
+    of xi are) and equals -(18/sqrt(2*pi)) * s^3/gamma^3 * (1 + O(s)).
     """
     factor = _plain_factor(p, dt)
     factor.check_domain()
     gamma = factor.c0
-    s = p.sigma * math.sqrt(dt)
+    s = abs(p.sigma) * math.sqrt(dt)
     if s == 0.0:
         return 0.0
-    noise = _noise_factor(p.sigma, dt)
-    rule = gauss_hermite_rule(nodes)
-    full = rule.integrate(_xi_nonnegative(gamma, noise.at_zeta(rule.nodes)))
-
-    lo, hi = min(0.0, -2.0 / s), max(0.0, -2.0 / s)
-    lo, hi = max(lo, -_CORRECTION_CLIP), min(hi, _CORRECTION_CLIP)
-    if hi <= lo:
-        return full
-    xg, wg = _legendre_table(int(nodes))
-    yy = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-    ww = 0.5 * (hi - lo) * wg
-    nn = noise.at_zeta(yy)
-    phi = np.exp(-0.5 * yy * yy) / _SQRT_2PI
-    correction = float(np.sum(ww * (_xi_negative(gamma, nn) - _xi_nonnegative(gamma, nn)) * phi))
-    return full + correction
+    b1, b2 = s / gamma, 0.5 * s * s / gamma
+    inside = _truncated_moments(-2.0 / s)
+    quartic = _power_integral(b1, b2, 4, inside) - _power_integral(b1, b2, 4, _NORMAL_MOMENTS)
+    return 0.25 * quartic + 9.0 * _power_integral(b1, b2, 3, inside)

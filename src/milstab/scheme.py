@@ -116,12 +116,11 @@ class _StepFactor:
 
     Outside this module every evaluation of F goes through one of two methods.
     of_normals (paths, Monte Carlo blocks, the sampling verify suites) works
-    in the increment dB; at_zeta (quadrature, xi_expectation) works in
+    in the increment dB; at_zeta (quadrature only) works in
     zeta = dB/sqrt(dt), as c0 + a1*zeta + a2*zeta^2. The two round
-    differently, and both are pinned: the simulate-out goldens and the verify
-    outputs freeze the dB form, the xi_expectation bits the zeta form. They
-    become one form when a change that re-pins the goldens moves F to c0m1
-    and log1p.
+    differently, and the simulate-out goldens and the verify outputs freeze
+    the dB form. They become one form when a change that re-pins the goldens
+    moves F to c0m1 and log1p.
     """
 
     c0: float

@@ -128,10 +128,3 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     nodes, weights = _hermite_table(int(n))
     return QuadratureRule(nodes=nodes, weights=weights)
 
-
-@lru_cache(maxsize=None)
-def _legendre_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights

@@ -136,10 +136,17 @@ class TestExponentCommand:
         ids=["ms-exact-lambda", "ms-exact-sigma", "as-quad", "as-mc", "as-slope"],
     )
     def test_non_finite_exponent_is_refused(self, capsys, args, value):
-        code, out, _ = run_cli(capsys, "exponent", *args)
-        assert code == 2
         refusal = f"{args[0]} exponent must be finite, got {value}"
-        assert out == json.dumps({"error": refusal}) + "\n"
+        # the refusal is the only output: no numpy warning precedes it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(capsys, "exponent", *args) == (
+                2, json.dumps({"error": refusal}) + "\n", ""
+            )
+            assert run_cli(capsys, "exponent", *args, "--format", "csv") == (
+                2, "", f"error: {refusal}\n"
+            )
+        assert [str(w.message) for w in caught] == []
 
     def test_precondition_error_follows_out(self, capsys, tmp_path):
         target = tmp_path / "x.json"

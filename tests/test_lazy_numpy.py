@@ -228,6 +228,22 @@ def test_package_import_skips_numpy():
     assert proc.stdout == "False\n"
 
 
+def test_xi_expectation_and_gaussian_moment_skip_numpy():
+    code = (
+        "import sys\n"
+        "from milstab.lemmas import gaussian_moment, xi_expectation\n"
+        "from milstab.model import ModelParams\n"
+        "assert xi_expectation(ModelParams(8.0, 2.0, 4.0), 1e-3) < 0.0\n"
+        "assert gaussian_moment(4, 1e-3) > 0.0\n"
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_names_resolve_to_numpy_and_stay():
     assert _np.ndarray is numpy.ndarray
     assert vars(_np)["ndarray"] is numpy.ndarray

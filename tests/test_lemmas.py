@@ -255,10 +255,14 @@ class TestXiExpectation:
         for dt in (1e-2, 1e-3, 1e-4):
             assert xi_expectation(self.P, dt) <= 0.0
 
-    def test_node_doubling_stable(self):
-        v1 = xi_expectation(self.P, 1e-3, nodes=201)
-        v2 = xi_expectation(self.P, 1e-3, nodes=402)
-        assert abs(v1 - v2) <= 1e-10 * max(abs(v1), abs(v2))
+    def test_even_in_sigma(self):
+        for dt in (1e-2, 1e-3, 1e-6):
+            assert xi_expectation(ModelParams(8.0, 2.0, -4.0), dt) == xi_expectation(self.P, dt)
+
+    def test_tiny_sigma(self):
+        # phi(-2/s) underflows to 0, so no power of -2/s is formed
+        value = xi_expectation(ModelParams(8.0, 2.0, 1e-300), 1e-3)
+        assert math.isfinite(value) and value <= 0.0
 
     def test_small_dt_scaling(self):
         # |E xi| shrinks like dt^(3/2) once sigma*sqrt(dt) is small
@@ -271,28 +275,27 @@ class TestXiExpectation:
         with pytest.raises(ValueError):
             xi_expectation(bad, 1e-3)
 
-    #: E xi at dt = 1e-2 ... 1e-6, as float.hex, computed by the two-branch
-    #: Gauss-Hermite plus clipped Gauss-Legendre rule at 201 nodes.
+    #: E xi at dt = 1e-2 ... 1e-6, as float.hex, from the closed form.
     PINNED = {
         (8.0, 2.0, 4.0): (
-            "-0x1.44d592f27eac8p-3", "-0x1.4b56b5c721e48p-7", "-0x1.aec1b07d57d07p-12",
-            "-0x1.d6cdfb7a52b30p-17", "-0x1.e807fb1b7bd40p-22",
+            "-0x1.44d592f27eac9p-3", "-0x1.4b56b5c721e5ap-7", "-0x1.aec1b07d57d22p-12",
+            "-0x1.d6cdfb7a52b50p-17", "-0x1.e807fb1b7bd5dp-22",
         ),
         (-1.0, 0.0, 1.0): (
-            "-0x1.73b42e0026e2ep-8", "-0x1.b6096ef27853fp-13", "-0x1.d4ef26ba7f239p-18",
-            "-0x1.e36c8f073161dp-23", "-0x1.ec1c21c466f6ap-28",
+            "-0x1.73b42e0026e44p-8", "-0x1.b6096ef27855bp-13", "-0x1.d4ef26ba7f254p-18",
+            "-0x1.e36c8f0731639p-23", "-0x1.ec1c21c466f86p-28",
         ),
         (6.0, 0.5, 3.5): (
-            "-0x1.f5f46fdc3127cp-4", "-0x1.d325f8389d371p-8", "-0x1.24d453fb7166ep-12",
-            "-0x1.3ccfc471ffc68p-17", "-0x1.4765f1e42f000p-22",
+            "-0x1.f5f46fdc31288p-4", "-0x1.d325f8389d38ep-8", "-0x1.24d453fb7167fp-12",
+            "-0x1.3ccfc471ffc79p-17", "-0x1.4765f1e42f013p-22",
         ),
         (0.0, 1.0, 2.0): (
-            "-0x1.18b069c692000p-5", "-0x1.90b69db20c66fp-10", "-0x1.c80dc3dd1e93bp-15",
-            "-0x1.df33eabe05721p-20", "-0x1.eabfb4c531d62p-25",
+            "-0x1.18b069c69200ap-5", "-0x1.90b69db20c68ap-10", "-0x1.c80dc3dd1e957p-15",
+            "-0x1.df33eabe0573dp-20", "-0x1.eabfb4c531d7ep-25",
         ),
         (-3.0, 1.5, 0.5): (
-            "-0x1.b2d567e1dbe75p-11", "-0x1.ca8371d13946ap-16", "-0x1.db8faf9e9652fp-21",
-            "-0x1.e58dc0d031d37p-26", "-0x1.eccad6cc86a00p-31",
+            "-0x1.b2d567e1dbe8ep-11", "-0x1.ca8371d139484p-16", "-0x1.db8faf9e9654bp-21",
+            "-0x1.e58dc0d031d54p-26", "-0x1.eccad6cc86a18p-31",
         ),
     }
 
@@ -301,6 +304,42 @@ class TestXiExpectation:
         p = ModelParams(*params)
         got = [xi_expectation(p, 10.0**-k).hex() for k in range(2, 7)]
         assert got == list(self.PINNED[params])
+
+    ORACLE_POINTS = [
+        (8.0, 2.0, 4.0), (-1.0, 0.0, 1.0), (6.0, 0.5, 3.5), (0.0, 1.0, 2.0),
+        (-3.0, 1.5, 0.5), (50.0, 0.0, 9.0), (200.0, 0.0, 20.0),
+    ]
+
+    @pytest.mark.parametrize("params", ORACLE_POINTS)
+    def test_against_mpmath(self, params):
+        # 40-digit quadrature of xi over its two branches, at the gamma the
+        # closed form uses, wherever the point lies in the domain gamma_dt > 3/4
+        mp = pytest.importorskip("mpmath")
+        p = ModelParams(*params)
+        checked = 0
+        for dt in (0.5, 0.1, *(10.0**-k for k in range(2, 8))):
+            gamma = gamma_dt(p, dt)
+            if not gamma > 0.75:
+                continue
+            with mp.workdps(40):
+                g = mp.mpf(gamma)
+                s = abs(mp.mpf(p.sigma)) * mp.sqrt(mp.mpf(dt))
+                root = -2 / s
+
+                def branch(y, negative):
+                    n = s * y + s * s * y * y / 2
+                    xi = 9 * n**3 / g**3 if negative else -(n**4) / (4 * g**4)
+                    return xi * mp.exp(-y * y / 2) / mp.sqrt(2 * mp.pi)
+
+                want = (
+                    mp.quad(lambda y: branch(y, False), [-mp.inf, root])
+                    + mp.quad(lambda y: branch(y, True), [root, 0])
+                    + mp.quad(lambda y: branch(y, False), [0, mp.inf])
+                )
+                err = abs((mp.mpf(xi_expectation(p, dt)) - want) / want)
+            assert err <= 2e-15, (dt, float(err))
+            checked += 1
+        assert checked >= 5
 
     def test_monte_carlo_agreement(self):
         # direct sampling of xi_gamma at the composite increment
