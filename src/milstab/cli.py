@@ -17,9 +17,11 @@ combine in index order, so outputs are byte-identical across runs and across
 as-slope paths. simulate writes each path straight into its column of one
 table and streams that table in slices of 2^13 values, in the bytes of one
 whole-table write, so its memory is bounded by the table, not by the text;
---threads also formats those slices on worker threads, and they are written
-in order. The formatter (milstab._floattext) computes repr's digits with
-numpy array operations, which release the interpreter lock. CSV output is
+they are formatted THREAD_SLICES to a task, on worker threads with
+--threads, and written in order. The formatter (milstab._floattext)
+computes repr's digits with numpy array operations, which release the
+interpreter lock, in a workspace each thread keeps, so a slice allocates
+only its text; that text goes to _write as ASCII bytes. CSV output is
 UTF-8 with LF line endings, a header row, floats rendered by repr, and
 '# key=value' provenance comments above the header (sorted by key; --threads
 and --out are execution detail and excluded). _table owns the layout of
@@ -45,6 +47,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 from . import _np as np
@@ -99,6 +102,11 @@ _RUN_ARGS = {
 
 #: Config files name a key by its flag without the dashes, or as itself.
 _CONFIG_NAMES = {flag[2:]: key for key, (flag, *_) in _PARAMS.items() if flag}
+
+#: Slices simulate formats in one task, on any number of threads. On shorter
+#: array operations two workers pass the interpreter lock back and forth more
+#: than they gain from formatting side by side.
+THREAD_SLICES = 2
 
 #: Largest grid `region --sigma-range` accepts; the default grid has 101 points.
 MAX_SIGMA_POINTS = 100_000
@@ -218,22 +226,29 @@ def _table(values: dict, pairs: dict, header: list[str], rows, missing: str = ""
 def _write(pieces, out: str | None = None) -> int:
     """Write text pieces in order to `out`, or to stdout when out is None.
 
-    A failed write or close prints one error line and returns 1. A reader
-    that closes stdout early (`milstab simulate | head`) ends the output
-    quietly with 0.
+    A piece is a str, or ASCII text as bytes or a uint8 array (simulate's
+    formatted slices). Every piece goes to one binary layer, str pieces UTF-8
+    encoded, so `out` and stdout get the same bytes, with LF line endings
+    whatever the platform or stdout's encoding; a stdout with no binary
+    layer (io.StringIO) gets them all as text. A failed write or close
+    prints one error line and returns 1. A reader that closes stdout early
+    (`milstab simulate | head`) ends the output quietly with 0.
     """
     if out is not None:
         try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                for piece in pieces:
-                    fh.write(piece)
+            with open(out, "wb") as fh:
+                _write_binary(fh, pieces)
         except OSError as exc:  # a failed close() lands here too, replacing the write's error
             print(f"error: cannot write {out}: {exc}", file=sys.stderr)
             return 1
         return 0
     try:
-        for piece in pieces:
-            sys.stdout.write(piece)
+        sys.stdout.flush()  # what the text layer already holds goes first
+        if hasattr(sys.stdout, "buffer"):
+            _write_binary(sys.stdout.buffer, pieces)
+        else:
+            for piece in pieces:
+                sys.stdout.write(piece if isinstance(piece, str) else bytes(piece).decode("ascii"))
         sys.stdout.flush()
     except OSError as exc:
         # Whatever stays buffered would fail again in the exit-time flush.
@@ -243,6 +258,11 @@ def _write(pieces, out: str | None = None) -> int:
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _write_binary(fh, pieces) -> None:
+    for piece in pieces:
+        fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
 
 
 def _discard_stdout() -> None:
@@ -292,10 +312,12 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
         head, tail = _table(values, pairs, header, []), ""
     # Imported here: only simulate formats a table, and without cached bytecode
     # every other call would compile the module for nothing.
-    from ._floattext import SLICE, slice_text
+    from ._floattext import SLICE, slice_bytes
 
+    size = SLICE * THREAD_SLICES
     texts = _map_indexed(
-        lambda i: slice_text(table, i * SLICE, as_json), -(-table.size // SLICE), values["threads"]
+        lambda i: slice_bytes(table, i * size, size, as_json), -(-table.size // size),
+        values["threads"],
     )
     return _write(itertools.chain([head], texts, [tail]), ns.out)
 
@@ -333,6 +355,7 @@ def _cmd_exponent(ns: argparse.Namespace, values: dict) -> int:
     p = _model(values)
     try:
         est = estimate(p, values["dt"], method, **_estimator_kwargs(values))
+        target = continuum_target(p, method)
     except ValueError as exc:
         if values["format"] != "json":
             raise  # main prints it on stderr
@@ -343,7 +366,7 @@ def _cmd_exponent(ns: argparse.Namespace, values: dict) -> int:
         "dt": values["dt"],
         "value": est.value,
         "std_error": est.std_error,
-        "continuum_value": continuum_target(p, method),
+        "continuum_value": target,
         "region_class": classify(p, sense).class_.value,
     }
     if values["format"] == "csv":
@@ -467,7 +490,16 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with its help text written by _write."""
+    """argparse with its help text written by _write, reading '-1e-3' as a value.
+
+    argparse takes an argument for a negative number, not an option, only
+    when it matches _negative_number_matcher; before Python 3.13 that
+    pattern has no exponent form, so '--lambda -1e-3' lost its value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # Python 3.13's pattern
 
     def print_help(self, file=None) -> None:
         code = _write([self.format_help()]) if file is None else super().print_help(file)

@@ -195,13 +195,7 @@ class RemainderReport:
 
 
 def _ms(f: _StepFactor, method: Method) -> ExponentEstimate:
-    # base - 1 is formed directly, so log1p keeps full relative precision in
-    # the exponent; base itself is E F^2 >= 0 and vanishes only in the
-    # degenerate deterministic case F = 0.
-    m1 = f.ms_base_m1()
-    if m1 <= -1.0:
-        raise ValueError(f"squared-modulus base 1 + {m1!r} must be positive")
-    return ExponentEstimate(value=math.log1p(m1) / (2.0 * f.dt), method=method, dt=f.dt)
+    return ExponentEstimate(value=f.ms_log_base() / (2.0 * f.dt), method=method, dt=f.dt)
 
 
 def ms_exponent_exact(p: ModelParams, dt: float) -> ExponentEstimate:
@@ -608,10 +602,15 @@ def estimate(
 
 
 def continuum_target(p: ModelParams, method: Method) -> float:
-    """The continuum exponent an estimator of this method converges to."""
-    if method in MS_METHODS:
-        return continuum_ms_exponent(p)
-    return continuum_as_exponent(p)
+    """The continuum exponent an estimator of this method converges to.
+
+    Raises ValueError where it overflows (sigma^2/2 does for |sigma| above
+    about 1.9e154), so no caller reports an infinite target.
+    """
+    target = continuum_ms_exponent(p) if method in MS_METHODS else continuum_as_exponent(p)
+    if not math.isfinite(target):
+        raise ValueError(f"continuum exponent must be finite, got {target!r}")
+    return target
 
 
 def sweep_dt(p: ModelParams, dts, method: Method, **estimator_params) -> ConvergenceFit:

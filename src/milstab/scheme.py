@@ -170,6 +170,29 @@ class _StepFactor:
         r, s2, d2, dt = self.mean_rate, self.sigma * self.sigma, self.denom * self.denom, self.dt
         return (2.0 * r + s2 / d2) * dt + (r * r + s2 * s2 / (2.0 * d2)) * dt * dt
 
+    def ms_log_base(self) -> float:
+        """log E F^2, as log1p(ms_base_m1()) wherever E F^2 - 1 is finite, so
+        that a small dt keeps full relative precision.
+
+        Where E F^2 - 1 overflows, E F^2 = (1 + r*dt)^2 + sigma^2*dt/denom^2 +
+        sigma^4*dt^2/(2*denom^2) is summed from the logs of its terms, so a
+        finite log E F^2 is still returned (lam = 1e200 at dt = 0.5 gives
+        919.6...).
+        """
+        m1 = self.ms_base_m1()
+        if m1 <= -1.0:  # E F^2 >= 0 vanishes only for the deterministic F = 0
+            raise ValueError(f"squared-modulus base 1 + {m1!r} must be positive")
+        if math.isfinite(m1):
+            return math.log1p(m1)
+        log = lambda x: math.log(abs(x)) if x else -math.inf  # noqa: E731
+        s2dt, d2 = 2.0 * log(self.sigma) + math.log(self.dt), 2.0 * log(self.denom)
+        mean = 2.0 * log(1.0 + self.mean_rate * self.dt)
+        terms = [mean, s2dt - d2, 2.0 * s2dt - math.log(2.0) - d2]
+        top = max(terms)
+        if not math.isfinite(top):
+            return top
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
     def check_domain(self) -> None:
         """Raise refusal unless F stays above floor for every increment."""
         lower = self.c0 - 0.5 / self.denom

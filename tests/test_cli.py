@@ -1,5 +1,7 @@
 import argparse
 import concurrent.futures
+import contextlib
+import io
 import json
 import math
 import os
@@ -127,13 +129,12 @@ class TestExponentCommand:
     @pytest.mark.parametrize(
         "args, value",
         [
-            (("ms-exact", "--lambda", "1e200", "--dt", "0.5"), "inf"),
-            (("ms-exact", "--sigma", "1e100", "--dt", "0.5"), "inf"),
+            (("ms-exact", "--epsilon", "1e200"), "inf"),
             (("as-quad", "--epsilon", "1e200"), "inf"),
             (("as-mc", "--epsilon", "1e200", "--samples", "1000"), "inf"),
             (("as-slope", "--epsilon", "1e200", "--steps", "10", "--paths", "2"), "inf"),
         ],
-        ids=["ms-exact-lambda", "ms-exact-sigma", "as-quad", "as-mc", "as-slope"],
+        ids=["ms-exact", "as-quad", "as-mc", "as-slope"],
     )
     def test_non_finite_exponent_is_refused(self, capsys, args, value):
         refusal = f"{args[0]} exponent must be finite, got {value}"
@@ -147,6 +148,40 @@ class TestExponentCommand:
                 2, "", f"error: {refusal}\n"
             )
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "method, model",
+        [
+            ("ms-exact", {"lambda": 1e200}),
+            ("ms-exact", {"lambda": -1e200}),
+            ("ms-exact", {"sigma": 1e100}),
+            ("theta-ms", {"lambda": 1e200, "epsilon": 0.0, "theta": 0.0}),
+            ("theta-ms", {"lambda": 1.0, "sigma": 1e100, "epsilon": 0.0, "theta": 0.5}),
+        ],
+        ids=["lambda", "negative-lambda", "sigma", "theta-lambda", "theta-sigma"],
+    )
+    def test_overflowing_ms_base_is_answered(self, capsys, method, model):
+        # E F^2 - 1 overflows a double at dt = 0.5, but log(E F^2) does not
+        mpmath = pytest.importorskip("mpmath")
+        params = {"lambda": 8.0, "epsilon": 2.0, "sigma": 4.0, "theta": 0.0, **model}
+        flags = [f"--{name}={value!r}" for name, value in model.items()]
+        code, out, err = run_cli(capsys, "exponent", method, "--dt", "0.5", *flags)
+        assert (code, err) == (0, "")
+        with mpmath.workdps(40):
+            lam, eps, sigma, theta = (mpmath.mpf(params[k]) for k in params)
+            dt = mpmath.mpf(0.5)
+            denom = 1 - lam * theta * dt
+            mean = 1 + (lam + eps**2 / 2) * dt / denom  # E F
+            var = (sigma**2 * dt + sigma**4 * dt**2 / 2) / denom**2  # Var F
+            expected = float(mpmath.log(mean**2 + var) / (2 * dt))
+        assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-15)
+
+    def test_overflowing_continuum_is_refused(self, capsys):
+        # the discrete exponent is finite here, but sigma^2/2 overflows
+        args = ("exponent", "ms-exact", "--sigma", "1e200", "--dt", "0.5")
+        refusal = "continuum exponent must be finite, got inf"
+        assert run_cli(capsys, *args) == (2, json.dumps({"error": refusal}) + "\n", "")
+        assert run_cli(capsys, *args, "--format", "csv") == (2, "", f"error: {refusal}\n")
 
     def test_precondition_error_follows_out(self, capsys, tmp_path):
         target = tmp_path / "x.json"
@@ -302,18 +337,44 @@ class TestSimulateCommand:
         assert code == 1
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_text_only_stdout(self, capsys, fmt):
+        # the formatted slices are bytes; a stdout with no binary layer gets them as text
+        args = ["simulate", "--steps", "40", "--paths", "2", "--format", fmt]
+        expected = run_cli(capsys, *args)
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = main(args)
+        assert (code, text.getvalue()) == expected[:2]
 
-def _one_path_steps(slices):
-    """Steps whose one-path table (3 values a row) fills exactly `slices` slices."""
-    return slices * SLICE // 3 - 1
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_gets_the_bytes_of_out(self, monkeypatch, tmp_path, fmt):
+        # head, slices and tail share one binary layer: a text layer that would
+        # translate newlines or encode in UTF-16 touches none of them
+        args = ["simulate", "--steps", "40", "--paths", "2", "--format", fmt]
+        target = tmp_path / f"sim.{fmt}"
+        assert main([*args, "--out", str(target)]) == 0
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-16", newline="\r\n"))
+        assert main(args) == 0
+        assert raw.getvalue() == target.read_bytes()
+
+
+#: Values a worker thread formats at a time.
+TASK = SLICE * cli.THREAD_SLICES
+
+
+def _one_path_steps(tasks):
+    """Steps whose one-path table (3 values a row) fills exactly `tasks` worker tasks."""
+    return tasks * TASK // 3 - 1
 
 
 class TestSimulateStreaming:
-    """simulate writes its table in slices of SLICE values, formatted serially or on threads."""
+    """simulate writes its table in slices of SLICE values, formatted
+    THREAD_SLICES to a task, serially or on threads."""
 
-    # steps + 1 rows of 5 values: three whole slices and a partial one, with
-    # the slice edges inside rows
-    STEPS = (3 * SLICE + 7) // 5
+    # steps + 1 rows of 5 values: three whole worker tasks and a partial one,
+    # with the slice and task edges inside rows
+    STEPS = (3 * TASK + 7) // 5
     PATHS = 3
     SEED = 9
 
@@ -356,8 +417,8 @@ class TestSimulateStreaming:
     @pytest.mark.parametrize("paths", [1, 3, 200])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bytes_do_not_depend_on_threads(self, capsys, fmt, paths, steps):
-        # 200 paths of 2100 steps make 52 slices; every other table makes fewer
-        # slices than 4 threads, and 10 steps make one
+        # 200 paths of 2100 steps make 26 worker tasks; every other table
+        # makes fewer tasks than 4 threads, and 10 steps make one
         outputs = {
             threads: run_cli(
                 capsys, "simulate", "--steps", str(steps), "--paths", str(paths),
@@ -380,9 +441,9 @@ class TestSimulateStreaming:
         "threads, steps, cpus, workers",
         [
             (1, _one_path_steps(4), 4, None),  # one thread asked for
-            (64, 10, 4, None),  # a single slice
+            (64, 10, 4, None),  # a single task
             (2, _one_path_steps(4), 1, None),  # a single usable CPU
-            (64, _one_path_steps(3), 4, 3),  # limited by the slice count
+            (64, _one_path_steps(3), 4, 3),  # limited by the task count
             (64, _one_path_steps(6), 4, 4),  # limited by the CPUs
             (2, _one_path_steps(6), 4, 2),  # limited by --threads
         ],
@@ -501,6 +562,22 @@ class TestFullStdout:
         proc.stderr.close()
 
 
+@pytest.mark.parametrize(
+    "flag", [flag for flag, cast, *_ in cli._PARAMS.values() if flag and cast in (int, float)]
+)
+def test_negative_value_in_exponent_notation(capsys, flag):
+    # before Python 3.13 argparse took '-1e-3' for an option and refused the flag
+    def run(text):
+        try:
+            code = main(["exponent", "ms-exact", flag, text])
+        except SystemExit as exc:  # argparse's refusal of an int flag's value
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err.replace(text, "<value>")
+
+    assert run("-1e-3") == run("-0.001")
+
+
 def test_cli_import_loads_no_process_pool():
     code = (
         "import sys, milstab.cli\n"
@@ -561,14 +638,17 @@ class TestSweepCommand:
         }
         assert all("error" not in row for row in rows[1:])
 
-    def test_non_finite_exponent_rows(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep-dt", "ms-exact", "--lambda", "1e155", "--format", "json"
+    @pytest.mark.parametrize(
+        "args, value",
+        [(("ms-exact", "--epsilon", "1e200"), "inf"), (("as-quad", "--sigma", "1e200"), "-inf")],
+        ids=["ms-exact", "as-quad"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_continuum_is_refused(self, capsys, fmt, args, value):
+        # refused once for the whole sweep, before any estimate
+        assert run_cli(capsys, "sweep-dt", *args, "--format", fmt) == (
+            2, "", f"error: continuum exponent must be finite, got {value}\n"
         )
-        assert code == 1
-        assert "fewer than 3" in err
-        rows = json.loads(out)["rows"]
-        assert [row["error"] for row in rows] == ["ms-exact exponent must be finite, got inf"] * 5
 
     def test_too_few_successes(self, capsys):
         code, out, err = run_cli(capsys, "sweep-dt", "as-quad", "--dts", "0.5,1e-3,1e-4")

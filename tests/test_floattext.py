@@ -6,7 +6,11 @@ json.dumps of the rows.
 """
 
 import json
+import random
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -111,3 +115,47 @@ def test_slice_edges_inside_rows(monkeypatch):
     assert_same_text(block)
     monkeypatch.setattr(_floattext, "SLICE", 5)
     assert_same_text(block[:40])
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+def test_a_slice_allocates_only_its_text(as_json):
+    # a portable stand-in for page faults: the slice's arrays live in this
+    # thread's workspace, so a call allocates little beyond the text it returns
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((2 * _floattext.SLICE // 7 + 1, 7)) * 30
+    slice_text(block, 0, as_json)  # builds the tables and the workspace
+    tracemalloc.start()
+    try:
+        text = slice_text(block, _floattext.SLICE, as_json)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n" if not as_json else "]") >= _floattext.SLICE // 7
+    assert peak <= 3 * len(text) + 64 * 1024
+
+
+def test_threads_format_side_by_side():
+    # each thread formats in its own workspace: a shared one passes every
+    # serial test and mixes the texts of tables formatted at the same time
+    rng = np.random.default_rng(6)
+    tables = [
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 17, size=shape)
+        for shape in ((900, 9), (2000, 5), (40, 3))
+    ]
+    cases = [(i, as_json) for i in range(len(tables)) for as_json in (False, True)]
+    expected = {case: table_text(tables[case[0]], case[1]) for case in cases}
+
+    def work(seed):
+        order = random.Random(seed)
+        for _ in range(15):
+            for i, as_json in order.sample(cases, len(cases)):
+                assert table_text(tables[i], as_json) == expected[i, as_json]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for done in [pool.submit(work, seed) for seed in range(3)]:
+                done.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
