@@ -1,11 +1,14 @@
 """Table text with each float as Python's repr writes it, from array arithmetic.
 
-slice_text(table, start) writes table's values [start, start + SLICE) in row
-order. Joined in order, the slices of a table give the bytes of
-``"".join(",".join(map(str, row)) + "\n" for row in table.tolist())``, or with
-json=True of ``json.dumps(table.tolist())[1:-1]``, at a fraction of the cost
-of calling ``float.__repr__`` once per value. slice_bytes(table, start, size)
-gives the text of any run of values as ASCII in a uint8 array.
+slice_bytes(table, start, size, seps) writes the values [start, start + size)
+of a C-ordered 2-D float table in row order, each followed by one of the
+three separators seps names: within a row, at a row's end and at the table's
+end. Joined in order, the slices of a table give the bytes of repr of every
+value and its separator, at a fraction of the cost of calling
+``float.__repr__`` once per value, as ASCII in a uint8 array. The caller
+(milstab.cli) owns the document: its separators, head and brackets. repr is
+json.dumps' text for every finite float, so a table known to be finite
+formats as JSON too.
 
 repr writes the shortest decimal that reads back as the same double, the one
 nearest to it when several are that short, in fixed notation for
@@ -30,12 +33,12 @@ in fixed notation leaves 2**53 <= x < 1e16 (e = 1, p = 1). There V = 20 * m
 is itself a multiple of 10, and the ends are odd multiples of 10, so no end
 is the nearest multiple of 10 or any multiple of 100.
 
-Each value gets a fixed row of byte slots: a JSON row's '[', the sign, the
-17 digits as the integer part, the 17 digits again as the fraction, with
-'0.' and up to three zeros before it for |x| < 1, and the separator. A
-template row for the value's point position, digit count, sign and
-separator clears the slots its text does not use, the point goes in after
-the digits, and the zero bytes are dropped.
+Each value gets a fixed row of byte slots: the sign, the 17 digits as the
+integer part, the 17 digits again as the fraction, with '0.' and up to
+three zeros before it for |x| < 1, and the separator. A template row for
+the value's point position, digit count, sign and separator clears the
+slots its text does not use, the point goes in after the digits, and the
+zero bytes are dropped.
 
 A call's work is numpy array operations, which release the interpreter
 lock, so slices can be formatted on threads. Each thread owns one
@@ -43,33 +46,27 @@ workspace, kept in a threading.local and built on the thread's first call:
 every step of a call writes into it, so a call allocates nothing but the
 text it returns. It holds 9 float, 10 integer and 4 boolean rows, about
 160 bytes per value of the largest call the thread has made (2.6 MB for
-the two slices simulate formats in one call); the template rows and their
+the 2^14 values simulate formats in one call); the template rows and their
 mask reuse that memory.
 """
 
 from __future__ import annotations
 
 import functools
-import json as _json
 import threading
 
 from . import _np as np
 
-#: Values per slice.
-SLICE = 1 << 13
-
-#: Row slots: '[' and the sign, the 17 digits twice, for the integer part
-#: and for the fraction, and the separator. Each run of 16 digits starts on a
-#: 4-byte boundary, so that the 4-digit table can write it as four uint32
-#: words. A value's text is at most three runs of the row, the fewer the
-#: faster to compact: '[', sign and integer part; point and fraction; separator.
-_BRACKET, _SIGN, _INT, _FRAC, _SEP, _WIDTH = 1, 2, 3, 27, 44, 48
+#: Row slots: the sign, the 17 digits twice, for the integer part and for
+#: the fraction, and a separator of up to 4 bytes. Each run of 16 digits
+#: starts on a 4-byte boundary, so that the 4-digit table can write it as
+#: four uint32 words; slots 0 and 1 stay empty. A value's text is at most
+#: three runs of the row, the fewer the faster to compact: sign and integer
+#: part; point and fraction; separator.
+_SIGN, _INT, _FRAC, _SEP, _WIDTH = 2, 3, 27, 44, 48
 
 #: Point positions (decpt, the digits before the point) of fixed notation.
 _DECPT = range(-3, 17)
-
-#: Separators after a value: CSV has two kinds, JSON three, each with or without '['.
-_SEPARATORS = {False: [",", "\n"], True: [", ", "], ", "]"]}
 
 
 @functools.cache
@@ -84,15 +81,14 @@ def _tables():
 
 
 @functools.cache
-def _templates(json: bool):
-    """One row per (decpt, digit count, sign, separator kind): 0xFF on the digit
+def _templates(seps: tuple[str, str, str]):
+    """One row per (decpt, digit count, sign, separator): 0xFF on the digit
     slots the text uses, the character on its other slots, 0 on the rest.
 
     Below 1 the text is '0', then '.', -decpt zeros and the digits from _FRAC.
     Otherwise the point goes on _FRAC + decpt - 1, a slot of the fraction's
     digits, so slice_bytes writes it after the digits.
     """
-    seps = [(prefix, sep) for prefix in (False, True)[: json + 1] for sep in _SEPARATORS[json]]
     rows = np.zeros((len(_DECPT), 17, 2, len(seps), _WIDTH), np.uint8)
     for d, decpt in enumerate(_DECPT):
         for k in range(1, 18):
@@ -106,10 +102,9 @@ def _templates(json: bool):
                 row[..., _FRAC + decpt : _FRAC] = ord("0")
                 row[..., _FRAC : _FRAC + k] = 0xFF
     rows[:, :, 1, :, _SIGN] = ord("-")
-    for s, (prefix, sep) in enumerate(seps):
-        rows[..., s, _BRACKET] = ord("[") if prefix else 0
-        rows[..., s, _SEP : _SEP + len(sep)] = np.frombuffer(sep.encode(), np.uint8)
-    return rows.reshape(-1, _WIDTH), len(seps)
+    for s, sep in enumerate(seps):
+        rows[..., s, _SEP : _SEP + len(sep)] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    return rows.reshape(-1, _WIDTH)
 
 
 def _split(a, hi=None, lo=None):
@@ -143,44 +138,36 @@ def _workspace(n: int):
     return floats[:, :n], ints[:, :n], bools[:, :n], cells, raw[raw.size - n * _WIDTH :]
 
 
-def slice_text(table, start: int, json: bool = False) -> str:
-    """The values [start, start + SLICE) of a C-ordered 2-D float table, in row order.
+def slice_bytes(table, start: int, size: int, seps: tuple[str, str, str]):
+    """The text of values [start, start + size) of a C-ordered 2-D float
+    table, in row order, as ASCII in a new uint8 array: the one array a call
+    allocates.
 
-    Each value is followed by its separator: ',' or the row's '\n' for CSV;
-    for JSON ', ', or after a row's last value ']' and, before another row,
-    ', ', with '[' before a row's first value.
+    Each value is followed by seps[0], or by seps[1] after a row's last
+    value, or by seps[2] after the table's last value: a tuple of three
+    ASCII strings of at most 4 bytes each.
     """
-    return slice_bytes(table, start, SLICE, json).tobytes().decode("ascii")
-
-
-def slice_bytes(table, start: int, size: int, json: bool = False):
-    """The text of values [start, start + size) as slice_text writes it, as
-    ASCII in a new uint8 array: the one array a call allocates."""
     cols = table.shape[1]
     values = np.ascontiguousarray(table.reshape(-1)[start : start + size], dtype=np.float64)
     floats, ints, bools, cells, keep = _workspace(values.size)
     lead, groups, index, decpt = _shortest(values, floats, ints[1:], bools)
 
-    # the separator kind of each value, then its template row
-    templates, n_seps = _templates(json)
+    # the separator of each value, then its template row
     sep = ints[1]  # free once _shortest is done
     sep.fill(0)
     sep[(cols - 1 - start) % cols :: cols] = 1
-    if json:
-        last = table.size - 1 - start
-        if last < values.size:
-            sep[last] = 2
-        sep[-start % cols :: cols] += 3
-    index *= n_seps
+    last = table.size - 1 - start
+    if last < values.size:
+        sep[last] = 2
+    index *= 3
     index += sep
-    np.take(templates, index, axis=0, out=cells, mode="clip")
+    np.take(_templates(seps), index, axis=0, out=cells, mode="clip")
     _fill_digits(cells, lead, groups, index)
     flat = cells.reshape(-1)
     flat[np.add(decpt, ints[0], out=decpt)] = ord(".")  # on slot _FRAC + decpt - 1
 
-    text = _json.dumps if json else repr
     for i in np.flatnonzero(np.logical_not(bools[0], out=bools[1])).tolist():
-        raw = text(float(values[i])).encode("ascii")
+        raw = repr(float(values[i])).encode("ascii")
         cells[i, _SIGN:_SEP] = 0
         cells[i, _SIGN : _SIGN + len(raw)] = np.frombuffer(raw, np.uint8)
     return flat[np.not_equal(flat, 0, out=keep)]
@@ -189,7 +176,7 @@ def slice_bytes(table, start: int, size: int, json: bool = False):
 def _shortest(values, floats, ints, bools):
     """For each value: whether the exact path covers it (bools[0]), the first
     of its shortest digits and the other 16 (zero padded) in four 4-digit
-    groups, its template row for the first separator kind, and decpt."""
+    groups, its template row for the first separator, and decpt."""
     pow10, pow10_hi, pow10_lo, _, zeros_of = _tables()
     t, x, scale, s_lo, hi, lo, x_hi, x_lo, h = floats
     p, whole, q, lead, *groups, count = ints
@@ -271,7 +258,7 @@ def _shortest(values, floats, ints, bools):
         zeros = np.take(zeros_of, group, out=p, mode="clip")
         count *= np.right_shift(zeros, 2, out=whole)  # 1 if all four are zeros
         count += zeros
-    # the template row (decpt, digit count, sign) of the first separator kind
+    # the template row (decpt, digit count, sign) of the first separator
     index = count
     index *= -2
     index += np.multiply(q, 2 * 17, out=whole)

@@ -15,13 +15,17 @@ randomness derives from (--seed, stream index) pairs and partial results
 combine in index order, so outputs are byte-identical across runs and across
 --threads settings; --threads splits simulate paths, Monte Carlo blocks and
 as-slope paths. simulate writes each path straight into its column of one
-table and streams that table in slices of 2^13 values, in the bytes of one
-whole-table write, so its memory is bounded by the table, not by the text;
-they are formatted THREAD_SLICES to a task, on worker threads with
---threads, and written in order. The formatter (milstab._floattext)
-computes repr's digits with numpy array operations, which release the
-interpreter lock, in a workspace each thread keeps, so a slice allocates
-only its text; that text goes to _write as ASCII bytes. CSV output is
+table and streams that table in tasks of TASK_VALUES = 2^14 values, in the
+bytes of one whole-table write, so its memory is bounded by the table, not
+by the text; tasks are formatted on worker threads with --threads and
+written in order. cli owns simulate's document: the head, and in
+_SIMULATE_SEPARATORS each format's separators within a row, at a row's end
+and at the table's end. The formatter (milstab._floattext) writes the
+values and those separators, computing repr's digits with numpy array
+operations, which release the interpreter lock, in a workspace each thread
+keeps, so a task allocates only its text; that text goes to _write as
+ASCII bytes. simulate refuses a table with a non-finite value (exit 2),
+so its JSON holds no NaN or Infinity. CSV output is
 UTF-8 with LF line endings, a header row, floats rendered by repr, and
 '# key=value' provenance comments above the header (sorted by key; --threads
 and --out are execution detail and excluded). _table owns the layout of
@@ -103,10 +107,15 @@ _RUN_ARGS = {
 #: Config files name a key by its flag without the dashes, or as itself.
 _CONFIG_NAMES = {flag[2:]: key for key, (flag, *_) in _PARAMS.items() if flag}
 
-#: Slices simulate formats in one task, on any number of threads. On shorter
+#: Values simulate formats in one task, on any number of threads. On shorter
 #: array operations two workers pass the interpreter lock back and forth more
 #: than they gain from formatting side by side.
-THREAD_SLICES = 2
+TASK_VALUES = 1 << 14
+
+#: simulate's separators in each format: after a value within a row, after a
+#: row's last value and after the table's last value, which closes the
+#: document. The JSON head ends in the first row's '[['.
+_SIMULATE_SEPARATORS = {"csv": (",", "\n", "\n"), "json": (", ", "], [", "]]}\n")}
 
 #: Largest grid `region --sigma-range` accepts; the default grid has 101 points.
 MAX_SIGMA_POINTS = 100_000
@@ -300,26 +309,30 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
         table[:, index] = column
     table[:, 0] = cfg.dt * np.arange(cfg.n_steps + 1)
     table[:, -1] = table[:, 1:-1].mean(axis=1)
+    # Any non-finite value reaches its row's mean, so past this check every
+    # value is finite, and repr writes it as json.dumps does.
+    finite = np.isfinite(table[:, -1])
+    if not finite.all():
+        t, mean = table[finite.argmin(), [0, -1]].tolist()  # the first such row
+        raise ValueError(f"mean log-modulus must be finite, got {mean!r} at t = {t!r}")
     pairs = _provenance(values, ("dt", "steps", "paths", "seed", "x0", "y0"))
     if theta is not None:
         pairs["theta"] = theta
     header = ["t"] + [f"path_{i}" for i in range(n_paths)] + ["mean"]
-    as_json = values["format"] == "json"
-    if as_json:
-        head = json.dumps({"params": pairs, "columns": header, "rows": []})[:-2]
-        tail = "]}\n"
+    if values["format"] == "json":
+        head = json.dumps({"params": pairs, "columns": header, "rows": []})[:-2] + "["
     else:
-        head, tail = _table(values, pairs, header, []), ""
+        head = _table(values, pairs, header, [])
     # Imported here: only simulate formats a table, and without cached bytecode
     # every other call would compile the module for nothing.
-    from ._floattext import SLICE, slice_bytes
+    from ._floattext import slice_bytes
 
-    size = SLICE * THREAD_SLICES
+    seps = _SIMULATE_SEPARATORS[values["format"]]
     texts = _map_indexed(
-        lambda i: slice_bytes(table, i * size, size, as_json), -(-table.size // size),
-        values["threads"],
+        lambda i: slice_bytes(table, i * TASK_VALUES, TASK_VALUES, seps),
+        -(-table.size // TASK_VALUES), values["threads"],
     )
-    return _write(itertools.chain([head], texts, [tail]), ns.out)
+    return _write(itertools.chain([head], texts), ns.out)
 
 
 def _estimator_kwargs(values: dict) -> dict:
@@ -449,7 +462,7 @@ def _cmd_verify(ns: argparse.Namespace, values: dict) -> int:
     suite = values["suite"]
     checks = verify.run(
         suite, _model(values), values["dt"], seed=values["seed"], nodes=values["nodes"],
-        n_samples=values["samples"], initial=InitialDatum(values["x0"], values["y0"]),
+        n_samples=values["samples"],
     )
     code = _write(
         f"{check['name']}: {'PASS' if check['passed'] else 'FAIL'} - {check['detail']}\n"

@@ -106,7 +106,7 @@ def _map_indexed(fn, count: int, threads: int):
             yield ahead.popleft().result()
 
 
-#: Relative tolerance of the node-doubling convergence check.
+#: Relative tolerance of the convergence check against twice (or half) the nodes.
 DOUBLING_RTOL = 1e-10
 
 #: The root series answers only where its smallest term is at most this
@@ -294,15 +294,15 @@ def _root_series(f: _StepFactor) -> float | None:
 
 
 def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
-    """(1/dt) * E log F by the root series, else by Gauss-Hermite with a doubling check.
+    """(1/dt) * E log F by the root series, else by Gauss-Hermite with a convergence check.
 
     F must lie in its almost-sure domain (_StepFactor.check_domain), which
     keeps the log argument positive, and nodes must be a valid node count,
     in that order, before either route is chosen. _root_series answers where
     it is exact to rounding, with no table built. Elsewhere F is evaluated on
     the nodes in zeta = dB/sqrt(dt) by _StepFactor.at_zeta. Doubling the node
-    count must move the value by less than DOUBLING_RTOL relative; at the
-    MAX_NODES cap the doubled rule is clamped and the check is void.
+    count must move the value by less than DOUBLING_RTOL relative; where
+    twice the nodes would pass MAX_NODES, halving them must.
     """
     f.check_domain()
     _check_nodes(nodes)
@@ -315,16 +315,16 @@ def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
         return rule.integrate(np.log(f.at_zeta(rule.nodes))) / f.dt
 
     v1 = at(nodes)
-    n2 = min(2 * int(nodes), MAX_NODES)
-    if n2 != nodes:
-        v2 = at(n2)
-        diff = abs(v2 - v1)
-        scale = max(abs(v1), abs(v2))
-        if diff > DOUBLING_RTOL * scale and diff > 1e-22:
-            raise ValueError(
-                f"quadrature non-convergence: doubling {nodes} nodes moved the value by "
-                f"{diff!r} (relative {diff / scale if scale else math.inf!r})"
-            )
+    doubled = 2 * int(nodes) <= MAX_NODES
+    v2 = at(2 * int(nodes) if doubled else int(nodes) // 2)
+    diff = abs(v2 - v1)
+    scale = max(abs(v1), abs(v2))
+    if diff > DOUBLING_RTOL * scale and diff > 1e-22:
+        raise ValueError(
+            f"quadrature non-convergence: {'doubling' if doubled else 'halving'} {nodes} "
+            f"nodes moved the value by {diff!r} "
+            f"(relative {diff / scale if scale else math.inf!r})"
+        )
     return ExponentEstimate(value=v1, method=method, dt=f.dt)
 
 

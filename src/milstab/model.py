@@ -10,6 +10,7 @@ parameter space into stable and blow-up regions in each sense.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +54,14 @@ class InitialDatum:
 
     def squared_modulus(self) -> float:
         return self.x0 * self.x0 + self.y0 * self.y0
+
+    def log_modulus(self) -> float:
+        """log sqrt(x0^2 + y0^2), by math.hypot where x0^2 + y0^2 over- or
+        underflows the normal range, so that every datum has its finite log."""
+        squared = self.squared_modulus()
+        if sys.float_info.min <= squared <= sys.float_info.max:
+            return 0.5 * math.log(squared)
+        return math.log(math.hypot(self.x0, self.y0))
 
 
 class Sense(Enum):
@@ -122,11 +131,17 @@ def as_boundary_epsilon(lam: float, sigma: float) -> tuple[float, ...]:
     sqrt(sigma^2 - 2*lam) when that discriminant is positive, the single value
     0 when it vanishes, and nothing when it is negative. At lam = 0 the
     boundary is the pair of lines epsilon = -sigma, epsilon = sigma.
+
+    The root is finite for finite lam and sigma. Where sigma^2 or 2*lam
+    overflows, the discriminant is formed in units of 2**1200, which keeps
+    it in range; a power of two, the scale rounds nothing.
     """
-    disc = sigma * sigma - 2.0 * lam
+    scale = 1.0 if math.isfinite(sigma * sigma - 2.0 * lam) else 2.0**-600
+    s = sigma * scale
+    disc = s * s - 2.0 * (lam * scale) * scale
     if disc < 0.0:
         return ()
     if disc == 0.0:
         return (0.0,)
-    root = math.sqrt(disc)
+    root = math.sqrt(disc) / scale
     return (-root, root)

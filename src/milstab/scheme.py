@@ -80,7 +80,8 @@ class SchemeConfig:
 class LogModulusPath:
     """A trajectory of log|Z_n| on the grid t_n = n*dt.
 
-    log_values has length n_steps + 1 and starts at log sqrt(x0^2 + y0^2).
+    log_values has length n_steps + 1 and starts at log sqrt(x0^2 + y0^2)
+    (InitialDatum.log_modulus).
     flags marks, per step, factors that underflowed to zero and had their log
     contribution clamped; all other entries are finite.
     """
@@ -321,8 +322,12 @@ def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogMo
     factor underflows to zero.
     """
     f = _plain_factor(p, cfg.dt) if cfg.theta is None else _theta_factor(p, cfg.theta, cfg.dt)
-    log0 = 0.5 * math.log(cfg.initial.squared_modulus())
-    log_values, flags = _accumulate(log0, f.of_normals(stream.normals(cfg.n_steps)))
+    # Parameters so large that F overflows give a non-finite path, which its
+    # callers refuse; numpy's state is per thread, so it is set here, where
+    # worker threads run too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = f.of_normals(stream.normals(cfg.n_steps))
+        log_values, flags = _accumulate(cfg.initial.log_modulus(), factors)
     return LogModulusPath(dt=cfg.dt, log_values=log_values, flags=flags)
 
 

@@ -2,14 +2,15 @@
 
     lemmas      the log sandwich behind the two-sided sharp estimate, and xi
     moments     composite-increment moments by sampling, Gauss-Hermite moments
-    closedform  E|Z_n|^2 by sampling against the closed-form recursion base^n
+    closedform  E|Z_n|^2/|Z_0|^2 by sampling against the closed-form recursion base^n
 
 run() checks its inputs before any suite runs, then returns one
 {name, passed, detail} record per check, in SUITES order for "all".
 Only moments reads n_samples (--samples) and nodes (--nodes). lemmas reads
 neither, and closedform always runs 10^5 ten-step paths and reads neither:
 it keeps one double per path, so following n_samples would make its memory
-grow with it.
+grow with it. Its ratio to |Z_0|^2 does not depend on the initial datum, so
+no suite reads one.
 
 The sampling suites draw their samples a slice (_MC_CHUNK) at a time from one
 stream and reduce each slice before the next: moments merges the (count,
@@ -32,7 +33,7 @@ from .lemmas import (
     BoundKind, LogBoundDomain, composite_increment_moments, gaussian_moment,
     verify_log_sandwich, xi_gamma,
 )
-from .model import InitialDatum, ModelParams
+from .model import ModelParams
 from .scheme import _check_dt, _noise_factor, _plain_factor
 from .stochastics import RngStream, _check_nodes, gauss_hermite_rule
 
@@ -139,8 +140,7 @@ def _suite_moments(*, p: ModelParams, dt: float, seed: int, nodes: int, n_sample
     return checks
 
 
-def _suite_closedform(*, p: ModelParams, dt: float, seed: int, initial: InitialDatum,
-                      **_) -> list[dict]:
+def _suite_closedform(*, p: ModelParams, dt: float, seed: int, **_) -> list[dict]:
     n_steps = 10
     n_paths = 10**5
     factor = _plain_factor(p, dt)
@@ -155,9 +155,8 @@ def _suite_closedform(*, p: ModelParams, dt: float, seed: int, initial: InitialD
         factors = factor.of_normals(z)
         factors *= factors
         np.prod(factors, axis=1, out=squared[lo : lo + rows])
-    squared *= initial.squared_modulus()
     try:
-        ref = initial.squared_modulus() * base**n_steps
+        ref = base**n_steps
     except OverflowError:  # base^n beyond the float range: no finite reference
         ref = math.inf
     if p.sigma == 0.0:
@@ -189,8 +188,8 @@ def suites_named(suite: str) -> list:
     return list(SUITES.values()) if suite == "all" else [SUITES[suite]]
 
 
-def run(suite: str, p: ModelParams, dt: float, *, seed: int, nodes: int, n_samples: int,
-        initial: InitialDatum) -> list[dict]:
+def run(suite: str, p: ModelParams, dt: float, *, seed: int, nodes: int,
+        n_samples: int) -> list[dict]:
     """The check records of one suite of SUITES, or of all of them for "all".
 
     Every suite takes the same inputs, and they are checked before any suite
@@ -203,7 +202,7 @@ def run(suite: str, p: ModelParams, dt: float, *, seed: int, nodes: int, n_sampl
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"--samples must be at least {_MIN_SAMPLES}, got {n_samples}")
     _check_nodes(nodes)
-    inputs = dict(p=p, dt=dt, seed=seed, nodes=nodes, n_samples=n_samples, initial=initial)
+    inputs = dict(p=p, dt=dt, seed=seed, nodes=nodes, n_samples=n_samples)
     checks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for fn in suites:

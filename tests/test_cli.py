@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,6 @@ from milstab.cli import (
     _parse_sigma_range,
     main,
 )
-from milstab._floattext import SLICE
 from milstab.exponents import (
     _MC_CHUNK,
     MC_BLOCK,
@@ -149,6 +149,19 @@ class TestExponentCommand:
             )
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_nan_paths_warn_nothing(self, capsys, threads):
+        # sigma^2 overflows and every step factor is NaN, on the worker
+        # threads too: the refusal is the only output
+        args = ["--sigma", "1e200", "--steps", "10", "--paths", "4", "--threads", threads]
+        refusal = "as-slope exponent must be finite, got nan"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(capsys, "exponent", "as-slope", *args) == (
+                2, json.dumps({"error": refusal}) + "\n", ""
+            )
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize(
         "method, model",
         [
@@ -258,6 +271,40 @@ class TestSimulateCommand:
         _, _, rows = parse_csv(out)
         assert float(rows[0][1]) == pytest.approx(math.log(5.0), rel=1e-14)
 
+    @pytest.mark.parametrize("datum, start", [
+        ({"x0": 1e-200}, math.log(1e-200)),  # x0^2 underflows to 0
+        ({"x0": 1e200, "y0": 1e200}, math.log(math.sqrt(2.0) * 1e200)),  # overflows
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_extreme_initial_datum(self, capsys, tmp_path, fmt, datum, start):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**datum, "steps": 3, "paths": 2}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            rows = json.loads(out, parse_constant=pytest.fail)["rows"]
+        else:
+            rows = [[float(cell) for cell in row] for row in parse_csv(out)[2]]
+        assert rows[0][1] == pytest.approx(start, rel=1e-15)
+        assert all(map(math.isfinite, itertools.chain(*rows)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_table_is_refused(self, tmp_path, fmt, threads):
+        # sigma^2 overflows, so every step factor is NaN: one error line on
+        # stderr, no numpy warning before it, and no --out file
+        target = tmp_path / f"sim.{fmt}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "milstab", "simulate", "--sigma", "1e200", "--format", fmt,
+             "--threads", str(threads), "--steps", "20", "--paths", "3", "--out", str(target)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == (
+            "", "error: mean log-modulus must be finite, got nan at t = 0.001\n"
+        )
+        assert not target.exists()
+
     def test_theta_needs_scalar_model(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--theta", "0.5", "--steps", "4")
         assert code == 2
@@ -360,7 +407,7 @@ class TestSimulateCommand:
 
 
 #: Values a worker thread formats at a time.
-TASK = SLICE * cli.THREAD_SLICES
+TASK = cli.TASK_VALUES
 
 
 def _one_path_steps(tasks):
@@ -369,11 +416,10 @@ def _one_path_steps(tasks):
 
 
 class TestSimulateStreaming:
-    """simulate writes its table in slices of SLICE values, formatted
-    THREAD_SLICES to a task, serially or on threads."""
+    """simulate writes its table in tasks of TASK values, serially or on threads."""
 
     # steps + 1 rows of 5 values: three whole worker tasks and a partial one,
-    # with the slice and task edges inside rows
+    # with the task edges inside rows
     STEPS = (3 * TASK + 7) // 5
     PATHS = 3
     SEED = 9
@@ -721,6 +767,20 @@ class TestRegionCommand:
         obj = json.loads(out)
         assert obj["rows"][0]["epsilon_boundary_plus"] is None
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_discriminant(self, capsys, fmt):
+        # 2*lambda overflows, sqrt(sigma^2 - 2*lambda) does not
+        code, out, _ = run_cli(
+            capsys, "region", "--lambda", "-1e308", "--sigma-range", "0:1:1", "--format", fmt
+        )
+        assert code == 0
+        if fmt == "json":
+            rows = json.loads(out, parse_constant=pytest.fail)["rows"]
+            bounds = [(row["epsilon_boundary_minus"], row["epsilon_boundary_plus"]) for row in rows]
+        else:
+            bounds = [(float(row[2]), float(row[1])) for row in parse_csv(out)[2]]
+        assert bounds == [(-1.414213562373095e154, 1.414213562373095e154)] * 2
+
     def test_bad_range(self, capsys):
         for bad in ("1:0:0.1", "0:5:-1", "0:5", "a:b:c"):
             code, _, err = run_cli(capsys, "region", "--sigma-range", bad)
@@ -790,7 +850,6 @@ _VERIFY_INPUTS = {
     "seed": DEFAULTS["seed"],
     "nodes": DEFAULTS["nodes"],
     "n_samples": DEFAULTS["samples"],
-    "initial": InitialDatum(DEFAULTS["x0"], DEFAULTS["y0"]),
 }
 
 
@@ -801,6 +860,15 @@ def _check_lines(records):
 
 
 class TestVerifyCommand:
+    def test_closedform_does_not_read_the_datum(self, capsys, tmp_path):
+        # it compares |Z_n|^2 / |Z_0|^2: a datum whose square underflows no
+        # longer turns every path into 0 and the z-score into 0.000
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"x0": 1e-200}))
+        expected = run_cli(capsys, "verify", "--suite", "closedform")
+        assert "z = 0.908 " in expected[1]
+        assert run_cli(capsys, "verify", "--suite", "closedform", "--config", str(cfg)) == expected
+
     @pytest.mark.parametrize("point, seed", list(_ALL_SUITES_Z))
     def test_all_suites_pinned(self, capsys, point, seed):
         # the bytes of every suite, from before the suites drew and reduced

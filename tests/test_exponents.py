@@ -194,9 +194,17 @@ class TestAlmostSureQuadrature:
         with pytest.raises(ValueError):
             as_exponent_quadrature(P_REF, 0.5)
 
-    def test_node_cap_skips_guard(self):
-        est = as_exponent_quadrature(P_STABLE, 1e-3, nodes=1024)
-        assert est.value == pytest.approx(-1.7955495083582518, abs=1e-9)
+    @pytest.mark.parametrize("nodes", [513, 600, 1000, 1024])
+    def test_node_cap_checks_against_half(self, nodes):
+        # twice these counts passes MAX_NODES, so half of them is the check;
+        # at 1024 the unchecked value, 2.182371611308779, was off by 6.4e-6
+        # relative from mpmath's 2.18235754762518176
+        p = ModelParams(lam=17.7, epsilon=0.0, sigma=6.0)
+        with pytest.raises(ValueError, match=f"^quadrature non-convergence: halving {nodes} "):
+            as_exponent_quadrature(p, 0.8, nodes=nodes)
+        # where the halved rule agrees, the full one answers
+        value = as_exponent_quadrature(p, 0.05, nodes=nodes).value
+        assert value == pytest.approx(as_exponent_quadrature(p, 0.05, nodes=256).value, rel=1e-10)
 
 
 def _factor(lam, eps, sigma, dt, theta=None):

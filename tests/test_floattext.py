@@ -1,8 +1,9 @@
 """The table formatter writes the bytes of Python's own float text.
 
-Each case joins a table's slices from _floattext.slice_text and compares the
-text with the loops they replace: repr per value joined into CSV lines, and
-json.dumps of the rows.
+Each case joins a table's slices from _floattext.slice_bytes, with each of
+simulate's separator sets (cli._SIMULATE_SEPARATORS), and compares the text
+with repr of each value followed by its separator; a finite table's JSON is
+also compared with json.dumps of its rows.
 """
 
 import json
@@ -18,30 +19,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from milstab import _floattext
-from milstab._floattext import slice_text
+from milstab import cli
+from milstab._floattext import slice_bytes
+
+SEPARATORS = cli._SIMULATE_SEPARATORS
+TASK = cli.TASK_VALUES
 
 
-def table_text(block, as_json=False):
-    starts = range(0, block.size, _floattext.SLICE)
-    return "".join(slice_text(block, start, as_json) for start in starts)
+def table_text(block, fmt, size=TASK):
+    starts = range(0, block.size, size)
+    text = b"".join(slice_bytes(block, start, size, SEPARATORS[fmt]) for start in starts)
+    return text.decode("ascii")
 
 
-def csv_reference(block):
-    return "".join(",".join(map(str, row)) + "\n" for row in block.tolist())
+def reference(block, fmt):
+    """repr of each value, each followed by its separator."""
+    within, row_end, table_end = SEPARATORS[fmt]
+    return row_end.join(within.join(map(repr, row)) for row in block.tolist()) + table_end
 
 
-def json_reference(block):
-    return json.dumps(block.tolist())[1:-1]
-
-
-def assert_same_text(block):
+def assert_same_text(block, size=TASK):
     block = np.asarray(block, dtype=np.float64)
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        csv, js = table_text(block), table_text(block, as_json=True)
-    assert csv == csv_reference(block)
-    assert js == json_reference(block)
+        texts = {fmt: table_text(block, fmt, size) for fmt in SEPARATORS}
+    for fmt, text in texts.items():
+        assert text == reference(block, fmt)
+    if np.isfinite(block).all():  # after simulate's head '[[', the rows close the document
+        assert "[[" + texts["json"] == json.dumps(block.tolist()) + "}\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,31 +112,30 @@ def test_block_shapes(shape):
     assert_same_text(rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 17, size=shape))
 
 
-def test_slice_edges_inside_rows(monkeypatch):
+def test_slice_edges_inside_rows():
     rng = np.random.default_rng(4)
-    # 1200 rows of 7: the first slice ends inside row 1170
-    block = rng.standard_normal((1200, 7)) * 50
-    assert block.size > _floattext.SLICE and _floattext.SLICE % 7
+    # 2400 rows of 7: the first task ends inside row 2340
+    block = rng.standard_normal((2400, 7)) * 50
+    assert block.size > TASK and TASK % 7
     assert_same_text(block)
-    monkeypatch.setattr(_floattext, "SLICE", 5)
-    assert_same_text(block[:40])
+    assert_same_text(block[:40], size=5)
 
 
-@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
-def test_a_slice_allocates_only_its_text(as_json):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_slice_allocates_only_its_text(fmt):
     # a portable stand-in for page faults: the slice's arrays live in this
     # thread's workspace, so a call allocates little beyond the text it returns
     rng = np.random.default_rng(5)
-    block = rng.standard_normal((2 * _floattext.SLICE // 7 + 1, 7)) * 30
-    slice_text(block, 0, as_json)  # builds the tables and the workspace
+    block = rng.standard_normal((2 * TASK // 7 + 1, 7)) * 30
+    slice_bytes(block, 0, TASK, SEPARATORS[fmt])  # builds the tables and the workspace
     tracemalloc.start()
     try:
-        text = slice_text(block, _floattext.SLICE, as_json)
+        text = slice_bytes(block, TASK, TASK, SEPARATORS[fmt])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("\n" if not as_json else "]") >= _floattext.SLICE // 7
-    assert peak <= 3 * len(text) + 64 * 1024
+    assert text.tobytes().count(SEPARATORS[fmt][1].encode()) >= TASK // 7
+    assert peak <= 3 * text.nbytes + 64 * 1024
 
 
 def test_threads_format_side_by_side():
@@ -140,16 +144,16 @@ def test_threads_format_side_by_side():
     rng = np.random.default_rng(6)
     tables = [
         rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 17, size=shape)
-        for shape in ((900, 9), (2000, 5), (40, 3))
+        for shape in ((900, 9), (4000, 5), (40, 3))
     ]
-    cases = [(i, as_json) for i in range(len(tables)) for as_json in (False, True)]
+    cases = [(i, fmt) for i in range(len(tables)) for fmt in SEPARATORS]
     expected = {case: table_text(tables[case[0]], case[1]) for case in cases}
 
     def work(seed):
         order = random.Random(seed)
         for _ in range(15):
-            for i, as_json in order.sample(cases, len(cases)):
-                assert table_text(tables[i], as_json) == expected[i, as_json]
+            for i, fmt in order.sample(cases, len(cases)):
+                assert table_text(tables[i], fmt) == expected[i, fmt]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

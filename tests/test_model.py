@@ -57,6 +57,21 @@ def test_initial_datum():
         InitialDatum(math.nan, 1.0)
 
 
+@pytest.mark.parametrize(
+    "x0, y0, expected",
+    [
+        (1.0, 0.0, 0.0),
+        (3.0, 4.0, 0.5 * math.log(25.0)),  # the bits of 0.5*log(x0^2 + y0^2)
+        (1e-200, 0.0, math.log(1e-200)),  # x0^2 underflows to 0
+        (3e-160, 4e-160, math.log(5e-160)),  # ... to a subnormal
+        (1e200, 1e200, math.log(math.hypot(1e200, 1e200))),  # overflows
+        (-1.7976931348623157e308, 1.0, math.log(1.7976931348623157e308)),
+    ],
+)
+def test_log_modulus(x0, y0, expected):
+    assert InitialDatum(x0, y0).log_modulus() == expected
+
+
 class TestClassify:
     def test_reference_classes(self):
         p = ModelParams(lam=8.0, epsilon=2.0, sigma=4.0)
@@ -95,6 +110,29 @@ class TestBoundary:
     def test_symmetric_pair(self):
         minus, plus = as_boundary_epsilon(0.0, 3.0)
         assert minus == -3.0 and plus == 3.0
+
+    @pytest.mark.parametrize(
+        "lam, sigma",
+        [(-1e308, 0.0), (-1e308, 1.0), (0.0, 1e200), (1e308, 1e200), (-1e300, 1e160),
+         (-1.7976931348623157e308, 1.7976931348623157e308), (1e308, 1e150)],
+    )
+    def test_overflowing_discriminant(self, lam, sigma):
+        # sigma^2 or 2*lam overflows, the root does not: it is the correctly
+        # rounded sqrt(sigma^2 - 2*lam), or no root where that is negative
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            disc = mp.mpf(sigma) ** 2 - 2 * mp.mpf(lam)
+            root = float(mp.sqrt(disc)) if disc > 0 else None
+        assert as_boundary_epsilon(lam, sigma) == (() if root is None else (-root, root))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1e154))
+    def test_finite_discriminant_keeps_its_bits(self, lam, sigma):
+        disc = sigma * sigma - 2.0 * lam
+        if math.isfinite(disc):
+            root = math.sqrt(disc) if disc > 0.0 else None
+            expected = (-root, root) if root else () if disc < 0.0 else (0.0,)
+            assert as_boundary_epsilon(lam, sigma) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-20.0, max_value=20.0), st.floats(min_value=0.0, max_value=10.0))

@@ -5,7 +5,9 @@ milstab.exponents (_moments_in_place, _merge, _std_error), so no module
 reduces with numpy's std or var. The theta scheme's refusals are raised by
 milstab.scheme alone (_check_theta_scheme and _theta_factor), so each text
 occurs once. The CLI's result tables are laid out by cli._table alone; only
-simulate's streamed JSON head builds its own {"params": ...} object.
+simulate's streamed JSON head builds its own {"params": ...} object, and
+simulate's separators and brackets are cli's: milstab._floattext only
+writes numbers.
 """
 
 import ast
@@ -60,3 +62,26 @@ def test_result_table_layout_has_one_owner():
         and any(isinstance(key, ast.Constant) and key.value == "params" for key in node.keys)
     ]
     assert sorted(owners) == ["_cmd_simulate", "_table"]
+
+
+def test_floattext_names_no_separator():
+    tree = ast.parse((PACKAGE / "_floattext.py").read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef)) and ast.get_docstring(node)
+    }
+    texts = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    ]
+    assert [text for text in texts if set(text) & set("[],\n")] == []
+    imports = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "json" not in imports

@@ -51,6 +51,7 @@ MATRIX = [
     f"{_SIM} --epsilon 0 --theta 0",
     f"{_SIM} --lambda 20 --epsilon 0 --theta 1 --dt 0.1",
     f"{_SIM} --out no/such/dir.csv",
+    *(f"{_SIM} --sigma 1e200 --format {fmt} --out t.txt" for fmt in ("csv", "json")),
     # exponent
     *(
         f"exponent {method} {flags} --format {fmt}"
@@ -67,6 +68,7 @@ MATRIX = [
     "exponent theta-ms --epsilon 0.5 --theta 0.5 --format csv",
     "exponent ms-exact --dt 2 --format csv",
     "exponent ms-exact --config no-such-config.json",
+    "exponent as-quad --lambda 17.7 --epsilon 0 --sigma 6 --dt 0.8 --nodes 1024",
     # sweep-dt
     *(
         f"sweep-dt {method} {flags} {_SWEEP} --format {fmt}"
@@ -89,6 +91,7 @@ MATRIX = [
     "region --format json --out r.json",
     "region --out r.csv",
     "region --sigma-range 1:0:1",
+    *(f"region --lambda -1e308 --sigma-range 0:1:1 --format {fmt}" for fmt in ("csv", "json")),
     # verify
     "verify --suite lemmas",
     "verify --suite closedform --out v.json",
