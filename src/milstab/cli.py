@@ -172,7 +172,8 @@ def _resolve(ns: argparse.Namespace) -> dict:
     verify.suites_named(values["suite"])
     if not 0 <= values["seed"] < _U64:
         raise ValueError(f"--seed must be a 64-bit unsigned integer, got {values['seed']}")
-    values["threads"] = 1 if ns.threads is None else ns.threads
+    # region and verify run on one thread and take no --threads
+    values["threads"] = 1 if getattr(ns, "threads", None) is None else ns.threads
     if values["threads"] < 1:
         raise ValueError(f"threads must be at least 1, got {values['threads']}")
     return values
@@ -488,16 +489,16 @@ _COMMANDS = {
     ),
     "sweep-dt": (
         _cmd_sweep_dt, "estimates across step sizes with a fit", "csv",
-        "method lam epsilon sigma dt seed config out threads steps paths theta nodes samples "
-        "dts format",
+        "method lam epsilon sigma seed config out threads steps paths theta nodes samples dts "
+        "format",
     ),
     "region": (
         _cmd_region, "almost-sure stability boundary over sigma", "csv",
-        "lam sigma_range config out threads format",
+        "lam sigma_range config out format",
     ),
     "verify": (
         _cmd_verify, "run self-check suites", "csv",
-        "suite lam epsilon sigma dt seed config out threads nodes samples",
+        "suite lam epsilon sigma dt seed config out nodes samples",
     ),
 }
 
@@ -527,7 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (handler, summary, default_format, arguments) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=summary)
+        # no prefix matching, so that a dropped flag such as sweep-dt's --dt
+        # is refused instead of read as --dts
+        sub = commands.add_parser(name, help=summary, allow_abbrev=False)
         sub.set_defaults(func=handler, default_format=default_format)
         for key in arguments.split():
             flag, cast, default, text = _PARAMS.get(key) or _RUN_ARGS[key]

@@ -11,7 +11,8 @@ scheme is
     base = 1 + (2*lam + epsilon^2 + sigma^2)*dt + mu*dt^2,
 
 so the exponent of [E|Z_n|^2]^(1/2) is log(base)/(2*dt) exactly, for every n.
-Almost-sure exponents are expectations (1/dt)*E log|F| evaluated either
+Almost-sure exponents are expectations (1/dt)*E log|F|, estimated wherever
+F > 0 for every increment (_StepFactor.check_domain), and evaluated either
 deterministically or by Monte Carlo over i.i.d. increments, with a per-path
 slope estimator retained for trajectory plots. The deterministic route sums
 an asymptotic series in the roots of F where that series is exact to
@@ -336,7 +337,7 @@ def as_exponent_quadrature(
     At small noise the root series of _root_series gives the value; elsewhere
     substituting zeta = dB/sqrt(dt) turns the expectation into a standard
     normal integral evaluated by Gauss-Hermite quadrature on `nodes` nodes.
-    Requires gamma_dt > 3/4, the plain factor's almost-sure domain.
+    Requires gamma_dt > 1/2, where F stays positive (_StepFactor.check_domain).
     """
     return _quad(_plain_factor(p, dt), nodes, Method.AS_QUADRATURE)
 
@@ -392,7 +393,7 @@ def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int
     The block's normals are drawn at once, then turned into F by
     _StepFactor.of_normals and logged in _MC_CHUNK slices, each slice
     staying in cache through its passes. The caller's check_domain keeps F
-    above 1/4, so the log needs none of _accumulate's abs and zero-clamp
+    positive, so the log needs none of _accumulate's abs and zero-clamp
     passes.
     """
     logs = RngStream(root_seed=seed, stream_id=block_id).normals(count)
@@ -499,8 +500,8 @@ def theta_as_exponent_quadrature(
     (1/dt) * E log(eta + (sigma*dB + (sigma^2/2)*dB^2)/(1 - lam*theta*dt)),
     by the root series or by quadrature as in as_exponent_quadrature.
     Requires eta > 1/(2*(1 - lam*theta*dt)), which keeps F positive. With
-    theta = 0 the evaluation coincides bit for bit with
-    as_exponent_quadrature at epsilon = 0.
+    theta = 0 it answers or refuses bit for bit as as_exponent_quadrature
+    does at epsilon = 0: the two factors and their domain are the same.
     """
     return _quad(_theta_factor(p, theta, dt), nodes, Method.THETA_AS_QUADRATURE)
 

@@ -22,7 +22,7 @@ from enum import Enum
 
 from . import _np as np
 from .model import ModelParams
-from .scheme import _plain_factor
+from .scheme import gamma_dt
 
 # perfbench/spans.py patches this name on this module; it goes with its tracer.
 from .stochastics import gauss_hermite_rule  # noqa: F401
@@ -224,8 +224,12 @@ def _power_integral(b1: float, b2: float, j: int, moments) -> float:
 def xi_expectation(p: ModelParams, dt: float) -> float:
     """E[xi_gamma(N)], N = sigma*dB + (sigma^2/2)*dB^2 the composite increment, in closed form.
 
-    Requires gamma_dt > 3/4, which keeps N inside xi's domain (N >= -1/2 >
-    -2*gamma/3). With zeta = dB/sqrt(dt) and s = |sigma|*sqrt(dt) (E xi is
+    Requires gamma_dt > 3/4, the sandwich lemma's own condition, which is
+    stated here alone: N >= -1/2 for every increment, and xi's domain is
+    x > -2*gamma/3 (LogBoundDomain), so N stays inside it exactly when
+    gamma_dt > 3/4. The almost-sure estimators need only F > 0
+    (_StepFactor.check_domain). With zeta = dB/sqrt(dt) and
+    s = |sigma|*sqrt(dt) (E xi is
     even in sigma), N = s*zeta + (s^2/2)*zeta^2 is negative exactly between
     its roots zeta = -2/s and 0, so
 
@@ -238,9 +242,10 @@ def xi_expectation(p: ModelParams, dt: float) -> float:
     truncated ones of _truncated_moments. The result is <= 0 (both branches
     of xi are) and equals -(18/sqrt(2*pi)) * s^3/gamma^3 * (1 + O(s)).
     """
-    factor = _plain_factor(p, dt)
-    factor.check_domain()
-    gamma = factor.c0
+    gamma = gamma_dt(p, dt)
+    if not (gamma > 0.0 and LogBoundDomain(gamma, BoundKind.LOWER).lower_edge() < -0.5):
+        raise ValueError(f"gamma_dt = {gamma!r} must exceed 3/4 for the xi bound: its domain "
+                         "x > -2*gamma_dt/3 must hold the composite increment's minimum -1/2")
     s = abs(p.sigma) * math.sqrt(dt)
     if s == 0.0:
         return 0.0

@@ -25,8 +25,9 @@ and denom = 1 - lam*theta*dt, with
 
     eta_dt = (1 + (lam*(1-theta) - sigma^2/2)*dt) / (1 - lam*theta*dt).
 
-_StepFactor holds this factor, and the almost-sure domain of its scheme,
-once for path simulation and for every exponent estimator. One function,
+_StepFactor holds this factor once for path simulation and for every
+exponent estimator, and states the one almost-sure domain of both schemes:
+F > 0 for every increment, which keeps log F real. One function,
 simulate_path, generates trajectories of both schemes: SchemeConfig.theta
 names the scheme, and the theta factor alone checks theta. Trajectories are
 accumulated as sums of log|factor|; the raw product would overflow within a
@@ -111,9 +112,8 @@ class _StepFactor:
     c0m1 is c0 - 1 formed from the parameters rather than by subtracting 1
     from c0, so log1p(c0m1) keeps the digits that rounding c0 drops.
     mean_rate is r in E F = 1 + r*dt. The noise part is at least
-    -1/(2*denom) for every increment, so F >= lower = c0 - 1/(2*denom). The
-    almost-sure estimators need lower > floor and raise refusal, formatted
-    with c0 and lower, otherwise; a factor that states no floor has no domain.
+    -1/(2*denom) for every increment, so F >= c0 - 1/(2*denom), and
+    check_domain states the almost-sure domain of both schemes.
 
     Outside this module every evaluation of F goes through one of two methods.
     of_normals (paths, Monte Carlo blocks, the sampling verify suites) works
@@ -130,8 +130,6 @@ class _StepFactor:
     sigma: float
     denom: float
     dt: float
-    floor: float = math.inf
-    refusal: str = "this factor has no almost-sure domain"
 
     def at(self, dB, out=None):
         """F at the increment(s) dB, written into the array out if given.
@@ -195,10 +193,16 @@ class _StepFactor:
         return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
     def check_domain(self) -> None:
-        """Raise refusal unless F stays above floor for every increment."""
+        """Refuse F unless c0 - 1/(2*denom) > 0, so that F > 0 for every increment.
+
+        The almost-sure domain of both schemes, where log F is real: for the
+        plain factor gamma_dt > 1/2. The sandwich lemma's gamma_dt > 3/4 is
+        lemmas.xi_expectation's own condition, not the estimators'.
+        """
         lower = self.c0 - 0.5 / self.denom
-        if not lower > self.floor:
-            raise ValueError(self.refusal.format(c0=self.c0, lower=lower))
+        if not lower > 0.0:
+            raise ValueError(f"the step factor's lower bound c0 - 1/(2*denom) = {lower!r} must "
+                             "be positive for the almost-sure exponent estimators")
 
 
 def gamma_dt(p: ModelParams, dt: float) -> float:
@@ -231,7 +235,7 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
 
 
 def _plain_factor(p: ModelParams, dt: float) -> _StepFactor:
-    """The Milstein factor; its almost-sure domain gamma_dt > 3/4 keeps F > 1/4."""
+    """The Milstein factor: c0 = gamma_dt, denom = 1."""
     _check_dt(dt)
     c0m1 = (p.lam + 0.5 * p.epsilon * p.epsilon - 0.5 * p.sigma * p.sigma) * dt
     return _StepFactor(
@@ -241,8 +245,6 @@ def _plain_factor(p: ModelParams, dt: float) -> _StepFactor:
         sigma=p.sigma,
         denom=1.0,
         dt=dt,
-        floor=0.25,
-        refusal="gamma_dt = {c0!r} must exceed 3/4 for the almost-sure exponent estimators",
     )
 
 
@@ -261,7 +263,7 @@ def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
     """The scalar theta-Milstein factor; with theta = 0 its F is the plain one.
 
     It checks epsilon and theta (_check_theta_scheme), then dt, then the pole
-    1 - lam*theta*dt > 0. Its almost-sure domain only keeps F positive.
+    1 - lam*theta*dt > 0.
     """
     _check_theta_scheme(p, theta)
     _check_dt(dt)
@@ -271,9 +273,7 @@ def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
     return _StepFactor(
         c0=(1.0 + (p.lam * (1.0 - theta) - 0.5 * p.sigma * p.sigma) * dt) / denom,
         c0m1=(p.lam - 0.5 * p.sigma * p.sigma) * dt / denom, mean_rate=p.lam / denom,
-        sigma=p.sigma, denom=denom, dt=dt, floor=0.0,
-        refusal="eta - 1/(2*(1 - lam*theta*dt)) = {lower!r} must be positive to keep the log "
-        "argument away from the singularity",
+        sigma=p.sigma, denom=denom, dt=dt,
     )
 
 
@@ -287,7 +287,7 @@ def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
 
     The noise part equals ((sigma*dB + 1)^2 - 1) / 2 >= -1/2, so the factor is
     bounded below by gamma_dt - 1/2 for every increment. In particular it is
-    strictly positive whenever gamma_dt > 3/4.
+    strictly positive whenever gamma_dt > 1/2.
     """
     return _plain_factor(p, dt).at(dB)
 

@@ -165,15 +165,15 @@ def _suite_closedform(*, p: ModelParams, dt: float, seed: int, **_) -> list[dict
         rtol = _ULPS_PER_FACTOR * n_steps * sys.float_info.epsilon
         passed = abs(value - ref) <= rtol * abs(ref)
         detail = (
-            f"sigma = 0: E(Z_n^2) at n = {n_steps} is {value!r} on every path, against "
-            f"base^n = {ref!r} within relative {rtol:.3g}"
+            f"sigma = 0: E|Z_n|^2/|Z_0|^2 at n = {n_steps} is {value!r} on every path, "
+            f"against base^n = {ref!r} within relative {rtol:.3g}"
         )
     else:
         z = _z_score(_moments_in_place(squared), ref)
         passed = z <= 3.0
         detail = (
-            f"E(Z_n^2) at n = {n_steps} within 3 standard errors of base^n, z = {z:.3f} "
-            f"over {n_paths} paths"
+            f"E|Z_n|^2/|Z_0|^2 at n = {n_steps} within 3 standard errors of base^n, "
+            f"z = {z:.3f} over {n_paths} paths"
         )
     return [_check("closedform.second_moment", passed, detail)]
 

@@ -51,12 +51,18 @@ def parse_csv(text):
     return comments, header, rows
 
 
-#: The refusals of the almost-sure estimators at the two points the tests use.
-PLAIN_REFUSAL = "gamma_dt = 0.6995 must exceed 3/4 for the almost-sure exponent estimators"
-THETA_REFUSAL = (
-    "eta - 1/(2*(1 - lam*theta*dt)) = -0.30000000000000004 must be positive to keep the log "
-    "argument away from the singularity"
-)
+def domain_refusal(lower):
+    """The one refusal of the almost-sure estimators, at F's lower bound `lower`."""
+    return (
+        f"the step factor's lower bound c0 - 1/(2*denom) = {lower} must be positive for the "
+        "almost-sure exponent estimators"
+    )
+
+
+#: The refusals at the two points outside the domain that the tests use:
+#: gamma_dt = 0.3995 (lambda -600, sigma 1, dt 1e-3) and eta = 0.2.
+PLAIN_REFUSAL = domain_refusal(-0.10050000000000003)
+THETA_REFUSAL = domain_refusal(-0.30000000000000004)
 
 
 class TestExponentCommand:
@@ -113,8 +119,8 @@ class TestExponentCommand:
     @pytest.mark.parametrize(
         "args, refusal",
         [
-            (("as-quad", "--lambda", "-300", "--sigma", "1"), PLAIN_REFUSAL),
-            (("as-mc", "--lambda", "-300", "--sigma", "1"), PLAIN_REFUSAL),
+            (("as-quad", "--lambda", "-600", "--sigma", "1"), PLAIN_REFUSAL),
+            (("as-mc", "--lambda", "-600", "--sigma", "1"), PLAIN_REFUSAL),
             (("theta-as", "--lambda", "-80", "--sigma", "0", "--theta", "0", "--dt", "0.01"),
              THETA_REFUSAL),
         ],
@@ -125,6 +131,18 @@ class TestExponentCommand:
         assert code == 2
         assert err == ""
         assert out == json.dumps({"error": refusal}) + "\n"
+
+    def test_plain_and_theta_zero_answer_alike(self, capsys):
+        # gamma_dt = 0.6995 lies between the domain's 1/2 and the sandwich
+        # lemma's 3/4, which the plain estimators used to refuse
+        point = ("--lambda", "-300", "--sigma", "1", "--epsilon", "0")
+        code, out, _ = run_cli(capsys, "exponent", "as-quad", *point)
+        assert code == 0
+        plain = json.loads(out)
+        assert plain["value"] == -357.6960707479397
+        code, out, _ = run_cli(capsys, "exponent", "theta-as", "--theta", "0", *point)
+        assert code == 0
+        assert json.loads(out) == dict(plain, method="theta-as")
 
     @pytest.mark.parametrize(
         "args, value",
@@ -199,7 +217,7 @@ class TestExponentCommand:
     def test_precondition_error_follows_out(self, capsys, tmp_path):
         target = tmp_path / "x.json"
         code, out, err = run_cli(
-            capsys, "exponent", "as-quad", "--lambda", "-300", "--sigma", "1", "--epsilon", "0",
+            capsys, "exponent", "as-quad", "--lambda", "-600", "--sigma", "1", "--epsilon", "0",
             "--out", str(target),
         )
         assert code == 2
@@ -673,13 +691,13 @@ class TestSweepCommand:
 
     def test_error_row_carries_refusal(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sweep-dt", "as-quad", "--lambda", "-300", "--sigma", "1", "--epsilon", "0",
+            capsys, "sweep-dt", "as-quad", "--lambda", "-600", "--sigma", "1", "--epsilon", "0",
             "--dts", "1e-3,1e-4,1e-5,1e-6", "--format", "json",
         )
         assert code == 0
         rows = json.loads(out)["rows"]
         assert rows[0] == {
-            "dt": 1e-3, "continuum_value": -300.5, "discrete_value": None, "abs_error": None,
+            "dt": 1e-3, "continuum_value": -600.5, "discrete_value": None, "abs_error": None,
             "error": PLAIN_REFUSAL,
         }
         assert all("error" not in row for row in rows[1:])
@@ -883,8 +901,8 @@ class TestVerifyCommand:
             + "moments.composite_vs_mc: PASS - mean and second moment within 4 standard "
             f"errors, z = {z_mean} and {z_second} over 1000000 samples\n"
             + _HERMITE_LINES
-            + "closedform.second_moment: PASS - E(Z_n^2) at n = 10 within 3 standard errors "
-            f"of base^n, z = {z_closed} over 100000 paths\n"
+            + "closedform.second_moment: PASS - E|Z_n|^2/|Z_0|^2 at n = 10 within 3 standard "
+            f"errors of base^n, z = {z_closed} over 100000 paths\n"
         )
         p = ModelParams(float(lam), float(eps), float(sigma))
         records = verify.run("all", p, DEFAULTS["dt"], **dict(_VERIFY_INPUTS, seed=int(seed)))
@@ -958,14 +976,14 @@ class TestVerifyCommand:
         [
             (
                 ("--suite", "closedform", "--sigma", "0"),
-                "closedform.second_moment: PASS - sigma = 0: E(Z_n^2) at n = 10 is "
+                "closedform.second_moment: PASS - sigma = 0: E|Z_n|^2/|Z_0|^2 at n = 10 is "
                 "1.2201900399479673 on every path, against base^n = 1.2201900399479668 within "
                 "relative 1.78e-14\n",
             ),
             (
                 ("--suite", "closedform", "--lambda", "-0.5", "--epsilon", "0", "--sigma", "0",
                  "--dt", "0.9"),
-                "closedform.second_moment: PASS - sigma = 0: E(Z_n^2) at n = 10 is "
+                "closedform.second_moment: PASS - sigma = 0: E|Z_n|^2/|Z_0|^2 at n = 10 is "
                 "6.4158439152961835e-06 on every path, against base^n = 6.415843915296172e-06 "
                 "within relative 1.78e-14\n",
             ),
@@ -981,6 +999,25 @@ class TestVerifyCommand:
         # case read z = 0 and the second z = 1897.357, a false FAIL. The noise
         # is exactly 0 at sigma = 0, so its z is 0 by exact equality.
         assert run_cli(capsys, "verify", *args) == (0, line, "")
+
+    def test_closedform_labels_the_ratio(self, capsys, tmp_path):
+        # |Z_0| = 5: the line gives E|Z_n|^2/|Z_0|^2, not E|Z_n|^2 (25 times it)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"x0": 3, "y0": 4}))
+        args = ("verify", "--suite", "closedform", "--sigma", "0")
+        got = run_cli(capsys, *args, "--config", str(cfg))
+        assert got == run_cli(capsys, *args)
+        assert got[1].startswith(
+            "closedform.second_moment: PASS - sigma = 0: E|Z_n|^2/|Z_0|^2 at n = 10 is "
+            "1.2201900399479673 on every path"
+        )
+
+    def test_readme_call(self):
+        # the keywords of the README's verify.run example, on the lemmas suite
+        p = ModelParams(lam=6.0, epsilon=0.5, sigma=4.0)
+        records = verify.run("lemmas", p, 1e-3, seed=42, nodes=201, n_samples=10**6)
+        assert [r["name"] for r in records] == [name for name, _ in _LEMMAS_CHECKS]
+        assert all(r["passed"] for r in records)
 
     @pytest.mark.parametrize(
         "suite, failing", [("moments", "moments.composite_vs_mc"),
@@ -1215,6 +1252,9 @@ _ESTIMATOR_FLAGS = [
     ("--samples", "samples", "int", None),
 ]
 _FORMAT_FLAG = ("--format", "format", "str", ["csv", "json"])
+#: sweep-dt reads --dts, not --dt; region and verify run on one thread.
+_MODEL_FLAGS_NO_DT = [flag for flag in _MODEL_FLAGS if flag[0] != "--dt"]
+_RUN_FLAGS_NO_THREADS = _RUN_FLAGS[:2]
 
 #: Each subcommand's arguments in usage order, and its --format help.
 _FLAG_SURFACE = {
@@ -1228,7 +1268,7 @@ _FLAG_SURFACE = {
     ),
     "sweep-dt": (
         [
-            _METHOD_ARG, *_MODEL_FLAGS, *_RUN_FLAGS, *_ESTIMATOR_FLAGS,
+            _METHOD_ARG, *_MODEL_FLAGS_NO_DT, *_RUN_FLAGS, *_ESTIMATOR_FLAGS,
             ("--dts", "dts", "str", None), _FORMAT_FLAG,
         ],
         "output format (default csv)",
@@ -1236,14 +1276,14 @@ _FLAG_SURFACE = {
     "region": (
         [
             ("--lambda", "lam", "float", None), ("--sigma-range", "sigma_range", "str", None),
-            *_RUN_FLAGS, _FORMAT_FLAG,
+            *_RUN_FLAGS_NO_THREADS, _FORMAT_FLAG,
         ],
         "output format (default csv)",
     ),
     "verify": (
         [
             ("--suite", "suite", "str", ["lemmas", "moments", "closedform", "all"]),
-            *_MODEL_FLAGS, *_RUN_FLAGS, *_ESTIMATOR_FLAGS[3:],
+            *_MODEL_FLAGS, *_RUN_FLAGS_NO_THREADS, *_ESTIMATOR_FLAGS[3:],
         ],
         None,
     ),
@@ -1265,12 +1305,30 @@ def test_flag_surface(name):
     if takes_method:
         assert helps["method"] == "estimator (default as-quad)"
 
+
+@pytest.mark.parametrize(
+    "args",
+    [("sweep-dt", "as-quad", "--dt", "0.1"), ("region", "--threads", "2"),
+     ("verify", "--threads", "2")],
+    ids=["sweep-dt --dt", "region --threads", "verify --threads"],
+)
+def test_unread_flags_are_unrecognized(capsys, args):
+    # flags that configured nothing are gone; --dt is not read as --dts either
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"milstab: error: unrecognized arguments: {' '.join(args[-2:])}\n")
+
+
 # Parameters under which every method runs; the as-slope and as-mc counts are
 # small so the pins stay cheap.
-_LAYOUT_FLAGS = (
-    "--lambda", "-3", "--epsilon", "0", "--sigma", "1", "--dt", "1e-3", "--theta", "0.5",
+_SWEEP_LAYOUT_FLAGS = (
+    "--lambda", "-3", "--epsilon", "0", "--sigma", "1", "--theta", "0.5",
     "--nodes", "51", "--samples", "1000", "--seed", "7", "--paths", "3", "--steps", "20",
 )
+#: exponent's flags add --dt, which sweep-dt does not take
+_LAYOUT_FLAGS = (*_SWEEP_LAYOUT_FLAGS, "--dt", "1e-3")
 _LAYOUT_P = ModelParams(lam=-3.0, epsilon=0.0, sigma=1.0)
 
 #: The provenance keys each method records, beyond method, lambda, epsilon and
@@ -1306,7 +1364,7 @@ class TestOutputLayout:
     @pytest.mark.parametrize("slug", list(_LAYOUT_EXTRA))
     def test_sweep_json_key_order(self, capsys, slug):
         code, out, _ = run_cli(
-            capsys, "sweep-dt", slug, "--format", "json", *_LAYOUT_FLAGS,
+            capsys, "sweep-dt", slug, "--format", "json", *_SWEEP_LAYOUT_FLAGS,
             "--dts", "1.5,1e-2,1e-3,1e-4",
         )
         assert code == 0
@@ -1329,7 +1387,7 @@ class TestOutputLayout:
     @pytest.mark.parametrize("slug", list(_LAYOUT_EXTRA))
     def test_sweep_csv_error_row(self, capsys, slug):
         code, out, _ = run_cli(
-            capsys, "sweep-dt", slug, "--format", "csv", *_LAYOUT_FLAGS,
+            capsys, "sweep-dt", slug, "--format", "csv", *_SWEEP_LAYOUT_FLAGS,
             "--dts", "1.5,1e-2,1e-3,1e-4",
         )
         assert code == 0

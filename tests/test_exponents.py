@@ -138,24 +138,95 @@ class TestRemainder:
         RemainderReport(value=2.0, bound=1.0, terms_used=200, converged=False)
 
 
-class TestAlmostSureFloor:
-    """gamma_dt > 3/4 is strict: at dt = 0.5, lam = -1/2 puts gamma_dt exactly on 3/4."""
+def _at_gamma(gamma):
+    """A sigma = 0 point whose gamma_dt at dt = 0.5 is exactly gamma."""
+    p = ModelParams(lam=(gamma - 1.0) / 0.5, epsilon=0.0, sigma=0.0)
+    assert gamma_dt(p, 0.5) == gamma
+    return p
+
+
+class TestAlmostSureDomain:
+    """One domain, F > 0, for every almost-sure estimator: gamma_dt > 1/2 for the plain factor.
+
+    The sandwich lemma's gamma_dt > 3/4 is xi_expectation's alone.
+    """
+
+    REFUSAL = (
+        "the step factor's lower bound c0 - 1/(2*denom) = 0.0 must be positive for the "
+        "almost-sure exponent estimators"
+    )
 
     def test_boundary_refused(self):
-        p = ModelParams(lam=-0.5, epsilon=0.0, sigma=0.0)
-        refusal = "gamma_dt = 0.75 must exceed 3/4 for the almost-sure exponent estimators"
-        for refused in (as_exponent_quadrature, xi_expectation):
+        p = _at_gamma(0.5)
+        estimators = [
+            lambda: as_exponent_quadrature(p, 0.5),
+            lambda: as_exponent_mc(p, 0.5, n_samples=1000, seed=0),
+            lambda: theta_as_exponent_quadrature(p, 0.0, 0.5),
+        ]
+        for refused in estimators:
             with pytest.raises(ValueError) as exc:
-                refused(p, 0.5)
-            assert str(exc.value) == refusal
+                refused()
+            assert str(exc.value) == self.REFUSAL
 
     def test_one_ulp_above_accepted(self):
-        gamma = math.nextafter(0.75, 1.0)
-        p = ModelParams(lam=(gamma - 1.0) / 0.5, epsilon=0.0, sigma=0.0)
-        assert gamma_dt(p, 0.5) == gamma
+        gamma = math.nextafter(0.5, 1.0)
+        p = _at_gamma(gamma)
         value = as_exponent_quadrature(p, 0.5).value
-        assert value == pytest.approx(math.log(gamma) / 0.5, rel=1e-12)
-        assert xi_expectation(p, 0.5) == 0.0
+        assert value == math.log(gamma) / 0.5
+        assert theta_as_exponent_quadrature(p, 0.0, 0.5).value == value
+        assert as_exponent_mc(p, 0.5, n_samples=1000, seed=0).value == value
+
+    def test_xi_keeps_the_lemma_condition(self):
+        refusal = (
+            "gamma_dt = 0.75 must exceed 3/4 for the xi bound: its domain x > -2*gamma_dt/3 "
+            "must hold the composite increment's minimum -1/2"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            xi_expectation(_at_gamma(0.75), 0.5)
+        assert xi_expectation(_at_gamma(math.nextafter(0.75, 1.0)), 0.5) == 0.0
+        # inside the estimators' domain but below the lemma's
+        as_exponent_quadrature(_at_gamma(0.75), 0.5)
+        with pytest.raises(ValueError, match="must exceed 3/4 for the xi bound"):
+            xi_expectation(_at_gamma(0.6), 0.5)
+
+    # (lam, sigma, dt, value): gamma_dt = 0.6995 and 0.68125, between 1/2 and 3/4
+    BAND = [(-300.0, 1.0, 1e-3, -357.6960707479397), (-2.0, 0.5, 0.15, -2.6397224430050565)]
+
+    @pytest.mark.parametrize("lam, sigma, dt, value", BAND)
+    def test_band_answered(self, lam, sigma, dt, value):
+        p = ModelParams(lam=lam, epsilon=0.0, sigma=sigma)
+        assert 0.5 < gamma_dt(p, dt) <= 0.75
+        assert as_exponent_quadrature(p, dt).value == value
+        assert theta_as_exponent_quadrature(p, 0.0, dt).value == value
+        want = _mp_exponent(lam, 0.0, sigma, dt)
+        assert abs(value - want) <= 1e-13 * max(abs(want), 1.0)
+
+    def test_monte_carlo_in_the_band(self):
+        p = ModelParams(lam=-300.0, epsilon=0.0, sigma=1.0)
+        est = as_exponent_mc(p, 1e-3, n_samples=200_000, seed=11)
+        assert abs(est.value - as_exponent_quadrature(p, 1e-3).value) <= 3.0 * est.std_error
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.3, max_value=1.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=-4.0, max_value=math.log10(0.9)),
+)
+def test_plain_and_theta_zero_share_one_domain(gamma, sigma, log_dt):
+    # at epsilon = 0 the plain factor and the theta = 0 factor are one factor:
+    # the same bits, or the same refusal, near gamma_dt = 1/2 and 3/4 too
+    dt = 10.0**log_dt
+    p = ModelParams(lam=(gamma - 1.0) / dt + 0.5 * sigma * sigma, epsilon=0.0, sigma=sigma)
+
+    def outcome(estimator):
+        try:
+            return estimator().value.hex()
+        except ValueError as exc:
+            return str(exc)
+
+    plain = outcome(lambda: as_exponent_quadrature(p, dt))
+    assert plain == outcome(lambda: theta_as_exponent_quadrature(p, 0.0, dt))
 
 
 class TestAlmostSureQuadrature:
@@ -185,8 +256,8 @@ class TestAlmostSureQuadrature:
         assert as_exponent_quadrature(P_REF, dt).value == pytest.approx(ref / dt, rel=1e-10)
 
     def test_gamma_restriction(self):
-        p = ModelParams(lam=-300.0, epsilon=0.0, sigma=1.0)
-        with pytest.raises(ValueError):
+        p = ModelParams(lam=-600.0, epsilon=0.0, sigma=1.0)  # gamma_dt = 0.3995
+        with pytest.raises(ValueError, match="must be positive for the almost-sure"):
             as_exponent_quadrature(p, 1e-3)
 
     def test_doubling_guard_fires(self):
@@ -286,8 +357,8 @@ class TestRootSeries:
         assert _almost_sure(8.0, eps, 4.0, dt, theta).hex() == bits
 
     def test_refusals_come_before_the_route(self):
-        with pytest.raises(ValueError, match="must exceed 3/4"):
-            as_exponent_quadrature(ModelParams(lam=-300.0, epsilon=0.0, sigma=1.0), 1e-3, 2)
+        with pytest.raises(ValueError, match="must be positive for the almost-sure"):
+            as_exponent_quadrature(ModelParams(lam=-600.0, epsilon=0.0, sigma=1.0), 1e-3, 2)
         for nodes in (2, 1025, 3.0):
             with pytest.raises(ValueError, match="node count"):
                 as_exponent_quadrature(P_REF, 1e-3, nodes)

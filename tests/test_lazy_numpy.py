@@ -163,10 +163,18 @@ NUMPY_FREE = [
         "",
     ),
     (
-        ("exponent", "as-quad", "--lambda", "-300", "--sigma", "1", "--nodes", "2"),
+        ("exponent", "as-quad", "--lambda", "-600", "--sigma", "1", "--nodes", "2"),
         2,
-        '{"error": "gamma_dt = 0.7015 must exceed 3/4 for the almost-sure exponent '
-        'estimators"}\n',
+        '{"error": "the step factor\'s lower bound c0 - 1/(2*denom) = -0.09850000000000003 '
+        'must be positive for the almost-sure exponent estimators"}\n',
+        "",
+    ),
+    # gamma_dt = 0.7015, inside the domain F > 0 though below the lemma's 3/4
+    (
+        ("exponent", "as-quad", "--lambda", "-300", "--sigma", "1"),
+        0,
+        '{"method": "as-quad", "dt": 0.001, "value": -354.8371822311293, '
+        '"continuum_value": -298.5, "region_class": "stable"}\n',
         "",
     ),
     (

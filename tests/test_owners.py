@@ -4,10 +4,12 @@ Sampled means and standard errors go through the (count, mean, M2) triples of
 milstab.exponents (_moments_in_place, _merge, _std_error), so no module
 reduces with numpy's std or var. The theta scheme's refusals are raised by
 milstab.scheme alone (_check_theta_scheme and _theta_factor), so each text
-occurs once. The CLI's result tables are laid out by cli._table alone; only
-simulate's streamed JSON head builds its own {"params": ...} object, and
-simulate's separators and brackets are cli's: milstab._floattext only
-writes numbers.
+occurs once. So is the one almost-sure domain refusal
+(_StepFactor.check_domain), and the sandwich lemma's gamma_dt > 3/4 is
+refused by milstab.lemmas alone. The CLI's result tables are laid out by
+cli._table alone; only simulate's streamed JSON head builds its own
+{"params": ...} object, and simulate's separators and brackets are cli's:
+milstab._floattext only writes numbers.
 """
 
 import ast
@@ -37,19 +39,33 @@ def test_no_numpy_std_or_var_reduction():
     assert found == []
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["theta scheme requires epsilon = 0", "theta must lie in [0, 1]", "implicit step ill-posed"],
-)
-def test_theta_refusal_stated_once(text):
-    found = [
-        (name, node.lineno)
+def _modules_stating(text):
+    """The module of each string constant that holds text, once per occurrence."""
+    return [
+        name
         for name, tree in _trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         for _ in range(node.value.count(text))
     ]
-    assert [name for name, _ in found] == ["scheme.py"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["theta scheme requires epsilon = 0", "theta must lie in [0, 1]", "implicit step ill-posed"],
+)
+def test_theta_refusal_stated_once(text):
+    assert _modules_stating(text) == ["scheme.py"]
+
+
+@pytest.mark.parametrize(
+    "text, owner",
+    [("must be positive for the almost-sure exponent estimators", "scheme.py"),
+     ("must exceed 3/4", "lemmas.py")],
+    ids=["estimators", "lemma"],
+)
+def test_domain_refusal_stated_once(text, owner):
+    assert _modules_stating(text) == [owner]
 
 
 def test_result_table_layout_has_one_owner():

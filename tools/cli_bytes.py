@@ -65,6 +65,9 @@ MATRIX = [
     "exponent as-quad --lambda -300 --sigma 1 --epsilon 0 --format json",
     "exponent as-quad --lambda -300 --sigma 1 --epsilon 0 --format csv",
     "exponent as-quad --lambda -300 --sigma 1 --epsilon 0 --out e.json",
+    "exponent theta-as --theta 0 --lambda -300 --sigma 1 --epsilon 0",
+    f"exponent as-mc --lambda -300 --sigma 1 --epsilon 0 {_MC}",
+    "exponent as-quad --lambda -600 --sigma 1 --epsilon 0",
     "exponent theta-ms --epsilon 0.5 --theta 0.5 --format csv",
     "exponent ms-exact --dt 2 --format csv",
     "exponent ms-exact --config no-such-config.json",
@@ -86,17 +89,20 @@ MATRIX = [
         for fmt in ("csv", "json")
     ),
     "sweep-dt ms-exact --dts ,",
+    f"sweep-dt ms-exact {_SWEEP} --dt 0.1",
     # region
     *(f"region --lambda 2 --sigma-range 0:4:2 --format {fmt}" for fmt in ("csv", "json")),
     "region --format json --out r.json",
     "region --out r.csv",
     "region --sigma-range 1:0:1",
+    "region --sigma-range 0:1:1 --threads 2",
     *(f"region --lambda -1e308 --sigma-range 0:1:1 --format {fmt}" for fmt in ("csv", "json")),
     # verify
     "verify --suite lemmas",
     "verify --suite closedform --out v.json",
     "verify --suite moments --samples 1000",
     "verify --suite moments --samples 10",
+    "verify --suite lemmas --threads 2",
 ]
 
 
