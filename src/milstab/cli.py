@@ -56,7 +56,9 @@ import sys
 
 from . import _np as np
 from . import verify
-from .exponents import MS_METHODS, Method, _map_indexed, continuum_target, estimate, fit_loglog
+from .exponents import (
+    MS_METHODS, Method, _map_indexed, _simulate_paths, continuum_target, estimate, fit_loglog,
+)
 from .model import (
     InitialDatum,
     ModelParams,
@@ -64,11 +66,11 @@ from .model import (
     as_boundary_epsilon,
     classify,
 )
-from .scheme import SchemeConfig, simulate_path, theta_eta
-from .stochastics import _U64, DEFAULT_NODES, RngStream
+from .scheme import SchemeConfig, theta_eta
+from .stochastics import _U64, DEFAULT_NODES
 
 # perfbench/spans.py patches these names on this module; they go with its tracer.
-from .scheme import simulate_theta_path  # noqa: F401
+from .scheme import simulate_path, simulate_theta_path  # noqa: F401
 from .verify import (  # noqa: F401
     composite_increment_moments, gauss_hermite_rule, gaussian_moment,
     verify_log_sandwich, xi_gamma,
@@ -300,14 +302,9 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
         raise ValueError(f"paths must be at least 1, got {n_paths}")
     # t, one column per path, then the mean; each path goes into its column as it arrives
     table = np.empty((cfg.n_steps + 1, n_paths + 2))
-    seed = values["seed"]
-    columns = _map_indexed(
-        lambda i: simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)).log_values,
-        n_paths,
-        values["threads"],
-    )
-    for index, column in enumerate(columns, start=1):
-        table[:, index] = column
+    paths = _simulate_paths(p, cfg, values["seed"], n_paths, values["threads"])
+    for index, path in enumerate(paths, start=1):
+        table[:, index] = path.log_values
     table[:, 0] = cfg.dt * np.arange(cfg.n_steps + 1)
     table[:, -1] = table[:, 1:-1].mean(axis=1)
     # Any non-finite value reaches its row's mean, so past this check every

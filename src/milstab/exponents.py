@@ -300,10 +300,12 @@ def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
     F must lie in its almost-sure domain (_StepFactor.check_domain), which
     keeps the log argument positive, and nodes must be a valid node count,
     in that order, before either route is chosen. _root_series answers where
-    it is exact to rounding, with no table built. Elsewhere F is evaluated on
-    the nodes in zeta = dB/sqrt(dt) by _StepFactor.at_zeta. Doubling the node
-    count must move the value by less than DOUBLING_RTOL relative; where
-    twice the nodes would pass MAX_NODES, halving them must.
+    it is exact to rounding, with no table built. Elsewhere F is evaluated at
+    the nodes, standard normal points, by _StepFactor.of_normals, the kernel
+    of paths and Monte Carlo, on a writable copy since it writes over its
+    input. Doubling the node count must move the value by less than
+    DOUBLING_RTOL relative; where twice the nodes would pass MAX_NODES,
+    halving them must.
     """
     f.check_domain()
     _check_nodes(nodes)
@@ -313,7 +315,7 @@ def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
 
     def at(n: int) -> float:
         rule = gauss_hermite_rule(n)
-        return rule.integrate(np.log(f.at_zeta(rule.nodes))) / f.dt
+        return rule.integrate(np.log(f.of_normals(rule.nodes.copy()))) / f.dt
 
     v1 = at(nodes)
     doubled = 2 * int(nodes) <= MAX_NODES
@@ -381,6 +383,9 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[in
 def _std_error(stats: tuple[int, float, float]) -> float:
     """Standard error sqrt(M2/(n - 1))/sqrt(n) of the mean of a (count, mean, M2) triple.
 
+    The one error-bar formula of every sampled mean: as-mc's blocks and
+    as-slope's paths both report it.
+
     The bits of np.std(x, ddof=1)/sqrt(n) for the samples x behind stats.
     """
     n, _, m2 = stats
@@ -412,8 +417,9 @@ def as_exponent_mc(
     """Strong-law Monte Carlo estimate of the almost-sure exponent.
 
     Averages log|factor| over n_samples i.i.d. increments and divides by dt;
-    the standard error is the sample standard deviation over sqrt(n_samples),
-    divided by dt. Sampling runs in fixed blocks with per-block substreams.
+    the standard error is _std_error's over the samples, divided by dt. At
+    sigma = 0 every sample is log1p(c0m1), so the value is as-quad's and the
+    error 0. Sampling runs in fixed blocks with per-block substreams.
     Each block reports its count, mean and sum of squared deviations, and the
     blocks combine in block order by the pairwise update of Chan, Golub and
     LeVeque (1979), so the error bar does not cancel when the spread of
@@ -425,31 +431,27 @@ def as_exponent_mc(
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {_MIN_SAMPLES}, got {n_samples}")
     if p.sigma == 0.0:
-        # Every sample contributes the constant log(gamma); the estimator's
-        # value is exact and its sample deviation is identically zero.
-        return ExponentEstimate(
-            value=math.log(f.c0) / dt,
-            method=Method.AS_MONTE_CARLO,
-            dt=dt,
-            std_error=0.0,
-            n_samples=n_samples,
-        )
+        return ExponentEstimate(value=math.log1p(f.c0m1) / dt, method=Method.AS_MONTE_CARLO,
+                                dt=dt, std_error=0.0, n_samples=n_samples)
     partials = _map_indexed(
         lambda b: _mc_block(f, seed, b, min(MC_BLOCK, n_samples - b * MC_BLOCK)),
         -(-n_samples // MC_BLOCK),
         threads,
     )
 
-    n, mean, m2 = functools.reduce(_merge, partials)  # in block order
-    var = m2 / (n - 1)
-    return ExponentEstimate(
-        value=mean / dt,
-        method=Method.AS_MONTE_CARLO,
-        dt=dt,
-        # sqrt(var/n), not _std_error's sqrt(var)/sqrt(n): the two round
-        # differently, and every as-mc output prints this one.
-        std_error=math.sqrt(var / n) / dt,
-        n_samples=n_samples,
+    stats = functools.reduce(_merge, partials)  # in block order
+    return ExponentEstimate(value=stats[1] / dt, method=Method.AS_MONTE_CARLO, dt=dt,
+                            std_error=_std_error(stats) / dt, n_samples=n_samples)
+
+
+def _simulate_paths(p: ModelParams, cfg: SchemeConfig, seed: int, n_paths: int, threads: int):
+    """Yield paths 0, ..., n_paths - 1 of cfg in order, path i drawn from the stream (seed, i).
+
+    The one path fan-out, shared by simulate and as-slope; the paths run on
+    _map_indexed's pool, so they do not depend on threads.
+    """
+    return _map_indexed(
+        lambda i: simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)), n_paths, threads
     )
 
 
@@ -589,12 +591,8 @@ def estimate(
         cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=initial)
         if n_paths < 2:  # before any path is simulated
             raise ValueError(f"need at least 2 paths, got {n_paths}")
-        paths = _map_indexed(
-            lambda i: simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)),
-            n_paths,
-            threads,
-        )
-        return as_exponent_path_slope(paths)  # takes each path as it is simulated
+        # takes each path as it is simulated
+        return as_exponent_path_slope(_simulate_paths(p, cfg, seed, n_paths, threads))
     if theta is None:
         raise ValueError(f"method {method.value} requires theta")
     if method is Method.THETA_MS_EXACT:

@@ -26,8 +26,10 @@ and denom = 1 - lam*theta*dt, with
     eta_dt = (1 + (lam*(1-theta) - sigma^2/2)*dt) / (1 - lam*theta*dt).
 
 _StepFactor holds this factor once for path simulation and for every
-exponent estimator, and states the one almost-sure domain of both schemes:
-F > 0 for every increment, which keeps log F real. One function,
+exponent estimator; its one evaluation form, of_normals, serves paths,
+Monte Carlo blocks, quadrature nodes and the sampling verify suites. It
+states the one almost-sure domain of both schemes: F > 0 for every
+increment, which keeps log F real. One function,
 simulate_path, generates trajectories of both schemes: SchemeConfig.theta
 names the scheme, and the theta factor alone checks theta. Trajectories are
 accumulated as sums of log|factor|; the raw product would overflow within a
@@ -115,13 +117,9 @@ class _StepFactor:
     -1/(2*denom) for every increment, so F >= c0 - 1/(2*denom), and
     check_domain states the almost-sure domain of both schemes.
 
-    Outside this module every evaluation of F goes through one of two methods.
-    of_normals (paths, Monte Carlo blocks, the sampling verify suites) works
-    in the increment dB; at_zeta (quadrature only) works in
-    zeta = dB/sqrt(dt), as c0 + a1*zeta + a2*zeta^2. The two round
-    differently, and the simulate-out goldens and the verify outputs freeze
-    the dB form. They become one form when a change that re-pins the goldens
-    moves F to c0m1 and log1p.
+    Outside this module every evaluation of F goes through of_normals, in
+    the increment dB = sqrt(dt)*z: paths, Monte Carlo blocks, quadrature
+    nodes and the sampling verify suites share its bits.
     """
 
     c0: float
@@ -155,11 +153,6 @@ class _StepFactor:
         """
         z *= math.sqrt(self.dt)
         return self.at(z, out=z)
-
-    def at_zeta(self, y):
-        """F at the quadrature nodes y = dB/sqrt(dt), as c0 + a1*y + a2*y*y."""
-        s = self.sigma * math.sqrt(self.dt)
-        return self.c0 + (s / self.denom) * y + (0.5 * s * s / self.denom) * y * y
 
     def ms_base_m1(self) -> float:
         """E F^2 - 1, formed without cancellation near 1.

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from milstab import exponents
 from milstab.exponents import (
     _MC_CHUNK,
+    DOUBLING_RTOL,
     MC_BLOCK,
     ConvergenceFit,
     ExponentEstimate,
@@ -333,7 +334,7 @@ class TestRootSeries:
 
     @pytest.mark.parametrize(
         "lam, eps, sigma, theta, dt",
-        [(8.0, 2.0, 4.0, None, 1e-7), (6.0, 0.5, 3.5, None, 1e-5), (8.0, 0.0, 4.0, 1.0, 1e-5)],
+        [(8.0, 2.0, 4.0, None, 1e-8), (6.0, 0.5, 3.5, None, 1e-5), (8.0, 0.0, 4.0, 1.0, 1e-5)],
     )
     def test_points_quadrature_refuses_are_answered(self, monkeypatch, lam, eps, sigma, theta, dt):
         a = continuum_as_exponent(ModelParams(lam=lam, epsilon=eps, sigma=sigma))
@@ -347,14 +348,38 @@ class TestRootSeries:
         "theta, dt, bits",
         [
             (None, 1e-1, "0x1.19590e3cdc814p+2"),
-            (None, 1e-2, "0x1.7c26a5213d334p+1"),
-            (0.5, 1e-2, "0x1.401a877f5d149p-1"),
+            (None, 1e-2, "0x1.7c26a5213d337p+1"),
+            (0.5, 1e-2, "0x1.401a877f5d162p-1"),
         ],
     )
     def test_quadrature_regime_keeps_its_bits(self, theta, dt, bits):
         eps = 2.0 if theta is None else 0.0
         assert _root_series(_factor(8.0, eps, 4.0, dt, theta)) is None
         assert _almost_sure(8.0, eps, 4.0, dt, theta).hex() == bits
+
+    # (lam, epsilon, sigma, theta, dt), each with sigma^2*dt above 0.02, so
+    # that Gauss-Hermite answers
+    GAUSS_HERMITE_POINTS = [
+        (8.0, 2.0, 4.0, None, 0.1),
+        (-2.0, 0.0, 0.5, None, 0.15),
+        (8.0, 2.0, 4.0, None, 1e-2),
+        (1.0, 0.0, 2.0, None, 1e-2),
+        (6.0, 0.5, 4.0, None, 0.05),
+        (-3.0, 1.0, 1.0, None, 0.1),
+        (8.0, 0.0, 4.0, 0.5, 1e-2),
+        (8.0, 0.0, 4.0, 0.5, 0.05),
+        (30.0, 0.0, 8.0, 0.5, 1e-3),
+        (8.0, 0.0, 4.0, 1.0, 1e-2),
+        (-1.0, 0.0, 2.0, 1.0, 0.02),
+        (-2.0, 0.0, 0.5, 0.5, 0.15),
+    ]
+
+    @pytest.mark.parametrize("lam, eps, sigma, theta, dt", GAUSS_HERMITE_POINTS)
+    def test_gauss_hermite_route_against_mpmath(self, lam, eps, sigma, theta, dt):
+        assert _root_series(_factor(lam, eps, sigma, dt, theta)) is None
+        want = _mp_exponent(lam, eps, sigma, dt, theta)
+        got = _almost_sure(lam, eps, sigma, dt, theta)
+        assert abs(got - want) <= DOUBLING_RTOL * abs(want)
 
     def test_refusals_come_before_the_route(self):
         with pytest.raises(ValueError, match="must be positive for the almost-sure"):
@@ -470,6 +495,19 @@ class TestAlmostSureMonteCarlo:
         est = as_exponent_mc(p, 1e-3, n_samples=1000, seed=0)
         assert est.value == pytest.approx(math.log(gamma_dt(p, 1e-3)) / 1e-3, rel=1e-14)
         assert est.std_error == 0.0
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-10])
+    def test_zero_noise_keeps_c0m1(self, dt):
+        # log(c0) loses c0 - 1 to the rounding of c0: at dt = 1e-10 it gave
+        # 10.00000082240371 against the exact 9.999999995
+        p = ModelParams(lam=8.0, epsilon=2.0, sigma=0.0)
+        est = as_exponent_mc(p, dt, n_samples=1000, seed=0)
+        assert est.value == as_exponent_quadrature(p, dt).value
+        assert est.std_error == 0.0
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = float(mp.log1p(mp.mpf(10.0) * mp.mpf(dt)) / mp.mpf(dt))
+        assert est.value == pytest.approx(want, rel=1e-15)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):

@@ -305,19 +305,34 @@ def test_only_np_module_imports_numpy():
 
 
 def test_only_scheme_evaluates_a_factor_at_increments():
-    # the other modules call _StepFactor.of_normals or at_zeta, so the
-    # arithmetic of the step factor lives in scheme.py alone
+    # the other modules evaluate a step factor through _StepFactor.of_normals
+    # alone, so its arithmetic lives in scheme.py and paths, Monte Carlo,
+    # quadrature and the verify suites share one kernel's bits
     package = Path(milstab.__file__).parent
-    found = [
-        (path.name, node.lineno)
+    scheme = ast.parse((package / "scheme.py").read_text())
+    (factor,) = [node for node in scheme.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_StepFactor"]
+    # beside the kernel at, the methods state the factor's domain and moments
+    facts = {"check_domain", "ms_base_m1", "ms_log_base"}
+    evaluators = {node.name for node in factor.body if isinstance(node, ast.FunctionDef)} - facts
+    assert evaluators == {"at", "of_normals"}
+    found = sorted({
+        (path.name, function.name, node.func.attr)
         for path in sorted(package.rglob("*.py"))
         if path.name != "scheme.py"
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for function in ast.parse(path.read_text(), str(path)).body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "at"
+        and node.func.attr in evaluators
+    })
+    assert found == [
+        ("exponents.py", "_mc_block", "of_normals"),
+        ("exponents.py", "_quad", "of_normals"),
+        ("verify.py", "_suite_closedform", "of_normals"),
+        ("verify.py", "_suite_moments", "of_normals"),
     ]
-    assert found == []
 
 
 def _module_level_imports(tree):
@@ -432,9 +447,9 @@ def test_pool_module_loads_only_with_a_pool(args, loaded):
     assert _python(_POOL_PROBE, *args).splitlines()[-1] == str(loaded)
 
 
-def test_cli_imports_two_private_sibling_names():
-    # the verify suites live in milstab.verify and the worker pool sizes itself,
-    # so cli needs no other module's internals
+def test_cli_imports_three_private_sibling_names():
+    # the verify suites live in milstab.verify, the worker pool sizes itself
+    # and exponents fans the paths out, so cli needs no other internals
     tree = ast.parse(Path(cli.__file__).read_text())
     private = sorted(
         alias.name
@@ -443,7 +458,7 @@ def test_cli_imports_two_private_sibling_names():
         for alias in node.names
         if alias.name.startswith("_")
     )
-    assert private == ["_U64", "_map_indexed"]
+    assert private == ["_U64", "_map_indexed", "_simulate_paths"]
 
 
 #: Runs cli.main on argv, if any, after `import milstab`; prints the OpenBLAS

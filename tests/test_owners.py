@@ -2,11 +2,13 @@
 
 Sampled means and standard errors go through the (count, mean, M2) triples of
 milstab.exponents (_moments_in_place, _merge, _std_error), so no module
-reduces with numpy's std or var. The theta scheme's refusals are raised by
-milstab.scheme alone (_check_theta_scheme and _theta_factor), so each text
-occurs once. So is the one almost-sure domain refusal
-(_StepFactor.check_domain), and the sandwich lemma's gamma_dt > 3/4 is
-refused by milstab.lemmas alone. The CLI's result tables are laid out by
+reduces with numpy's std or var, and both sampling estimators report
+_std_error's error bar. Path i of simulate and of as-slope is drawn from the
+stream (seed, i) by exponents._simulate_paths alone. The theta scheme's
+refusals are raised by milstab.scheme alone (_check_theta_scheme and
+_theta_factor), so each text occurs once. So is the one almost-sure domain
+refusal (_StepFactor.check_domain), and the sandwich lemma's gamma_dt > 3/4
+is refused by milstab.lemmas alone. The CLI's result tables are laid out by
 cli._table alone; only simulate's streamed JSON head builds its own
 {"params": ...} object, and simulate's separators and brackets are cli's:
 milstab._floattext only writes numbers.
@@ -37,6 +39,42 @@ def test_no_numpy_std_or_var_reduction():
         and node.func.attr in {"std", "var", "nanstd", "nanvar"}
     ]
     assert found == []
+
+
+def _calls_in(function):
+    """The names called inside function, whether bare or as an attribute."""
+    return [
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    ]
+
+
+def _functions():
+    for name, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+
+
+@pytest.mark.parametrize("estimator", ["as_exponent_mc", "as_exponent_path_slope"])
+def test_sampling_estimators_report_std_error(estimator):
+    (function,) = [node for name, node in _functions()
+                   if name == "exponents.py" and node.name == estimator]
+    calls = _calls_in(function)
+    assert "_std_error" in calls
+    assert "sqrt" not in calls
+
+
+def _callers(callee):
+    return sorted((name, node.name) for name, node in _functions() if callee in _calls_in(node))
+
+
+def test_one_path_fan_out():
+    assert _callers("simulate_path") == [("exponents.py", "_simulate_paths")]
+    assert _callers("_simulate_paths") == [
+        ("cli.py", "_cmd_simulate"), ("exponents.py", "estimate"),
+    ]
 
 
 def _modules_stating(text):

@@ -22,7 +22,7 @@ from milstab.scheme import (
     simulate_theta_path,
     theta_eta,
 )
-from milstab.stochastics import RngStream, gauss_hermite_rule
+from milstab.stochastics import RngStream
 
 P_REF = ModelParams(lam=8.0, epsilon=2.0, sigma=4.0)
 DATUM = InitialDatum(1.0, 0.0)
@@ -99,11 +99,6 @@ def test_factor_forms_agree(factor):
         ref = factor.c0 + (s * dB + 0.5 * s * s * dB * dB) / factor.denom
         assert factor.of_normals(z) is z
         assert np.array_equal(z, ref), size
-    # at_zeta has the bits of c0 + a1*y + a2*y*y, coefficients in zeta units
-    y = gauss_hermite_rule(201).nodes
-    r = s * math.sqrt(factor.dt)
-    a1, a2 = r / factor.denom, 0.5 * r * r / factor.denom
-    assert np.array_equal(factor.at_zeta(y), factor.c0 + a1 * y + a2 * y * y)
 
 
 #: The 2x2 generator of the planar rotation, J z = i z for z = x + i y.

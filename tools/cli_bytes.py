@@ -72,6 +72,11 @@ MATRIX = [
     "exponent ms-exact --dt 2 --format csv",
     "exponent ms-exact --config no-such-config.json",
     "exponent as-quad --lambda 17.7 --epsilon 0 --sigma 6 --dt 0.8 --nodes 1024",
+    # answered by Gauss-Hermite, and as-mc without noise
+    "exponent as-quad --dt 0.1",
+    f"exponent theta-as {_THETA} --dt 0.05",
+    "exponent as-quad --lambda -2 --epsilon 0 --sigma 0.5 --dt 0.15",
+    "exponent as-mc --sigma 0 --dt 1e-10 --samples 1000",
     # sweep-dt
     *(
         f"sweep-dt {method} {flags} {_SWEEP} --format {fmt}"
