@@ -57,7 +57,8 @@ import sys
 from . import _np as np
 from . import verify
 from .exponents import (
-    MS_METHODS, Method, _map_indexed, _simulate_paths, continuum_target, estimate, fit_loglog,
+    MS_METHODS, Method, _map_indexed, _simulate_paths, check_dt_free, continuum_target, estimate,
+    fit_loglog,
 )
 from .model import (
     InitialDatum,
@@ -67,7 +68,7 @@ from .model import (
     classify,
 )
 from .scheme import SchemeConfig, theta_eta
-from .stochastics import _U64, DEFAULT_NODES
+from .stochastics import _U64
 
 # perfbench/spans.py patches these names on this module; they go with its tracer.
 from .scheme import simulate_path, simulate_theta_path  # noqa: F401
@@ -85,7 +86,6 @@ _PARAMS = {
     "steps": ("--steps", int, 10000, "time steps per path"),
     "paths": ("--paths", int, 50, "number of independent paths"),
     "seed": ("--seed", int, 42, "root seed for all substreams"),
-    "nodes": ("--nodes", int, DEFAULT_NODES, "quadrature node count"),
     "samples": ("--samples", int, 10**6, "Monte Carlo sample count"),
     "theta": ("--theta", float, None, "theta-scheme implicitness (requires epsilon 0); read "
               "by simulate and the theta-ms and theta-as methods, ignored by the others"),
@@ -335,7 +335,6 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
 
 def _estimator_kwargs(values: dict) -> dict:
     return {
-        "nodes": values["nodes"],
         "theta": values["theta"],
         "n_samples": values["samples"],
         "seed": values["seed"],
@@ -349,11 +348,11 @@ def _estimator_kwargs(values: dict) -> dict:
 #: The config keys each method's output records, after the method and the model.
 _METHOD_KEYS = {
     Method.MS_EXACT: (),
-    Method.AS_QUADRATURE: ("nodes",),
+    Method.AS_QUADRATURE: (),
     Method.AS_MONTE_CARLO: ("samples", "seed"),
     Method.AS_PATH_SLOPE: ("paths", "steps", "seed", "x0", "y0"),
     Method.THETA_MS_EXACT: ("theta",),
-    Method.THETA_AS_QUADRATURE: ("nodes", "theta"),
+    Method.THETA_AS_QUADRATURE: ("theta",),
 }
 
 
@@ -391,8 +390,9 @@ def _cmd_sweep_dt(ns: argparse.Namespace, values: dict) -> int:
     method = Method(ns.method)
     dts = _parse_dts(values["dts"])
     p = _model(values)
-    target = continuum_target(p, method)
     kwargs = _estimator_kwargs(values)
+    check_dt_free(p, method, **kwargs)  # once, before any row
+    target = continuum_target(p, method)
     rows = []
     for dt in dts:
         row = {"dt": dt, "continuum_value": target, "discrete_value": None, "abs_error": None}
@@ -459,8 +459,7 @@ _CHOICES = {
 def _cmd_verify(ns: argparse.Namespace, values: dict) -> int:
     suite = values["suite"]
     checks = verify.run(
-        suite, _model(values), values["dt"], seed=values["seed"], nodes=values["nodes"],
-        n_samples=values["samples"],
+        suite, _model(values), values["dt"], seed=values["seed"], n_samples=values["samples"]
     )
     code = _write(
         f"{check['name']}: {'PASS' if check['passed'] else 'FAIL'} - {check['detail']}\n"
@@ -481,13 +480,11 @@ _COMMANDS = {
     ),
     "exponent": (
         _cmd_exponent, "one exponent estimate as JSON", "json",
-        "method lam epsilon sigma dt seed config out threads steps paths theta nodes samples "
-        "format",
+        "method lam epsilon sigma dt seed config out threads steps paths theta samples format",
     ),
     "sweep-dt": (
         _cmd_sweep_dt, "estimates across step sizes with a fit", "csv",
-        "method lam epsilon sigma seed config out threads steps paths theta nodes samples dts "
-        "format",
+        "method lam epsilon sigma seed config out threads steps paths theta samples dts format",
     ),
     "region": (
         _cmd_region, "almost-sure stability boundary over sigma", "csv",
@@ -495,7 +492,7 @@ _COMMANDS = {
     ),
     "verify": (
         _cmd_verify, "run self-check suites", "csv",
-        "suite lam epsilon sigma dt seed config out nodes samples",
+        "suite lam epsilon sigma dt seed config out samples",
     ),
 }
 

@@ -41,6 +41,7 @@ from .scheme import (
     LogModulusPath,
     SchemeConfig,
     _check_dt,
+    _check_steps,
     _check_theta_scheme,
     _plain_factor,
     _StepFactor,
@@ -48,7 +49,7 @@ from .scheme import (
     mu,
     simulate_path,
 )
-from .stochastics import DEFAULT_NODES, MAX_NODES, RngStream, _check_nodes, gauss_hermite_rule
+from .stochastics import RngStream, gauss_hermite_rule
 
 #: Sample block size for the Monte Carlo estimator. Each block owns the
 #: substream (seed, block index) and block statistics combine in block order,
@@ -107,7 +108,10 @@ def _map_indexed(fn, count: int, threads: int):
             yield ahead.popleft().result()
 
 
-#: Relative tolerance of the convergence check against twice (or half) the nodes.
+#: Node count of the Gauss-Hermite route, which is checked against twice as many.
+QUAD_NODES = 201
+
+#: Relative tolerance of the convergence check against twice the nodes.
 DOUBLING_RTOL = 1e-10
 
 #: The root series answers only where its smallest term is at most this
@@ -294,54 +298,46 @@ def _root_series(f: _StepFactor) -> float | None:
     return math.log1p(f.c0m1) - math.fsum(parts)
 
 
-def _quad(f: _StepFactor, nodes: int, method: Method) -> ExponentEstimate:
+def _quad(f: _StepFactor, method: Method) -> ExponentEstimate:
     """(1/dt) * E log F by the root series, else by Gauss-Hermite with a convergence check.
 
     F must lie in its almost-sure domain (_StepFactor.check_domain), which
-    keeps the log argument positive, and nodes must be a valid node count,
-    in that order, before either route is chosen. _root_series answers where
-    it is exact to rounding, with no table built. Elsewhere F is evaluated at
-    the nodes, standard normal points, by _StepFactor.of_normals, the kernel
-    of paths and Monte Carlo, on a writable copy since it writes over its
-    input. Doubling the node count must move the value by less than
-    DOUBLING_RTOL relative; where twice the nodes would pass MAX_NODES,
-    halving them must.
+    keeps the log argument positive, before either route is chosen.
+    _root_series answers where it is exact to rounding, with no table built.
+    Elsewhere F is evaluated at QUAD_NODES nodes, standard normal points, by
+    _StepFactor.of_normals, the kernel of paths and Monte Carlo, on a
+    writable copy since it writes over its input. Doubling the node count
+    must move the value by less than DOUBLING_RTOL relative.
     """
     f.check_domain()
-    _check_nodes(nodes)
     value = _root_series(f)
     if value is not None:
         return ExponentEstimate(value=value / f.dt, method=method, dt=f.dt)
 
-    def at(n: int) -> float:
-        rule = gauss_hermite_rule(n)
-        return rule.integrate(np.log(f.of_normals(rule.nodes.copy()))) / f.dt
-
-    v1 = at(nodes)
-    doubled = 2 * int(nodes) <= MAX_NODES
-    v2 = at(2 * int(nodes) if doubled else int(nodes) // 2)
+    v1, v2 = (
+        rule.integrate(np.log(f.of_normals(rule.nodes.copy()))) / f.dt
+        for rule in (gauss_hermite_rule(QUAD_NODES), gauss_hermite_rule(2 * QUAD_NODES))
+    )
     diff = abs(v2 - v1)
     scale = max(abs(v1), abs(v2))
     if diff > DOUBLING_RTOL * scale and diff > 1e-22:
         raise ValueError(
-            f"quadrature non-convergence: {'doubling' if doubled else 'halving'} {nodes} "
-            f"nodes moved the value by {diff!r} "
-            f"(relative {diff / scale if scale else math.inf!r})"
+            f"quadrature non-convergence: doubling {QUAD_NODES} nodes moved the value by "
+            f"{diff!r} (relative {diff / scale if scale else math.inf!r})"
         )
     return ExponentEstimate(value=v1, method=method, dt=f.dt)
 
 
-def as_exponent_quadrature(
-    p: ModelParams, dt: float, nodes: int = DEFAULT_NODES
-) -> ExponentEstimate:
+def as_exponent_quadrature(p: ModelParams, dt: float) -> ExponentEstimate:
     """Almost-sure exponent (1/dt) * E log(gamma + sigma*dB + (sigma^2/2)*dB^2).
 
     At small noise the root series of _root_series gives the value; elsewhere
     substituting zeta = dB/sqrt(dt) turns the expectation into a standard
-    normal integral evaluated by Gauss-Hermite quadrature on `nodes` nodes.
-    Requires gamma_dt > 1/2, where F stays positive (_StepFactor.check_domain).
+    normal integral evaluated by Gauss-Hermite quadrature on QUAD_NODES
+    nodes, checked against twice as many (_quad). Requires gamma_dt > 1/2,
+    where F stays positive (_StepFactor.check_domain).
     """
-    return _quad(_plain_factor(p, dt), nodes, Method.AS_QUADRATURE)
+    return _quad(_plain_factor(p, dt), Method.AS_QUADRATURE)
 
 
 def _slices(x: np.ndarray):
@@ -428,8 +424,7 @@ def as_exponent_mc(
     """
     f = _plain_factor(p, dt)
     f.check_domain()
-    if n_samples < _MIN_SAMPLES:
-        raise ValueError(f"n_samples must be at least {_MIN_SAMPLES}, got {n_samples}")
+    check_dt_free(p, Method.AS_MONTE_CARLO, n_samples=n_samples)
     if p.sigma == 0.0:
         return ExponentEstimate(value=math.log1p(f.c0m1) / dt, method=Method.AS_MONTE_CARLO,
                                 dt=dt, std_error=0.0, n_samples=n_samples)
@@ -494,9 +489,7 @@ def theta_ms_exponent(p: ModelParams, theta: float, dt: float) -> ExponentEstima
     return _ms(_theta_factor(p, theta, dt), Method.THETA_MS_EXACT)
 
 
-def theta_as_exponent_quadrature(
-    p: ModelParams, theta: float, dt: float, nodes: int = DEFAULT_NODES
-) -> ExponentEstimate:
+def theta_as_exponent_quadrature(p: ModelParams, theta: float, dt: float) -> ExponentEstimate:
     """Almost-sure exponent of the scalar theta-Milstein scheme.
 
     (1/dt) * E log(eta + (sigma*dB + (sigma^2/2)*dB^2)/(1 - lam*theta*dt)),
@@ -505,7 +498,7 @@ def theta_as_exponent_quadrature(
     theta = 0 it answers or refuses bit for bit as as_exponent_quadrature
     does at epsilon = 0: the two factors and their domain are the same.
     """
-    return _quad(_theta_factor(p, theta, dt), nodes, Method.THETA_AS_QUADRATURE)
+    return _quad(_theta_factor(p, theta, dt), Method.THETA_AS_QUADRATURE)
 
 
 def fit_loglog(dts, errors) -> ConvergenceFit:
@@ -571,7 +564,6 @@ def estimate(
     dt: float,
     method: Method,
     *,
-    nodes: int = DEFAULT_NODES,
     theta: float | None = None,
     n_samples: int = 10**6,
     seed: int = 0,
@@ -584,20 +576,40 @@ def estimate(
     if method is Method.MS_EXACT:
         return ms_exponent_exact(p, dt)
     if method is Method.AS_QUADRATURE:
-        return as_exponent_quadrature(p, dt, nodes)
+        return as_exponent_quadrature(p, dt)
     if method is Method.AS_MONTE_CARLO:
         return as_exponent_mc(p, dt, n_samples, seed, threads=threads)
     if method is Method.AS_PATH_SLOPE:
         cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=initial)
-        if n_paths < 2:  # before any path is simulated
-            raise ValueError(f"need at least 2 paths, got {n_paths}")
+        check_dt_free(p, method, n_paths=n_paths, n_steps=n_steps)  # before any path
         # takes each path as it is simulated
         return as_exponent_path_slope(_simulate_paths(p, cfg, seed, n_paths, threads))
-    if theta is None:
-        raise ValueError(f"method {method.value} requires theta")
+    check_dt_free(p, method, theta=theta)
     if method is Method.THETA_MS_EXACT:
         return theta_ms_exponent(p, theta, dt)
-    return theta_as_exponent_quadrature(p, theta, dt, nodes)
+    return theta_as_exponent_quadrature(p, theta, dt)
+
+
+def check_dt_free(p: ModelParams, method: Method, *, theta: float | None = None,
+                  n_samples: int = 10**6, n_paths: int = 50, n_steps: int = 10**4, **_) -> None:
+    """Refuse what estimate refuses for method at every dt, in estimate's text.
+
+    These are the refusals that read no step size: a theta method's theta
+    (given, epsilon = 0, theta in [0, 1]), as-mc's sample count, and
+    as-slope's step count, then its path count. The estimators make them
+    here, in their own order, some after a dt or domain check; a dt sweep
+    makes them once, before any estimate.
+    """
+    if method is Method.AS_MONTE_CARLO and n_samples < _MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {_MIN_SAMPLES}, got {n_samples}")
+    if method is Method.AS_PATH_SLOPE:
+        _check_steps(n_steps)
+        if n_paths < 2:
+            raise ValueError(f"need at least 2 paths, got {n_paths}")
+    if method in (Method.THETA_MS_EXACT, Method.THETA_AS_QUADRATURE):
+        if theta is None:
+            raise ValueError(f"method {method.value} requires theta")
+        _check_theta_scheme(p, theta)
 
 
 def continuum_target(p: ModelParams, method: Method) -> float:

@@ -57,6 +57,11 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must lie in (0, 1), got {dt!r}")
 
 
+def _check_steps(n_steps: int) -> None:
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Step size, horizon, initial datum, and the scheme.
@@ -75,8 +80,7 @@ class SchemeConfig:
 
     def __post_init__(self) -> None:
         _check_dt(self.dt)
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        _check_steps(self.n_steps)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,6 @@ REPLAY_CHUNK = 2**18
 #: Largest Gauss-Hermite rule that gauss_hermite_rule builds.
 MAX_NODES = 1024
 
-#: Node count of the quadrature estimators and of `--nodes` when none is given.
-DEFAULT_NODES = 201
-
 
 @dataclass
 class RngStream:
@@ -112,19 +109,14 @@ def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _check_nodes(n: int) -> None:
-    """The node-count rule; a Python int is checked without loading numpy."""
-    if not (isinstance(n, int) or isinstance(n, np.integer)) or not 3 <= n <= MAX_NODES:
-        raise ValueError(f"node count must be an integer in [3, {MAX_NODES}], got {n!r}")
-
-
 def gauss_hermite_rule(n: int) -> QuadratureRule:
     """Return the n-point Gauss-Hermite rule for E[f(Y)], Y ~ N(0,1).
 
-    Exact for polynomials up to degree 2n-1. Tables are computed once per n
-    and cached.
+    Exact for polynomials up to degree 2n-1; n must be an integer in
+    [3, MAX_NODES]. Tables are computed once per n and cached.
     """
-    _check_nodes(n)
+    if not (isinstance(n, int) or isinstance(n, np.integer)) or not 3 <= n <= MAX_NODES:
+        raise ValueError(f"node count must be an integer in [3, {MAX_NODES}], got {n!r}")
     nodes, weights = _hermite_table(int(n))
     return QuadratureRule(nodes=nodes, weights=weights)
 

@@ -6,11 +6,12 @@
 
 run() checks its inputs before any suite runs, then returns one
 {name, passed, detail} record per check, in SUITES order for "all".
-Only moments reads n_samples (--samples) and nodes (--nodes). lemmas reads
-neither, and closedform always runs 10^5 ten-step paths and reads neither:
-it keeps one double per path, so following n_samples would make its memory
-grow with it. Its ratio to |Z_0|^2 does not depend on the initial datum, so
-no suite reads one.
+Only moments reads n_samples (--samples); its Gauss-Hermite checks use the
+rule of the quadrature estimators (exponents.QUAD_NODES nodes). lemmas does
+not read it, and closedform always runs 10^5 ten-step paths and does not
+read it either: it keeps one double per path, so following n_samples would
+make its memory grow with it. Its ratio to |Z_0|^2 does not depend on the
+initial datum, so no suite reads one.
 
 The sampling suites draw their samples a slice (_MC_CHUNK) at a time from one
 stream and reduce each slice before the next: moments merges the (count,
@@ -28,14 +29,14 @@ import math
 import sys
 
 from . import _np as np
-from .exponents import _MC_CHUNK, _MIN_SAMPLES, _merge, _moments_in_place, _std_error
+from .exponents import _MC_CHUNK, _MIN_SAMPLES, QUAD_NODES, _merge, _moments_in_place, _std_error
 from .lemmas import (
     BoundKind, LogBoundDomain, composite_increment_moments, gaussian_moment,
     verify_log_sandwich, xi_gamma,
 )
 from .model import ModelParams
 from .scheme import _check_dt, _noise_factor, _plain_factor
-from .stochastics import RngStream, _check_nodes, gauss_hermite_rule
+from .stochastics import RngStream, gauss_hermite_rule
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -91,8 +92,7 @@ def _suite_lemmas(**_) -> list[dict]:
     ]
 
 
-def _suite_moments(*, p: ModelParams, dt: float, seed: int, nodes: int, n_samples: int,
-                   **_) -> list[dict]:
+def _suite_moments(*, p: ModelParams, dt: float, seed: int, n_samples: int, **_) -> list[dict]:
     n = n_samples
     mean_ref, second_ref = composite_increment_moments(p.sigma, dt)
     noise = _noise_factor(p.sigma, dt)
@@ -116,7 +116,7 @@ def _suite_moments(*, p: ModelParams, dt: float, seed: int, nodes: int, n_sample
             f"{z_scores[0]:.3f} and {z_scores[1]:.3f} over {n} samples",
         )
     ]
-    rule = gauss_hermite_rule(nodes)
+    rule = gauss_hermite_rule(QUAD_NODES)
     worst_rel = 0.0
     for order in range(2, 21, 2):
         ref = gaussian_moment(order, 1.0)
@@ -188,21 +188,18 @@ def suites_named(suite: str) -> list:
     return list(SUITES.values()) if suite == "all" else [SUITES[suite]]
 
 
-def run(suite: str, p: ModelParams, dt: float, *, seed: int, nodes: int,
-        n_samples: int) -> list[dict]:
+def run(suite: str, p: ModelParams, dt: float, *, seed: int, n_samples: int) -> list[dict]:
     """The check records of one suite of SUITES, or of all of them for "all".
 
     Every suite takes the same inputs, and they are checked before any suite
-    runs or numpy loads: the suite name, dt, then n_samples, then nodes. A
-    statistic that overflows fails its check instead of raising a numpy
-    warning.
+    runs or numpy loads: the suite name, dt, then n_samples. A statistic
+    that overflows fails its check instead of raising a numpy warning.
     """
     suites = suites_named(suite)
     _check_dt(dt)
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"--samples must be at least {_MIN_SAMPLES}, got {n_samples}")
-    _check_nodes(nodes)
-    inputs = dict(p=p, dt=dt, seed=seed, nodes=nodes, n_samples=n_samples)
+    inputs = dict(p=p, dt=dt, seed=seed, n_samples=n_samples)
     checks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for fn in suites:

@@ -714,6 +714,44 @@ class TestSweepCommand:
             2, "", f"error: continuum exponent must be finite, got {value}\n"
         )
 
+    @pytest.mark.parametrize(
+        "args, refusal",
+        [
+            (("theta-as",), "method theta-as requires theta"),
+            (("theta-as", "--epsilon", "0", "--theta", "2"), "theta must lie in [0, 1], got 2.0"),
+            (("theta-ms", "--theta", "0.5"), "theta scheme requires epsilon = 0, got epsilon = 2.0"),
+            (("as-mc", "--samples", "5"), "n_samples must be at least 100, got 5"),
+            (("as-slope", "--paths", "1"), "need at least 2 paths, got 1"),
+            (("as-slope", "--steps", "0"), "n_steps must be a positive integer, got 0"),
+            (("as-slope", "--steps", "0", "--paths", "1"),
+             "n_steps must be a positive integer, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dt_free_refusal_is_made_once(self, capsys, monkeypatch, fmt, args, refusal):
+        # no step size fixes these, so the sweep is refused before any estimate,
+        # with the text and exit code of exponent under the same flags
+        code, out, _ = run_cli(capsys, "exponent", *args, "--format", "json")
+        assert (code, json.loads(out)) == (2, {"error": refusal})
+
+        def estimated(*_, **__):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(cli, "estimate", estimated)
+        got = run_cli(capsys, "sweep-dt", *args, "--format", fmt)
+        assert got == (2, "", f"error: {refusal}\n")
+
+    def test_theta_pole_stays_a_row_error(self, capsys):
+        # 1 - lam*theta*dt depends on dt, so only the rows it refuses carry it
+        code, out, _ = run_cli(
+            capsys, "sweep-dt", "theta-ms", "--lambda", "20", "--epsilon", "0", "--theta", "1",
+            "--dts", "0.1,1e-2,1e-3,1e-4", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0]["error"].startswith("implicit step ill-posed: 1 - lam*theta*dt = ")
+        assert all("error" not in row for row in rows[1:])
+
     def test_too_few_successes(self, capsys):
         code, out, err = run_cli(capsys, "sweep-dt", "as-quad", "--dts", "0.5,1e-3,1e-4")
         assert code == 1
@@ -844,7 +882,7 @@ _LEMMAS_CHECKS = [
 ]
 
 
-#: The moments suite's quadrature lines, which depend on no flag but --nodes.
+#: The moments suite's quadrature lines, which depend on no flag.
 _HERMITE_LINES = (
     "moments.hermite_even_moments: PASS - orders 2..20 against closed-form moments, worst "
     "relative error 3.7143142097911834e-14\n"
@@ -866,7 +904,6 @@ _ALL_SUITES_Z = {
 #: verify.run's keyword inputs at the CLI defaults.
 _VERIFY_INPUTS = {
     "seed": DEFAULTS["seed"],
-    "nodes": DEFAULTS["nodes"],
     "n_samples": DEFAULTS["samples"],
 }
 
@@ -1015,7 +1052,7 @@ class TestVerifyCommand:
     def test_readme_call(self):
         # the keywords of the README's verify.run example, on the lemmas suite
         p = ModelParams(lam=6.0, epsilon=0.5, sigma=4.0)
-        records = verify.run("lemmas", p, 1e-3, seed=42, nodes=201, n_samples=10**6)
+        records = verify.run("lemmas", p, 1e-3, seed=42, n_samples=10**6)
         assert [r["name"] for r in records] == [name for name, _ in _LEMMAS_CHECKS]
         assert all(r["passed"] for r in records)
 
@@ -1049,13 +1086,11 @@ class TestVerifyCommand:
             (("--dt", "1.5"), "dt must lie in (0, 1), got 1.5"),
             (("--dt", "0"), "dt must lie in (0, 1), got 0.0"),
             (("--samples", "99"), "--samples must be at least 100, got 99"),
-            (("--nodes", "2"), "node count must be an integer in [3, 1024], got 2"),
-            (("--nodes", "2", "--samples", "5", "--dt", "2"), "dt must lie in (0, 1), got 2.0"),
-            (("--nodes", "2", "--samples", "5"), "--samples must be at least 100, got 5"),
+            (("--samples", "5", "--dt", "2"), "dt must lie in (0, 1), got 2.0"),
         ],
     )
     def test_inputs_refused_before_any_suite(self, capsys, monkeypatch, suite, args, refusal):
-        # every suite checks dt, then --samples, then --nodes, and runs nothing first
+        # every suite checks dt, then --samples, and runs nothing first
         def ran(**_):
             raise AssertionError("a suite ran")
 
@@ -1116,6 +1151,14 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "exponent", "--config", str(cfg))
         assert code == 2
         assert "wavelength" in err
+
+    @pytest.mark.parametrize("command", ["exponent", "sweep-dt", "verify"])
+    def test_nodes_is_no_config_key(self, capsys, tmp_path, command):
+        # the quadrature node count is fixed, so no config sets it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"nodes": 201}))
+        got = run_cli(capsys, command, "--config", str(cfg))
+        assert got == (2, "", "error: unknown config key 'nodes'\n")
 
     def test_malformed_json(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -1248,7 +1291,6 @@ _ESTIMATOR_FLAGS = [
     ("--steps", "steps", "int", None),
     ("--paths", "paths", "int", None),
     ("--theta", "theta", "float", None),
-    ("--nodes", "nodes", "int", None),
     ("--samples", "samples", "int", None),
 ]
 _FORMAT_FLAG = ("--format", "format", "str", ["csv", "json"])
@@ -1309,8 +1351,10 @@ def test_flag_surface(name):
 @pytest.mark.parametrize(
     "args",
     [("sweep-dt", "as-quad", "--dt", "0.1"), ("region", "--threads", "2"),
-     ("verify", "--threads", "2")],
-    ids=["sweep-dt --dt", "region --threads", "verify --threads"],
+     ("verify", "--threads", "2"), ("exponent", "as-quad", "--nodes", "402"),
+     ("sweep-dt", "theta-as", "--nodes", "402"), ("verify", "--nodes", "201")],
+    ids=["sweep-dt --dt", "region --threads", "verify --threads", "exponent --nodes",
+         "sweep-dt --nodes", "verify --nodes"],
 )
 def test_unread_flags_are_unrecognized(capsys, args):
     # flags that configured nothing are gone; --dt is not read as --dts either
@@ -1325,7 +1369,7 @@ def test_unread_flags_are_unrecognized(capsys, args):
 # small so the pins stay cheap.
 _SWEEP_LAYOUT_FLAGS = (
     "--lambda", "-3", "--epsilon", "0", "--sigma", "1", "--theta", "0.5",
-    "--nodes", "51", "--samples", "1000", "--seed", "7", "--paths", "3", "--steps", "20",
+    "--samples", "1000", "--seed", "7", "--paths", "3", "--steps", "20",
 )
 #: exponent's flags add --dt, which sweep-dt does not take
 _LAYOUT_FLAGS = (*_SWEEP_LAYOUT_FLAGS, "--dt", "1e-3")
@@ -1335,11 +1379,11 @@ _LAYOUT_P = ModelParams(lam=-3.0, epsilon=0.0, sigma=1.0)
 #: sigma, with the value each takes under _LAYOUT_FLAGS.
 _LAYOUT_EXTRA = {
     "ms-exact": {},
-    "as-quad": {"nodes": "51"},
+    "as-quad": {},
     "as-mc": {"samples": "1000", "seed": "7"},
     "as-slope": {"paths": "3", "steps": "20", "seed": "7", "x0": "1.0", "y0": "0.0"},
     "theta-ms": {"theta": "0.5"},
-    "theta-as": {"nodes": "51", "theta": "0.5"},
+    "theta-as": {"theta": "0.5"},
 }
 
 

@@ -149,21 +149,9 @@ NUMPY_FREE = [
         '0.020963355038027487, 0.0020996328751863302]}\n',
         "",
     ),
-    # the refusals of as-quad keep their order: domain, then node count
+    # the domain refusal comes before the route, so it builds no array
     (
-        ("exponent", "as-quad", "--nodes", "2"),
-        2,
-        '{"error": "node count must be an integer in [3, 1024], got 2"}\n',
-        "",
-    ),
-    (
-        ("exponent", "as-quad", "--nodes", "1025"),
-        2,
-        '{"error": "node count must be an integer in [3, 1024], got 1025"}\n',
-        "",
-    ),
-    (
-        ("exponent", "as-quad", "--lambda", "-600", "--sigma", "1", "--nodes", "2"),
+        ("exponent", "as-quad", "--lambda", "-600", "--sigma", "1"),
         2,
         '{"error": "the step factor\'s lower bound c0 - 1/(2*denom) = -0.09850000000000003 '
         'must be positive for the almost-sure exponent estimators"}\n',

@@ -11,7 +11,9 @@ refusal (_StepFactor.check_domain), and the sandwich lemma's gamma_dt > 3/4
 is refused by milstab.lemmas alone. The CLI's result tables are laid out by
 cli._table alone; only simulate's streamed JSON head builds its own
 {"params": ...} object, and simulate's separators and brackets are cli's:
-milstab._floattext only writes numbers.
+milstab._floattext only writes numbers. The Gauss-Hermite node count of the
+quadrature route is stated once, as exponents.QUAD_NODES, and no function but
+gauss_hermite_rule (with the table cache it calls) takes a node count.
 """
 
 import ast
@@ -139,3 +141,48 @@ def test_floattext_names_no_separator():
         for alias in node.names
     ]
     assert "json" not in imports
+
+
+def test_node_count_stated_once():
+    # 201 nodes, checked against 402, by one constant of exponents
+    found = [
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value in (201, 402)
+    ]
+    assert found == ["exponents.py"]
+    assert milstab.exponents.QUAD_NODES == 201
+
+
+#: The builders of a Gauss-Hermite rule, each called with its node count.
+_RULE_BUILDERS = {"gauss_hermite_rule", "_hermite_table"}
+
+
+def _node_count_takers(tree):
+    """Each function with a parameter that reaches a rule builder's node count,
+    or named nodes, by function name; a lambda is "<lambda>"."""
+    takers = []
+
+    def visit(node, params, owner):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            own = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            owner = getattr(node, "name", "<lambda>")
+            if "nodes" in own:
+                takers.append(owner)
+            params = params | own
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _RULE_BUILDERS:
+            names = {n.id for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+            if names & params:
+                takers.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, params, owner)
+
+    visit(tree, frozenset(), None)
+    return takers
+
+
+def test_only_the_rule_takes_a_node_count():
+    takers = [(name, owner) for name, tree in _trees() for owner in _node_count_takers(tree)]
+    assert takers == [("stochastics.py", "gauss_hermite_rule")]

@@ -71,7 +71,9 @@ MATRIX = [
     "exponent theta-ms --epsilon 0.5 --theta 0.5 --format csv",
     "exponent ms-exact --dt 2 --format csv",
     "exponent ms-exact --config no-such-config.json",
-    "exponent as-quad --lambda 17.7 --epsilon 0 --sigma 6 --dt 0.8 --nodes 1024",
+    "exponent as-quad --lambda 17.7 --epsilon 0 --sigma 6 --dt 0.8",
+    "exponent as-quad --nodes 402",
+    "exponent as-quad --lambda 1 --epsilon 0 --sigma 2 --dt 0.2244",
     # answered by Gauss-Hermite, and as-mc without noise
     "exponent as-quad --dt 0.1",
     f"exponent theta-as {_THETA} --dt 0.05",
@@ -94,6 +96,12 @@ MATRIX = [
         for fmt in ("csv", "json")
     ),
     "sweep-dt ms-exact --dts ,",
+    # refused once, before any row, as exponent refuses them
+    "sweep-dt theta-as",
+    "sweep-dt theta-as --epsilon 0 --theta 2",
+    "sweep-dt as-mc --samples 5",
+    "sweep-dt as-slope --paths 1",
+    "sweep-dt as-slope --steps 0",
     f"sweep-dt ms-exact {_SWEEP} --dt 0.1",
     # region
     *(f"region --lambda 2 --sigma-range 0:4:2 --format {fmt}" for fmt in ("csv", "json")),
