@@ -32,6 +32,11 @@ and --out are execution detail and excluded). _table owns the layout of
 every result table, CSV or {"params", "rows", ...} JSON: exponent's CSV,
 sweep-dt, region and simulate's CSV head all go through it.
 
+The initial datum (x0, y0), set by a config file alone, is simulate's: a
+path is log|Z_n/Z_0|, simulate adds log|Z_0| as it writes each path's
+column, and no exponent depends on the datum, so no other subcommand reads
+it or refuses the origin.
+
 Every write, to stdout or --out, goes through one writer, _write, argparse's
 help text included: a failed write prints one error line and exits 1. A
 refused estimate's JSON error object goes where a result would.
@@ -77,7 +82,8 @@ from .verify import (  # noqa: F401
     verify_log_sandwich, xi_gamma,
 )
 
-#: Each config key: (flag, type, default, help). x0 and y0 have no flag.
+#: Each config key: (flag, type, default, help). x0 and y0 have no flag, and
+#: simulate alone reads them.
 _PARAMS = {
     "lam": ("--lambda", float, 8.0, "drift coefficient"),
     "epsilon": ("--epsilon", float, 2.0, "rotational noise intensity"),
@@ -292,19 +298,20 @@ def _model(values: dict) -> ModelParams:
 
 def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
     p = _model(values)
-    datum = InitialDatum(values["x0"], values["y0"])
+    log0 = InitialDatum(values["x0"], values["y0"]).log_modulus()
     theta = values["theta"]
     if theta is not None:  # the theta scheme's own checks, in the estimators' order
         theta_eta(p, theta, values["dt"])
-    cfg = SchemeConfig(dt=values["dt"], n_steps=values["steps"], initial=datum, theta=theta)
+    cfg = SchemeConfig(dt=values["dt"], n_steps=values["steps"], theta=theta)
     n_paths = values["paths"]
     if n_paths < 1:
         raise ValueError(f"paths must be at least 1, got {n_paths}")
-    # t, one column per path, then the mean; each path goes into its column as it arrives
+    # t, one column per path, then the mean; each path log|Z_n/Z_0| goes into
+    # its column as it arrives, and log|Z_0| is added as it is written there
     table = np.empty((cfg.n_steps + 1, n_paths + 2))
     paths = _simulate_paths(p, cfg, values["seed"], n_paths, values["threads"])
     for index, path in enumerate(paths, start=1):
-        table[:, index] = path.log_values
+        np.add(path.log_values, log0, out=table[:, index])
     table[:, 0] = cfg.dt * np.arange(cfg.n_steps + 1)
     table[:, -1] = table[:, 1:-1].mean(axis=1)
     # Any non-finite value reaches its row's mean, so past this check every
@@ -341,7 +348,6 @@ def _estimator_kwargs(values: dict) -> dict:
         "threads": values["threads"],
         "n_paths": values["paths"],
         "n_steps": values["steps"],
-        "initial": InitialDatum(values["x0"], values["y0"]),
     }
 
 
@@ -350,7 +356,7 @@ _METHOD_KEYS = {
     Method.MS_EXACT: (),
     Method.AS_QUADRATURE: (),
     Method.AS_MONTE_CARLO: ("samples", "seed"),
-    Method.AS_PATH_SLOPE: ("paths", "steps", "seed", "x0", "y0"),
+    Method.AS_PATH_SLOPE: ("paths", "steps", "seed"),
     Method.THETA_MS_EXACT: ("theta",),
     Method.THETA_AS_QUADRATURE: ("theta",),
 }

@@ -32,7 +32,6 @@ from enum import Enum
 
 from . import _np as np
 from .model import (
-    InitialDatum,
     ModelParams,
     continuum_as_exponent,
     continuum_ms_exponent,
@@ -62,6 +61,12 @@ _MC_CHUNK = 1 << 15
 
 #: Fewest Monte Carlo samples from which a mean and its standard error are reported.
 _MIN_SAMPLES = 100
+
+
+def _check_samples(n_samples: int) -> None:
+    """Refuse fewer than _MIN_SAMPLES samples: as-mc's floor and verify's, in one text."""
+    if n_samples < _MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {_MIN_SAMPLES}, got {n_samples}")
 
 
 def _usable_cpus() -> int:
@@ -570,9 +575,12 @@ def estimate(
     threads: int = 1,
     n_paths: int = 50,
     n_steps: int = 10**4,
-    initial: InitialDatum = InitialDatum(1.0, 0.0),
 ) -> ExponentEstimate:
-    """Dispatch a single-dt exponent estimate for the given method."""
+    """Dispatch a single-dt exponent estimate for the given method.
+
+    No estimator reads an initial datum: every exponent is a limit of
+    (1/(n*dt)) log|Z_n/Z_0|, and as-slope's paths start at log|Z_0/Z_0| = 0.
+    """
     if method is Method.MS_EXACT:
         return ms_exponent_exact(p, dt)
     if method is Method.AS_QUADRATURE:
@@ -580,7 +588,7 @@ def estimate(
     if method is Method.AS_MONTE_CARLO:
         return as_exponent_mc(p, dt, n_samples, seed, threads=threads)
     if method is Method.AS_PATH_SLOPE:
-        cfg = SchemeConfig(dt=dt, n_steps=n_steps, initial=initial)
+        cfg = SchemeConfig(dt=dt, n_steps=n_steps)
         check_dt_free(p, method, n_paths=n_paths, n_steps=n_steps)  # before any path
         # takes each path as it is simulated
         return as_exponent_path_slope(_simulate_paths(p, cfg, seed, n_paths, threads))
@@ -600,8 +608,8 @@ def check_dt_free(p: ModelParams, method: Method, *, theta: float | None = None,
     here, in their own order, some after a dt or domain check; a dt sweep
     makes them once, before any estimate.
     """
-    if method is Method.AS_MONTE_CARLO and n_samples < _MIN_SAMPLES:
-        raise ValueError(f"n_samples must be at least {_MIN_SAMPLES}, got {n_samples}")
+    if method is Method.AS_MONTE_CARLO:
+        _check_samples(n_samples)
     if method is Method.AS_PATH_SLOPE:
         _check_steps(n_steps)
         if n_paths < 2:

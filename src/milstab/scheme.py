@@ -34,7 +34,8 @@ simulate_path, generates trajectories of both schemes: SchemeConfig.theta
 names the scheme, and the theta factor alone checks theta. Trajectories are
 accumulated as sums of log|factor|; the raw product would overflow within a
 few hundred steps for blow-up parameters, so |Z_n| itself is never
-materialized.
+materialized. A path is log|Z_n/Z_0|, which no initial datum changes: the
+datum is cli's simulate's alone, which adds log|Z_0| to each path it writes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import _np as np
-from .model import InitialDatum, ModelParams
+from .model import ModelParams
 from .stochastics import RngStream
 
 #: Log contribution recorded for a step whose factor underflows to exactly 0
@@ -64,7 +65,7 @@ def _check_steps(n_steps: int) -> None:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Step size, horizon, initial datum, and the scheme.
+    """Step size, horizon and the scheme; a path starts at log|Z_0/Z_0| = 0.
 
     theta names the scheme: absent is the plain Milstein scheme, a number the
     drift-implicit theta variant. The step size must satisfy 0 < dt < 1 and
@@ -75,7 +76,6 @@ class SchemeConfig:
 
     dt: float
     n_steps: int
-    initial: InitialDatum
     theta: float | None = None
 
     def __post_init__(self) -> None:
@@ -85,10 +85,9 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class LogModulusPath:
-    """A trajectory of log|Z_n| on the grid t_n = n*dt.
+    """A trajectory of log|Z_n/Z_0| on the grid t_n = n*dt.
 
-    log_values has length n_steps + 1 and starts at log sqrt(x0^2 + y0^2)
-    (InitialDatum.log_modulus).
+    log_values has length n_steps + 1 and starts at 0.0.
     flags marks, per step, factors that underflowed to zero and had their log
     contribution clamped; all other entries are finite.
     """
@@ -289,8 +288,8 @@ def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
     return _plain_factor(p, dt).at(dB)
 
 
-def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log0 and its running sums with log|factors|, exact zeros flagged and clamped.
+def _accumulate(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0.0 and the running sums of log|factors|, exact zeros flagged and clamped.
 
     factors is overwritten with its clamped logs, so beside it only the
     returned arrays are allocated.
@@ -301,14 +300,13 @@ def _accumulate(log0: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarra
     np.log(logs, out=logs)
     np.copyto(logs, LOG_CLAMP, where=flags)
     log_values = np.empty(len(logs) + 1)
-    log_values[0] = log0
+    log_values[0] = 0.0
     np.cumsum(logs, out=log_values[1:])
-    log_values[1:] += log0
     return log_values, flags
 
 
 def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
-    """Generate one trajectory of log|Z_n| of the scheme cfg.theta names.
+    """Generate one trajectory of log|Z_n/Z_0| of the scheme cfg.theta names.
 
     cfg.theta None is the plain Milstein scheme; a number is the scalar
     theta-Milstein scheme, whose factor refuses epsilon != 0, theta outside
@@ -324,7 +322,7 @@ def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogMo
     # worker threads run too.
     with np.errstate(over="ignore", invalid="ignore"):
         factors = f.of_normals(stream.normals(cfg.n_steps))
-        log_values, flags = _accumulate(cfg.initial.log_modulus(), factors)
+        log_values, flags = _accumulate(factors)
     return LogModulusPath(dt=cfg.dt, log_values=log_values, flags=flags)
 
 

@@ -29,7 +29,7 @@ import math
 import sys
 
 from . import _np as np
-from .exponents import _MC_CHUNK, _MIN_SAMPLES, QUAD_NODES, _merge, _moments_in_place, _std_error
+from .exponents import _MC_CHUNK, QUAD_NODES, _check_samples, _merge, _moments_in_place, _std_error
 from .lemmas import (
     BoundKind, LogBoundDomain, composite_increment_moments, gaussian_moment,
     verify_log_sandwich, xi_gamma,
@@ -197,8 +197,7 @@ def run(suite: str, p: ModelParams, dt: float, *, seed: int, n_samples: int) -> 
     """
     suites = suites_named(suite)
     _check_dt(dt)
-    if n_samples < _MIN_SAMPLES:
-        raise ValueError(f"--samples must be at least {_MIN_SAMPLES}, got {n_samples}")
+    _check_samples(n_samples)  # as-mc's floor, in its text
     inputs = dict(p=p, dt=dt, seed=seed, n_samples=n_samples)
     checks = []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -234,9 +234,8 @@ def test_criterion_08_theta_family(criterion):
     """Theta scheme: exact reduction at 0 and convergence for 0.5 and 1."""
     t0 = time.perf_counter()
     p0 = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
-    datum = InitialDatum(1.0, 0.0)
-    cfg0 = SchemeConfig(dt=1e-3, n_steps=4096, initial=datum)
-    cfg_t = SchemeConfig(dt=1e-3, n_steps=4096, initial=datum, theta=0.0)
+    cfg0 = SchemeConfig(dt=1e-3, n_steps=4096)
+    cfg_t = SchemeConfig(dt=1e-3, n_steps=4096, theta=0.0)
     plain = simulate_path(p0, cfg0, RngStream(root_seed=42, stream_id=0))
     via_theta = simulate_theta_path(p0, cfg_t, RngStream(root_seed=42, stream_id=0))
     bitwise = np.array_equal(plain.log_values, via_theta.log_values)

@@ -32,7 +32,7 @@ from milstab.exponents import (
     continuum_target,
     ms_exponent_exact,
 )
-from milstab.model import InitialDatum, ModelParams
+from milstab.model import ModelParams
 from milstab.scheme import SchemeConfig, simulate_path
 from milstab.stochastics import RngStream
 
@@ -232,7 +232,7 @@ class TestExponentCommand:
 
 def _simulate_reference(steps, paths, seed):
     """The (times, path matrix, mean) simulate tabulates, from the library."""
-    cfg = SchemeConfig(dt=1e-3, n_steps=steps, initial=InitialDatum(1.0, 0.0))
+    cfg = SchemeConfig(dt=1e-3, n_steps=steps)
     p = ModelParams(8.0, 2.0, 4.0)
     runs = [simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)) for i in range(paths)]
     matrix = np.column_stack([run.log_values for run in runs])
@@ -305,6 +305,12 @@ class TestSimulateCommand:
             rows = [[float(cell) for cell in row] for row in parse_csv(out)[2]]
         assert rows[0][1] == pytest.approx(start, rel=1e-15)
         assert all(map(math.isfinite, itertools.chain(*rows)))
+
+    def test_origin_datum_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"x0": 0, "y0": 0}))
+        got = run_cli(capsys, "simulate", "--steps", "3", "--config", str(cfg))
+        assert got == (2, "", "error: initial datum (x0, y0) must not be the origin\n")
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -914,6 +920,27 @@ def _check_lines(records):
     )
 
 
+class TestDatumIsSimulatesAlone:
+    """A path is log|Z_n/Z_0|: no exponent reads the initial datum, or refuses it."""
+
+    def test_as_slope_bits_do_not_depend_on_the_datum(self, capsys, tmp_path):
+        # a path that carried log|Z_0| would round the slope ((S + log|Z_0|) - log|Z_0|)/t
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"x0": 1e300}))
+        args = ("exponent", "as-slope", "--paths", "5", "--steps", "1000")
+        expected = run_cli(capsys, *args)
+        assert json.loads(expected[1])["value"] == 1.463049749135154
+        assert run_cli(capsys, *args, "--config", str(cfg)) == expected
+
+    @pytest.mark.parametrize("command", ["exponent", "sweep-dt"])
+    def test_origin_datum_is_not_read(self, capsys, tmp_path, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"x0": 0, "y0": 0}))
+        expected = run_cli(capsys, command, "ms-exact")
+        assert expected[0] == 0
+        assert run_cli(capsys, command, "ms-exact", "--config", str(cfg)) == expected
+
+
 class TestVerifyCommand:
     def test_closedform_does_not_read_the_datum(self, capsys, tmp_path):
         # it compares |Z_n|^2 / |Z_0|^2: a datum whose square underflows no
@@ -1001,7 +1028,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *args)
         if failing is None:
             samples = args[args.index("--samples") + 1]
-            refusal = f"error: --samples must be at least 100, got {samples}\n"
+            refusal = f"error: n_samples must be at least 100, got {samples}\n"
             assert (code, out, err) == (2, "", refusal)
         else:
             assert code == 1
@@ -1085,7 +1112,7 @@ class TestVerifyCommand:
         [
             (("--dt", "1.5"), "dt must lie in (0, 1), got 1.5"),
             (("--dt", "0"), "dt must lie in (0, 1), got 0.0"),
-            (("--samples", "99"), "--samples must be at least 100, got 99"),
+            (("--samples", "99"), "n_samples must be at least 100, got 99"),
             (("--samples", "5", "--dt", "2"), "dt must lie in (0, 1), got 2.0"),
         ],
     )
@@ -1381,7 +1408,7 @@ _LAYOUT_EXTRA = {
     "ms-exact": {},
     "as-quad": {},
     "as-mc": {"samples": "1000", "seed": "7"},
-    "as-slope": {"paths": "3", "steps": "20", "seed": "7", "x0": "1.0", "y0": "0.0"},
+    "as-slope": {"paths": "3", "steps": "20", "seed": "7"},
     "theta-ms": {"theta": "0.5"},
     "theta-as": {"theta": "0.5"},
 }

@@ -39,7 +39,6 @@ from milstab.exponents import (
 )
 from milstab.lemmas import xi_expectation
 from milstab.model import (
-    InitialDatum,
     ModelParams,
     continuum_as_exponent,
     continuum_ms_exponent,
@@ -711,7 +710,7 @@ class TestPathSlope:
         assert est.method is Method.AS_PATH_SLOPE
         assert est.n_samples == 10
         # reproduces a manual run over the same streams
-        cfg = SchemeConfig(dt=1e-3, n_steps=2000, initial=InitialDatum(1.0, 0.0))
+        cfg = SchemeConfig(dt=1e-3, n_steps=2000)
         paths = [
             simulate_path(P_REF, cfg, RngStream(root_seed=42, stream_id=i)) for i in range(10)
         ]

@@ -118,7 +118,7 @@ NUMPY_FREE = [
         "",
     ),
     (("verify", "--suite", "all", "--dt", "1.5"), 2, "", "error: dt must lie in (0, 1), got 1.5\n"),
-    (("verify", "--samples", "5"), 2, "", "error: --samples must be at least 100, got 5\n"),
+    (("verify", "--samples", "5"), 2, "", "error: n_samples must be at least 100, got 5\n"),
     (
         ("exponent", "as-quad"),
         0,

@@ -13,7 +13,11 @@ cli._table alone; only simulate's streamed JSON head builds its own
 {"params": ...} object, and simulate's separators and brackets are cli's:
 milstab._floattext only writes numbers. The Gauss-Hermite node count of the
 quadrature route is stated once, as exponents.QUAD_NODES, and no function but
-gauss_hermite_rule (with the table cache it calls) takes a node count.
+gauss_hermite_rule (with the table cache it calls) takes a node count. The
+Monte Carlo floor of 100 samples is refused in one text, exponents', which
+verify's --samples shares. A path is log|Z_n/Z_0|, so the initial datum is
+read by cli's simulate alone: no other function builds an InitialDatum, and
+neither scheme nor exponents imports it.
 """
 
 import ast
@@ -96,6 +100,28 @@ def _modules_stating(text):
 )
 def test_theta_refusal_stated_once(text):
     assert _modules_stating(text) == ["scheme.py"]
+
+
+def test_sample_floor_stated_once():
+    assert _modules_stating("samples must be at least") == ["exponents.py"]
+
+
+def test_only_simulate_builds_an_initial_datum():
+    builders = [
+        (name, getattr(statement, "name", "<module>"))
+        for name, tree in _trees()
+        for statement in tree.body
+        if "InitialDatum" in _calls_in(statement)
+    ]
+    assert builders == [("cli.py", "_cmd_simulate")]
+    importers = [
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "InitialDatum" for alias in node.names)
+    ]
+    assert importers == ["cli.py"]
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,6 @@ from milstab.scheme import (
 from milstab.stochastics import RngStream
 
 P_REF = ModelParams(lam=8.0, epsilon=2.0, sigma=4.0)
-DATUM = InitialDatum(1.0, 0.0)
 
 
 def test_gamma_dt_reference():
@@ -140,33 +139,41 @@ def test_radial_factor_against_planar_step(lam, eps, sigma, dt):
 
 class TestAccumulate:
     def test_plain_products(self):
-        logs, flags = _accumulate(0.5, np.array([2.0, 1.0, 0.25]))
+        logs, flags = _accumulate(np.array([2.0, 1.0, 0.25]))
         assert not flags.any()
         np.testing.assert_allclose(
-            logs, [0.5, 0.5 + math.log(2.0), 0.5 + math.log(2.0), 0.5 + math.log(0.5)]
+            logs, [0.0, math.log(2.0), math.log(2.0), math.log(0.5)]
         )
 
     def test_zero_factor_clamps(self):
-        logs, flags = _accumulate(0.0, np.array([1.0, 0.0, 2.0]))
+        logs, flags = _accumulate(np.array([1.0, 0.0, 2.0]))
         assert list(flags) == [False, True, False]
         assert logs[2] == pytest.approx(LOG_CLAMP)
         assert logs[3] == pytest.approx(LOG_CLAMP + math.log(2.0))
 
     def test_negative_factor_uses_modulus(self):
-        logs, _ = _accumulate(0.0, np.array([-3.0]))
+        logs, _ = _accumulate(np.array([-3.0]))
         assert logs[1] == pytest.approx(math.log(3.0))
 
     def test_bits_are_pinned(self):
-        # the whole-array form: log0 + cumsum(where(flags, LOG_CLAMP, log(|F|)))
-        logs, flags = _accumulate(0.25, np.array([2.0, 0.0, -0.5, 3.0]))
+        # the whole-array form: cumsum(where(flags, LOG_CLAMP, log(|F|))) after 0.0
+        logs, flags = _accumulate(np.array([2.0, 0.0, -0.5, 3.0]))
         assert [v.hex() for v in logs.tolist()] == [
+            "0x0.0p+0", "0x1.62e42fefa39efp-1", "-0x1.742746f404172p+9",
+            "-0x1.7480000000000p+9", "-0x1.73f360ac2a97ep+9",
+        ]
+        assert flags.tolist() == [False, True, False, False]
+        # adding a log|Z_0| of 0.25 afterwards, as cli's simulate does, gives the
+        # bits of log0 + cumsum(...)
+        assert [v.hex() for v in np.add(logs, 0.25).tolist()] == [
             "0x1.0000000000000p-2", "0x1.e2e42fefa39efp-1", "-0x1.740746f404172p+9",
             "-0x1.7460000000000p+9", "-0x1.73d360ac2a97ep+9",
         ]
-        assert flags.tolist() == [False, True, False, False]
-        cfg = SchemeConfig(dt=1e-3, n_steps=6, initial=InitialDatum(3.0, 4.0))
+        cfg = SchemeConfig(dt=1e-3, n_steps=6)
         path = simulate_path(P_REF, cfg, RngStream(root_seed=42, stream_id=7))
-        assert [v.hex() for v in path.log_values.tolist()] == [
+        assert path.log_values[0] == 0.0
+        log0 = InitialDatum(3.0, 4.0).log_modulus()
+        assert [v.hex() for v in np.add(path.log_values, log0).tolist()] == [
             "0x1.9c041f7ed8d33p+0", "0x1.9144b583081b2p+0", "0x1.9a42c6d05e248p+0",
             "0x1.9f6fb10d1fcf6p+0", "0x1.b8e3454e24fa2p+0", "0x1.cc3fe9d525762p+0",
             "0x1.bc2215c7a8a86p+0",
@@ -189,7 +196,7 @@ class TestAccumulate:
         # the normals turn into factors and then into logs in place, so a path
         # holds them and its log_values (and the one-byte flags) at once
         n = 10**5
-        cfg = SchemeConfig(dt=1e-3, n_steps=n, initial=DATUM)
+        cfg = SchemeConfig(dt=1e-3, n_steps=n)
         simulate_path(P_REF, cfg, RngStream(root_seed=1, stream_id=0))  # warm numpy up
         tracemalloc.start()
         try:
@@ -202,7 +209,7 @@ class TestAccumulate:
 
 class TestSimulate:
     def cfg(self, **kw):
-        base = dict(dt=1e-3, n_steps=64, initial=DATUM)
+        base = dict(dt=1e-3, n_steps=64)
         base.update(kw)
         return SchemeConfig(**base)
 
@@ -217,7 +224,7 @@ class TestSimulate:
         cfg = self.cfg(n_steps=5)
         path = simulate_path(P_REF, cfg, RngStream(root_seed=7, stream_id=0))
         dB = math.sqrt(cfg.dt) * RngStream(root_seed=7, stream_id=0).normals(5)
-        log = 0.5 * math.log(DATUM.squared_modulus())
+        log = 0.0
         expect = [log]
         for b in dB:
             log += math.log(abs(milstein_factor(P_REF, cfg.dt, float(b))))
@@ -225,9 +232,10 @@ class TestSimulate:
         np.testing.assert_allclose(path.log_values, expect, rtol=1e-12, atol=1e-12)
 
     def test_initial_value(self):
-        cfg = self.cfg(initial=InitialDatum(3.0, 4.0), n_steps=1)
+        # a path is log|Z_n/Z_0|, so it starts at exactly 0 whatever the datum
+        cfg = self.cfg(n_steps=1)
         path = simulate_path(P_REF, cfg, RngStream(root_seed=0, stream_id=0))
-        assert path.log_values[0] == pytest.approx(math.log(5.0))
+        assert path.log_values[0] == 0.0
 
     def test_times(self):
         path = simulate_path(P_REF, self.cfg(n_steps=4), RngStream(root_seed=0, stream_id=0))
@@ -275,7 +283,7 @@ class TestThetaScheme:
             theta_eta(p, 1.1, 1e-3)
 
     def test_epsilon_rejected(self):
-        cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM, theta=0.5)
+        cfg = SchemeConfig(dt=1e-3, n_steps=4, theta=0.5)
         with pytest.raises(ValueError):
             simulate_theta_path(P_REF, cfg, RngStream(root_seed=0, stream_id=0))
 
@@ -304,7 +312,7 @@ class TestThetaScheme:
     def test_theta_required(self):
         # a theta config needs a theta in [0, 1]; the factor refuses it before any draw
         p = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
-        cfg = SchemeConfig(dt=1e-3, n_steps=4, initial=DATUM, theta=1.5)
+        cfg = SchemeConfig(dt=1e-3, n_steps=4, theta=1.5)
         stream = RngStream(root_seed=0, stream_id=0)
         with pytest.raises(ValueError):
             simulate_path(p, cfg, stream)
@@ -326,7 +334,7 @@ class TestThetaScheme:
     @pytest.mark.parametrize("theta", sorted(THETA_PATH_BITS))
     def test_simulate_path_reads_the_scheme_from_the_config(self, theta):
         p = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
-        cfg = SchemeConfig(dt=1e-2, n_steps=6, initial=DATUM, theta=theta)
+        cfg = SchemeConfig(dt=1e-2, n_steps=6, theta=theta)
         path = simulate_path(p, cfg, RngStream(root_seed=7, stream_id=3))
         assert [v.hex() for v in path.log_values.tolist()] == self.THETA_PATH_BITS[theta]
         assert not path.flags.any()
@@ -335,8 +343,8 @@ class TestThetaScheme:
     def test_theta_zero_bitwise_identical(self, seed):
         # theta = 0 must reproduce the plain scheme exactly, bit for bit
         p = ModelParams(lam=6.0, epsilon=0.0, sigma=4.0)
-        cfg0 = SchemeConfig(dt=1e-3, n_steps=512, initial=DATUM)
-        cfg_t = SchemeConfig(dt=1e-3, n_steps=512, initial=DATUM, theta=0.0)
+        cfg0 = SchemeConfig(dt=1e-3, n_steps=512)
+        cfg_t = SchemeConfig(dt=1e-3, n_steps=512, theta=0.0)
         plain = simulate_path(p, cfg0, RngStream(root_seed=seed, stream_id=0))
         timpl = simulate_theta_path(p, cfg_t, RngStream(root_seed=seed, stream_id=0))
         assert np.array_equal(plain.log_values, timpl.log_values)
@@ -347,17 +355,17 @@ class TestConfigValidation:
     def test_dt_range(self):
         for dt in (0.0, 1.0, -1e-3, 2.0):
             with pytest.raises(ValueError):
-                SchemeConfig(dt=dt, n_steps=1, initial=DATUM)
+                SchemeConfig(dt=dt, n_steps=1)
 
     def test_steps_positive(self):
         with pytest.raises(ValueError):
-            SchemeConfig(dt=1e-3, n_steps=0, initial=DATUM)
+            SchemeConfig(dt=1e-3, n_steps=0)
 
     def test_theta_range(self):
         # SchemeConfig leaves theta to the theta factor, which simulate_path builds
         p = ModelParams(lam=1.0, epsilon=0.0, sigma=1.0)
         for theta in (-0.1, 1.5, math.nan):
-            cfg = SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=theta)
+            cfg = SchemeConfig(dt=1e-3, n_steps=1, theta=theta)
             with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
                 simulate_path(p, cfg, RngStream(root_seed=0, stream_id=0))
 
@@ -365,7 +373,7 @@ class TestConfigValidation:
         # simulate_path and theta_eta refuse a theta outside [0, 1] in the same words
         message = "theta must lie in [0, 1], got 1.5"
         p = ModelParams(lam=1.0, epsilon=0.0, sigma=1.0)
-        cfg = SchemeConfig(dt=1e-3, n_steps=1, initial=DATUM, theta=1.5)
+        cfg = SchemeConfig(dt=1e-3, n_steps=1, theta=1.5)
         with pytest.raises(ValueError) as exc:
             simulate_path(p, cfg, RngStream(root_seed=0, stream_id=0))
         assert str(exc.value) == message

@@ -6,13 +6,17 @@ OLD_SRC and NEW_SRC are directories that hold a milstab package (a
 checkout's src/). Each run of one fixed matrix of `python -m milstab` calls
 goes once against each tree, in a fresh empty working directory, and the two
 results are compared: exit code, stdout, stderr and every file the run
-wrote. Each run that differs is printed with what differs; the exit code is
+wrote. A run is its arguments, or a pair (arguments, config) whose JSON
+object is written into the working directory as c.json before the call, so
+that keys only a config file sets (the initial datum x0, y0) are covered
+too. Each run that differs is printed with what differs; the exit code is
 1 if any run differs, else 0. Standard library only.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +37,8 @@ _METHODS = {
 }
 _SIM = "simulate --steps 30 --paths 3 --seed 9"
 _SWEEP = "--dts 1e-2,1e-3,1e-4"
+#: Initial data whose log-modulus is exact, underflows and overflows when squared.
+_DATUMS = ({"x0": 3, "y0": 4}, {"x0": 1e-200}, {"x0": 1e200, "y0": 1e200})
 
 #: Every subcommand, each method, csv and json, stdout and --out, and refusals.
 MATRIX = [
@@ -116,11 +122,35 @@ MATRIX = [
     "verify --suite moments --samples 1000",
     "verify --suite moments --samples 10",
     "verify --suite lemmas --threads 2",
+    # the initial datum, a config-file key that simulate alone reads
+    *(
+        (f"{_SIM}{theta} --config c.json --format {fmt}", datum)
+        for datum in _DATUMS
+        for theta in ("", f" {_THETA}")
+        for fmt in ("csv", "json")
+    ),
+    *(
+        (f"{call} --config c.json", {"x0": 0, "y0": 0})
+        for call in (_SIM, "exponent ms-exact", "sweep-dt ms-exact")
+    ),
+    ("exponent as-slope --paths 5 --steps 1000 --config c.json", {"x0": 1e300}),
 ]
 
 
-def run(src: str, args: str) -> tuple:
-    """(exit code, stdout, stderr, {file name: bytes}) of one call against src."""
+def _split(entry) -> tuple[str, dict | None]:
+    """(arguments, config or None) of a matrix entry."""
+    return (entry, None) if isinstance(entry, str) else entry
+
+
+def label(entry) -> str:
+    """The entry as compare prints it: its arguments, then its config if any."""
+    args, config = _split(entry)
+    return args if config is None else f"{args} with c.json {json.dumps(config)}"
+
+
+def run(src: str, entry) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of one matrix entry against src."""
+    args, config = _split(entry)
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(src).resolve()),
@@ -128,6 +158,8 @@ def run(src: str, args: str) -> tuple:
         "COLUMNS": "80",
     }
     with tempfile.TemporaryDirectory() as cwd:
+        if config is not None:
+            Path(cwd, "c.json").write_text(json.dumps(config), encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "milstab", *args.split()],
             cwd=cwd, env=env, capture_output=True, timeout=600,
@@ -139,11 +171,11 @@ def run(src: str, args: str) -> tuple:
 def compare(old_src: str, new_src: str, matrix=MATRIX) -> list[str]:
     """One line per run of matrix whose results differ between the trees."""
 
-    def differs(args: str) -> str | None:
-        old, new = run(old_src, args), run(new_src, args)
+    def differs(entry) -> str | None:
+        old, new = run(old_src, entry), run(new_src, entry)
         names = ("exit", "stdout", "stderr", "files")
         parts = [name for name, a, b in zip(names, old, new) if a != b]
-        return f"{args}: {', '.join(parts)} differ" if parts else None
+        return f"{label(entry)}: {', '.join(parts)} differ" if parts else None
 
     with concurrent.futures.ThreadPoolExecutor(2) as pool:  # a 2-core host
         return [line for line in pool.map(differs, matrix) if line is not None]
