@@ -41,6 +41,13 @@ Every write, to stdout or --out, goes through one writer, _write, argparse's
 help text included: a failed write prints one error line and exits 1. A
 refused estimate's JSON error object goes where a result would.
 
+--theta picks the scheme for simulate and every method, in one place
+(scheme._factor): absent is the plain Milstein scheme, a number the theta
+scheme, which requires epsilon = 0; theta-ms and theta-as are the ms-exact
+and as-quad estimates with --theta required. The provenance of simulate,
+exponent and sweep-dt records theta, after the other keys _provenance
+writes, exactly when it is set.
+
 Exit codes: 0 success, 1 failed verification, unwritable output or a table
 too large for memory, 2 bad configuration or an estimator precondition
 violation. simulate with --theta checks the theta scheme first, in the theta
@@ -93,8 +100,8 @@ _PARAMS = {
     "paths": ("--paths", int, 50, "number of independent paths"),
     "seed": ("--seed", int, 42, "root seed for all substreams"),
     "samples": ("--samples", int, 10**6, "Monte Carlo sample count"),
-    "theta": ("--theta", float, None, "theta-scheme implicitness (requires epsilon 0); read "
-              "by simulate and the theta-ms and theta-as methods, ignored by the others"),
+    "theta": ("--theta", float, None, "run the theta scheme with this implicitness (requires "
+              "epsilon 0), in simulate and every method; theta-ms and theta-as require it"),
     "dts": ("--dts", str, "1e-1,1e-2,1e-3,1e-4,1e-5", "comma separated step sizes"),
     "sigma_range": ("--sigma-range", str, "0:5:0.05", "sigma grid as lo:hi:step"),
     "suite": ("--suite", str, "all", "which checks to run"),
@@ -216,9 +223,11 @@ def _parse_sigma_range(text: str) -> list[float]:
 
 
 def _provenance(values: dict, keys) -> dict:
-    """The model under its flag names, then the given config keys in order."""
+    """The model under its flag names, the given config keys in order, then theta if set."""
     pairs = {"lambda": values["lam"], "epsilon": values["epsilon"], "sigma": values["sigma"]}
     pairs.update((key, values[key]) for key in keys)
+    if values["theta"] is not None:
+        pairs["theta"] = values["theta"]
     return pairs
 
 
@@ -321,8 +330,6 @@ def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
         t, mean = table[finite.argmin(), [0, -1]].tolist()  # the first such row
         raise ValueError(f"mean log-modulus must be finite, got {mean!r} at t = {t!r}")
     pairs = _provenance(values, ("dt", "steps", "paths", "seed", "x0", "y0"))
-    if theta is not None:
-        pairs["theta"] = theta
     header = ["t"] + [f"path_{i}" for i in range(n_paths)] + ["mean"]
     if values["format"] == "json":
         head = json.dumps({"params": pairs, "columns": header, "rows": []})[:-2] + "["
@@ -351,19 +358,16 @@ def _estimator_kwargs(values: dict) -> dict:
     }
 
 
-#: The config keys each method's output records, after the method and the model.
+#: The config keys a sampling method's output records, after the method and the
+#: model and before theta; the other methods record none.
 _METHOD_KEYS = {
-    Method.MS_EXACT: (),
-    Method.AS_QUADRATURE: (),
     Method.AS_MONTE_CARLO: ("samples", "seed"),
     Method.AS_PATH_SLOPE: ("paths", "steps", "seed"),
-    Method.THETA_MS_EXACT: ("theta",),
-    Method.THETA_AS_QUADRATURE: ("theta",),
 }
 
 
 def _method_pairs(method: Method, values: dict) -> dict:
-    return {"method": method.value, **_provenance(values, _METHOD_KEYS[method])}
+    return {"method": method.value, **_provenance(values, _METHOD_KEYS.get(method, ()))}
 
 
 def _cmd_exponent(ns: argparse.Namespace, values: dict) -> int:

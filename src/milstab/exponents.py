@@ -3,6 +3,10 @@
 Every estimator is an expectation over the one-step factor F of
 milstab.scheme (plain: c0 = gamma_dt, denom = 1; theta: c0 = eta_dt,
 denom = 1 - lam*theta*dt), and each one is written once against that factor.
+Each estimator takes theta, None for the plain scheme (as-slope through its
+paths' SchemeConfig), and its factor from scheme._factor, so every method
+runs either scheme; the theta-ms and theta-as methods are the mean-square
+and quadrature ones with theta required.
 
 Mean-square exponents come in closed form: squaring the scheme gives
 E(Z_n^2) = (x0^2 + y0^2) * base^n with base = E F^2, which for the plain
@@ -42,9 +46,8 @@ from .scheme import (
     _check_dt,
     _check_steps,
     _check_theta_scheme,
-    _plain_factor,
+    _factor,
     _StepFactor,
-    _theta_factor,
     mu,
     simulate_path,
 )
@@ -208,14 +211,14 @@ def _ms(f: _StepFactor, method: Method) -> ExponentEstimate:
     return ExponentEstimate(value=f.ms_log_base() / (2.0 * f.dt), method=method, dt=f.dt)
 
 
-def ms_exponent_exact(p: ModelParams, dt: float) -> ExponentEstimate:
-    """Exact mean-square exponent log(base)/(2*dt) of the Milstein scheme.
+def ms_exponent_exact(p: ModelParams, dt: float, theta: float | None = None) -> ExponentEstimate:
+    """Exact mean-square exponent log(base)/(2*dt) of the scheme theta names.
 
     Exact in n: the squared-modulus recursion is geometric, so the limsup is
     attained at every step. Errors out when base <= 0 (dt too large for the
     positivity restriction).
     """
-    return _ms(_plain_factor(p, dt), Method.MS_EXACT)
+    return _ms(_factor(p, dt, theta), Method.MS_EXACT)
 
 
 #: Truncation rule of the remainder series: stop before a term smaller than
@@ -333,16 +336,18 @@ def _quad(f: _StepFactor, method: Method) -> ExponentEstimate:
     return ExponentEstimate(value=v1, method=method, dt=f.dt)
 
 
-def as_exponent_quadrature(p: ModelParams, dt: float) -> ExponentEstimate:
-    """Almost-sure exponent (1/dt) * E log(gamma + sigma*dB + (sigma^2/2)*dB^2).
+def as_exponent_quadrature(p: ModelParams, dt: float,
+                           theta: float | None = None) -> ExponentEstimate:
+    """Almost-sure exponent (1/dt) * E log F of the scheme theta names.
 
-    At small noise the root series of _root_series gives the value; elsewhere
+    For the plain scheme F = gamma + sigma*dB + (sigma^2/2)*dB^2. At small
+    noise the root series of _root_series gives the value; elsewhere
     substituting zeta = dB/sqrt(dt) turns the expectation into a standard
     normal integral evaluated by Gauss-Hermite quadrature on QUAD_NODES
-    nodes, checked against twice as many (_quad). Requires gamma_dt > 1/2,
-    where F stays positive (_StepFactor.check_domain).
+    nodes, checked against twice as many (_quad). Requires F > 0 for every
+    increment, for the plain scheme gamma_dt > 1/2 (_StepFactor.check_domain).
     """
-    return _quad(_plain_factor(p, dt), Method.AS_QUADRATURE)
+    return _quad(_factor(p, dt, theta), Method.AS_QUADRATURE)
 
 
 def _slices(x: np.ndarray):
@@ -414,8 +419,9 @@ def as_exponent_mc(
     n_samples: int,
     seed: int,
     threads: int = 1,
+    theta: float | None = None,
 ) -> ExponentEstimate:
-    """Strong-law Monte Carlo estimate of the almost-sure exponent.
+    """Strong-law Monte Carlo estimate of the almost-sure exponent of the scheme theta names.
 
     Averages log|factor| over n_samples i.i.d. increments and divides by dt;
     the standard error is _std_error's over the samples, divided by dt. At
@@ -427,7 +433,7 @@ def as_exponent_mc(
     log|factor| is tiny next to its mean, and the value is a pure function of
     (p, dt, n_samples, seed) regardless of threads.
     """
-    f = _plain_factor(p, dt)
+    f = _factor(p, dt, theta)
     f.check_domain()
     check_dt_free(p, Method.AS_MONTE_CARLO, n_samples=n_samples)
     if p.sigma == 0.0:
@@ -489,9 +495,10 @@ def theta_ms_exponent(p: ModelParams, theta: float, dt: float) -> ExponentEstima
     [E|X_n|^2]^(1/2) is log(M)/(2*dt). M - 1 is formed directly from
     E F = 1 + lam*dt/(1 - lam*theta*dt) and
     Var F = (sigma^2*dt + sigma^4*dt^2/2)/(1 - lam*theta*dt)^2, so the
-    small-dt exponent keeps full precision.
+    small-dt exponent keeps full precision. The factor and the value are
+    ms_exponent_exact's at the same theta.
     """
-    return _ms(_theta_factor(p, theta, dt), Method.THETA_MS_EXACT)
+    return _ms(_factor(p, dt, theta), Method.THETA_MS_EXACT)
 
 
 def theta_as_exponent_quadrature(p: ModelParams, theta: float, dt: float) -> ExponentEstimate:
@@ -499,11 +506,12 @@ def theta_as_exponent_quadrature(p: ModelParams, theta: float, dt: float) -> Exp
 
     (1/dt) * E log(eta + (sigma*dB + (sigma^2/2)*dB^2)/(1 - lam*theta*dt)),
     by the root series or by quadrature as in as_exponent_quadrature.
-    Requires eta > 1/(2*(1 - lam*theta*dt)), which keeps F positive. With
-    theta = 0 it answers or refuses bit for bit as as_exponent_quadrature
-    does at epsilon = 0: the two factors and their domain are the same.
+    Requires eta > 1/(2*(1 - lam*theta*dt)), which keeps F positive. The
+    factor and the value are as_exponent_quadrature's at the same theta; with
+    theta = 0 both answer or refuse bit for bit as the plain scheme does at
+    epsilon = 0: the two factors and their domain are the same.
     """
-    return _quad(_theta_factor(p, theta, dt), Method.THETA_AS_QUADRATURE)
+    return _quad(_factor(p, dt, theta), Method.THETA_AS_QUADRATURE)
 
 
 def fit_loglog(dts, errors) -> ConvergenceFit:
@@ -578,18 +586,20 @@ def estimate(
 ) -> ExponentEstimate:
     """Dispatch a single-dt exponent estimate for the given method.
 
-    No estimator reads an initial datum: every exponent is a limit of
+    theta picks the scheme for every method: None is the plain scheme, a
+    number the theta scheme, which theta-ms and theta-as require. No
+    estimator reads an initial datum: every exponent is a limit of
     (1/(n*dt)) log|Z_n/Z_0|, and as-slope's paths start at log|Z_0/Z_0| = 0.
     """
     if method is Method.MS_EXACT:
-        return ms_exponent_exact(p, dt)
+        return ms_exponent_exact(p, dt, theta)
     if method is Method.AS_QUADRATURE:
-        return as_exponent_quadrature(p, dt)
+        return as_exponent_quadrature(p, dt, theta)
     if method is Method.AS_MONTE_CARLO:
-        return as_exponent_mc(p, dt, n_samples, seed, threads=threads)
+        return as_exponent_mc(p, dt, n_samples, seed, threads=threads, theta=theta)
     if method is Method.AS_PATH_SLOPE:
-        cfg = SchemeConfig(dt=dt, n_steps=n_steps)
-        check_dt_free(p, method, n_paths=n_paths, n_steps=n_steps)  # before any path
+        cfg = SchemeConfig(dt=dt, n_steps=n_steps, theta=theta)
+        check_dt_free(p, method, theta=theta, n_paths=n_paths, n_steps=n_steps)  # before any path
         # takes each path as it is simulated
         return as_exponent_path_slope(_simulate_paths(p, cfg, seed, n_paths, threads))
     check_dt_free(p, method, theta=theta)
@@ -602,11 +612,12 @@ def check_dt_free(p: ModelParams, method: Method, *, theta: float | None = None,
                   n_samples: int = 10**6, n_paths: int = 50, n_steps: int = 10**4, **_) -> None:
     """Refuse what estimate refuses for method at every dt, in estimate's text.
 
-    These are the refusals that read no step size: a theta method's theta
-    (given, epsilon = 0, theta in [0, 1]), as-mc's sample count, and
-    as-slope's step count, then its path count. The estimators make them
-    here, in their own order, some after a dt or domain check; a dt sweep
-    makes them once, before any estimate.
+    These are the refusals that read no step size: as-mc's sample count,
+    as-slope's step count, then its path count, then the theta scheme's
+    epsilon = 0 and theta in [0, 1] for any method given a theta, which
+    theta-ms and theta-as require. The estimators make them here, in their
+    own order, some after a dt or domain check; a dt sweep makes them once,
+    before any estimate.
     """
     if method is Method.AS_MONTE_CARLO:
         _check_samples(n_samples)
@@ -614,10 +625,10 @@ def check_dt_free(p: ModelParams, method: Method, *, theta: float | None = None,
         _check_steps(n_steps)
         if n_paths < 2:
             raise ValueError(f"need at least 2 paths, got {n_paths}")
-    if method in (Method.THETA_MS_EXACT, Method.THETA_AS_QUADRATURE):
-        if theta is None:
-            raise ValueError(f"method {method.value} requires theta")
+    if theta is not None:
         _check_theta_scheme(p, theta)
+    elif method in (Method.THETA_MS_EXACT, Method.THETA_AS_QUADRATURE):
+        raise ValueError(f"method {method.value} requires theta")
 
 
 def continuum_target(p: ModelParams, method: Method) -> float:

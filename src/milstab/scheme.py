@@ -29,9 +29,10 @@ _StepFactor holds this factor once for path simulation and for every
 exponent estimator; its one evaluation form, of_normals, serves paths,
 Monte Carlo blocks, quadrature nodes and the sampling verify suites. It
 states the one almost-sure domain of both schemes: F > 0 for every
-increment, which keeps log F real. One function,
-simulate_path, generates trajectories of both schemes: SchemeConfig.theta
-names the scheme, and the theta factor alone checks theta. Trajectories are
+increment, which keeps log F real. _factor alone chooses the scheme, from
+theta (None is plain), for simulate_path and every estimator, and the theta
+factor alone checks theta. One function, simulate_path, generates
+trajectories of both schemes, as SchemeConfig.theta names. Trajectories are
 accumulated as sums of log|factor|; the raw product would overflow within a
 few hundred steps for blow-up parameters, so |Z_n| itself is never
 materialized. A path is log|Z_n/Z_0|, which no initial datum changes: the
@@ -222,8 +223,8 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     The c0 of _theta_factor, so it refuses what that factor refuses: epsilon
     != 0, theta outside [0, 1], dt outside (0, 1) and 1 - lam*theta*dt <= 0,
     where the implicit step is ill-posed. For theta = 0 eta_dt reduces to
-    gamma_dt. It is public as milstab.theta_eta; inside the package the theta
-    estimators and simulate_path read _theta_factor itself. cli's simulate
+    gamma_dt. It is public as milstab.theta_eta; inside the package the
+    estimators and simulate_path read the factor through _factor. cli's simulate
     calls it before it builds a SchemeConfig, so that theta is refused before
     dt, in the order of the theta estimators.
     """
@@ -273,6 +274,14 @@ def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
     )
 
 
+def _factor(p: ModelParams, dt: float, theta: float | None = None) -> _StepFactor:
+    """The step factor of the scheme theta names: None is plain, a number the theta scheme.
+
+    The one place the scheme is chosen, for paths and for every estimator.
+    """
+    return _plain_factor(p, dt) if theta is None else _theta_factor(p, theta, dt)
+
+
 def _noise_factor(sigma: float, dt: float) -> _StepFactor:
     """The composite increment sigma*dB + (sigma^2/2)*dB^2 as a c0 = 0 factor."""
     return _StepFactor(c0=0.0, c0m1=-1.0, mean_rate=0.0, sigma=sigma, denom=1.0, dt=dt)
@@ -316,7 +325,7 @@ def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogMo
     log|factor| step by step, and flags (without aborting) any step whose
     factor underflows to zero.
     """
-    f = _plain_factor(p, cfg.dt) if cfg.theta is None else _theta_factor(p, cfg.theta, cfg.dt)
+    f = _factor(p, cfg.dt, cfg.theta)
     # Parameters so large that F overflows give a non-finite path, which its
     # callers refuse; numpy's state is per thread, so it is set here, where
     # worker threads run too.

@@ -247,6 +247,31 @@ def test_criterion_08_theta_family(criterion):
         worst_rel = max(worst_rel, abs(a - b) / max(abs(a), abs(b)))
     reduction = worst_rel <= 1e-12
 
+    # theta = 0 through every method gives the plain method's bits, at dt =
+    # 1e-3 (root series) and 1e-2 (Gauss-Hermite); the theta slugs answer
+    # the plain estimates they name. Every method reads theta: each refuses
+    # it at epsilon != 0, so the equality is the theta scheme's.
+    plain_of = {Method.THETA_MS_EXACT: Method.MS_EXACT,
+                Method.THETA_AS_QUADRATURE: Method.AS_QUADRATURE}
+    sizes = {"n_samples": 10**5, "seed": 8, "n_paths": 8, "n_steps": 1024}
+    every_method = all(
+        (a.value, a.std_error, a.n_samples) == (b.value, b.std_error, b.n_samples)
+        for dt in (1e-3, 1e-2)
+        for method in Method
+        for a, b in [(estimate(p0, dt, method, theta=0.0, **sizes),
+                      estimate(p0, dt, plain_of.get(method, method), **sizes))]
+    )
+
+    def refuses_epsilon(method):
+        try:
+            estimate(ModelParams(lam=6.0, epsilon=0.5, sigma=4.0), 1e-3, method, theta=0.0,
+                     **sizes)
+        except ValueError as exc:
+            return str(exc).startswith("theta scheme requires epsilon = 0")
+        return False
+
+    reads_theta = all(map(refuses_epsilon, Method))
+
     orders = []
     converge = True
     for theta in (0.5, 1.0):
@@ -255,12 +280,14 @@ def test_criterion_08_theta_family(criterion):
         converge = converge and 0.9 <= fit_ms.order_p <= 1.1 and fit_as.order_p >= 0.45
         orders.append(f"theta={theta}: ms p={fit_ms.order_p:.4f}, as p={fit_as.order_p:.4f}")
     elapsed = time.perf_counter() - t0
-    ok = bitwise and reduction and converge and elapsed < 20.0
+    ok = bitwise and reduction and every_method and reads_theta and converge and elapsed < 20.0
     criterion(
         8,
         ok,
         f"theta=0 paths bit-identical to the plain scheme ({bitwise}), theta=0 "
-        f"mean-square exponent matches to {worst_rel:.1e} <= 1e-12 rel, and both "
+        f"mean-square exponent matches to {worst_rel:.1e} <= 1e-12 rel, theta=0 "
+        f"through all {len(Method)} methods gives the plain bits ({every_method}), each "
+        f"method reads theta ({reads_theta}), and both "
         f"theta values converge to lam +- sigma^2/2 ({'; '.join(orders)}), "
         f"{elapsed:.1f}s < 20s",
     )

@@ -144,6 +144,38 @@ class TestExponentCommand:
         assert code == 0
         assert json.loads(out) == dict(plain, method="theta-as")
 
+    @pytest.mark.parametrize("theta", ["0", "0.5", "1"])
+    @pytest.mark.parametrize("plain, named", [("ms-exact", "theta-ms"), ("as-quad", "theta-as")])
+    @pytest.mark.parametrize("command", ["exponent", "sweep-dt"])
+    def test_plain_method_with_theta_is_the_theta_method(self, capsys, command, plain, named,
+                                                         theta):
+        # dt 0.02 is answered by Gauss-Hermite, 1e-3 and 1e-4 by the root series
+        args = ("--epsilon", "0", "--theta", theta, "--format", "json")
+        args += ("--dt", "0.02") if command == "exponent" else ("--dts", "2e-2,1e-3,1e-4")
+        code, out, _ = run_cli(capsys, command, plain, *args)
+        assert code == 0
+        code, theirs, _ = run_cli(capsys, command, named, *args)
+        assert code == 0
+        assert out == theirs.replace(f'"method": "{named}"', f'"method": "{plain}"')
+
+    @pytest.mark.parametrize("method", ["ms-exact", "as-quad", "as-mc", "as-slope"])
+    def test_theta_zero_gives_the_plain_bits(self, capsys, method):
+        # only the theta provenance line tells the theta = 0 scheme from the plain one
+        args = ("exponent", method, "--epsilon", "0", "--samples", "1000", "--paths", "3",
+                "--steps", "40", "--format", "csv")
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, theta, _ = run_cli(capsys, *args, "--theta", "0")
+        assert code == 0
+        assert "# theta=0.0\n" in theta
+        assert theta.replace("# theta=0.0\n", "") == plain
+
+    @pytest.mark.parametrize("method", ["ms-exact", "as-quad", "as-mc", "as-slope"])
+    def test_plain_method_refuses_theta_at_epsilon(self, capsys, method):
+        code, out, err = run_cli(capsys, "exponent", method, "--theta", "0.5")
+        assert (code, err) == (2, "")
+        assert out == '{"error": "theta scheme requires epsilon = 0, got epsilon = 2.0"}\n'
+
     @pytest.mark.parametrize(
         "args, value",
         [
@@ -1403,12 +1435,13 @@ _LAYOUT_FLAGS = (*_SWEEP_LAYOUT_FLAGS, "--dt", "1e-3")
 _LAYOUT_P = ModelParams(lam=-3.0, epsilon=0.0, sigma=1.0)
 
 #: The provenance keys each method records, beyond method, lambda, epsilon and
-#: sigma, with the value each takes under _LAYOUT_FLAGS.
+#: sigma, with the value each takes under _LAYOUT_FLAGS: every method reads
+#: --theta, and records it last.
 _LAYOUT_EXTRA = {
-    "ms-exact": {},
-    "as-quad": {},
-    "as-mc": {"samples": "1000", "seed": "7"},
-    "as-slope": {"paths": "3", "steps": "20", "seed": "7"},
+    "ms-exact": {"theta": "0.5"},
+    "as-quad": {"theta": "0.5"},
+    "as-mc": {"samples": "1000", "seed": "7", "theta": "0.5"},
+    "as-slope": {"paths": "3", "steps": "20", "seed": "7", "theta": "0.5"},
     "theta-ms": {"theta": "0.5"},
     "theta-as": {"theta": "0.5"},
 }
@@ -1497,9 +1530,10 @@ class TestOutputLayout:
 
 
 def test_method_keys_table():
-    assert set(_METHOD_KEYS) == set(Method)
+    # only the sampling methods record keys of their own; theta is _provenance's
+    assert set(_METHOD_KEYS) == {Method.AS_MONTE_CARLO, Method.AS_PATH_SLOPE}
     for keys in _METHOD_KEYS.values():
-        assert set(keys) <= set(DEFAULTS)
+        assert set(keys) <= set(DEFAULTS) - {"theta"}
 
 
 def test_exponent_as_slope_thread_invariant(capsys):

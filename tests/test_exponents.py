@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from milstab import exponents
+from milstab import exponents, scheme
 from milstab.exponents import (
     _MC_CHUNK,
     DOUBLING_RTOL,
@@ -267,8 +267,7 @@ class TestAlmostSureQuadrature:
 
 
 def _factor(lam, eps, sigma, dt, theta=None):
-    p = ModelParams(lam=lam, epsilon=eps, sigma=sigma)
-    return _plain_factor(p, dt) if theta is None else _theta_factor(p, theta, dt)
+    return scheme._factor(ModelParams(lam=lam, epsilon=eps, sigma=sigma), dt, theta)
 
 
 def _almost_sure(lam, eps, sigma, dt, theta=None):
@@ -802,6 +801,55 @@ class TestThetaFamily:
     def test_estimate_requires_theta(self):
         with pytest.raises(ValueError):
             estimate(self.P0, 1e-3, Method.THETA_MS_EXACT)
+
+
+#: (lam, sigma, dt) of the theta triangle, epsilon = 0; the last point is
+#: answered by Gauss-Hermite, the others by the root series.
+_THETA_TRIANGLE = [(8.0, 4.0, 1e-2), (8.0, 4.0, 1e-3), (-2.0, 0.5, 0.15), (-1.0, 2.0, 0.02),
+                   (3.0, 3.0, 0.05)]
+
+
+class TestThetaThroughEveryMethod:
+    """--theta picks the scheme for every method, through scheme._factor."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("lam, sigma, dt", [(8.0, 4.0, 1e-3), (-1.0, 2.0, 0.02),
+                                                (3.0, 3.0, 0.05)])
+    def test_plain_methods_answer_the_theta_methods_bits(self, lam, sigma, dt, theta):
+        p = ModelParams(lam=lam, epsilon=0.0, sigma=sigma)
+        assert ms_exponent_exact(p, dt, theta).value == theta_ms_exponent(p, theta, dt).value
+        assert (as_exponent_quadrature(p, dt, theta).value
+                == theta_as_exponent_quadrature(p, theta, dt).value)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_sampling_triangle(self, theta):
+        # criterion 3's triangle on the theta scheme: Monte Carlo and path
+        # slopes within 3 standard errors of the deterministic theta-as
+        for i, (lam, sigma, dt) in enumerate(_THETA_TRIANGLE):
+            p = ModelParams(lam=lam, epsilon=0.0, sigma=sigma)
+            ref = estimate(p, dt, Method.THETA_AS_QUADRATURE, theta=theta).value
+            mc = estimate(p, dt, Method.AS_MONTE_CARLO, theta=theta, n_samples=1 << 20,
+                          seed=7000 + i)
+            slope = estimate(p, dt, Method.AS_PATH_SLOPE, theta=theta, n_paths=64,
+                             n_steps=1 << 14, seed=7000 + i)
+            for est in (mc, slope):
+                assert abs(est.value - ref) <= 3.0 * est.std_error, (theta, lam, sigma, dt, est)
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize(
+        "model, theta, refusal",
+        [((8.0, 2.0, 4.0), 0.5, "theta scheme requires epsilon = 0"),
+         ((8.0, 0.0, 4.0), 1.5, "theta must lie in [0, 1]")],
+        ids=["epsilon", "theta"],
+    )
+    def test_every_method_checks_theta(self, method, model, theta, refusal):
+        p = ModelParams(*model)
+        for check in (
+            lambda: exponents.check_dt_free(p, method, theta=theta),
+            lambda: estimate(p, 1e-3, method, theta=theta, n_samples=1000, n_paths=2, n_steps=10),
+        ):
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                check()
 
 
 class TestEstimateContainer:

@@ -90,6 +90,14 @@ NUMPY_FREE = [
         '"continuum_value": 16.0, "region_class": "blow-up"}\n',
         "",
     ),
+    # a plain method given --theta runs the theta scheme, still without numpy
+    (
+        ("exponent", "ms-exact", "--epsilon", "0", "--theta", "0.5"),
+        0,
+        '{"method": "ms-exact", "dt": 0.001, "value": 15.936592262812619, '
+        '"continuum_value": 16.0, "region_class": "blow-up"}\n',
+        "",
+    ),
     (
         ("region", *REGION),
         0,
@@ -130,6 +138,13 @@ NUMPY_FREE = [
         ("exponent", "theta-as", "--theta", "0.5", "--epsilon", "0"),
         0,
         '{"method": "theta-as", "dt": 0.001, "value": 0.06443427410748065, '
+        '"continuum_value": 0.0, "region_class": "boundary"}\n',
+        "",
+    ),
+    (
+        ("exponent", "as-quad", "--epsilon", "0", "--theta", "0.5"),
+        0,
+        '{"method": "as-quad", "dt": 0.001, "value": 0.06443427410748065, '
         '"continuum_value": 0.0, "region_class": "boundary"}\n',
         "",
     ),

@@ -17,7 +17,10 @@ gauss_hermite_rule (with the table cache it calls) takes a node count. The
 Monte Carlo floor of 100 samples is refused in one text, exponents', which
 verify's --samples shares. A path is log|Z_n/Z_0|, so the initial datum is
 read by cli's simulate alone: no other function builds an InitialDatum, and
-neither scheme nor exponents imports it.
+neither scheme nor exponents imports it. The scheme is chosen in one place,
+scheme._factor, the one caller of _theta_factor beside the public theta_eta;
+outside scheme only verify's closedform suite builds the plain factor
+itself. cli._provenance alone writes the theta provenance key.
 """
 
 import ast
@@ -104,6 +107,35 @@ def test_theta_refusal_stated_once(text):
 
 def test_sample_floor_stated_once():
     assert _modules_stating("samples must be at least") == ["exponents.py"]
+
+
+def _statements_calling(callee):
+    """(module, top-level statement name) of each statement that calls callee."""
+    return sorted(
+        (name, getattr(statement, "name", "<module>"))
+        for name, tree in _trees()
+        for statement in tree.body
+        if callee in _calls_in(statement)
+    )
+
+
+def test_one_scheme_choice():
+    assert _statements_calling("_theta_factor") == [("scheme.py", "_factor"),
+                                                    ("scheme.py", "theta_eta")]
+    outside = [call for call in _statements_calling("_plain_factor") if call[0] != "scheme.py"]
+    assert outside == [("verify.py", "_suite_closedform")]
+
+
+def test_only_provenance_writes_theta():
+    writers = sorted(
+        (name, statement.name)
+        for name, tree in _trees()
+        for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.slice, ast.Constant) and node.slice.value == "theta"
+    )
+    assert writers == [("cli.py", "_provenance")]
 
 
 def test_only_simulate_builds_an_initial_datum():

@@ -35,6 +35,7 @@ _METHODS = {
     "theta-ms": _THETA,
     "theta-as": _THETA,
 }
+_PLAIN = ("ms-exact", "as-quad", "as-mc", "as-slope")
 _SIM = "simulate --steps 30 --paths 3 --seed 9"
 _SWEEP = "--dts 1e-2,1e-3,1e-4"
 #: Initial data whose log-modulus is exact, underflows and overflows when squared.
@@ -109,6 +110,17 @@ MATRIX = [
     "sweep-dt as-slope --paths 1",
     "sweep-dt as-slope --steps 0",
     f"sweep-dt ms-exact {_SWEEP} --dt 0.1",
+    # every method reads --theta: the plain methods run the theta scheme, at
+    # theta 0 they give the plain bits, and at epsilon != 0 they refuse it
+    *(
+        f"exponent {method} {_METHODS[method]} {_THETA} --format {fmt}"
+        for method in _PLAIN
+        for fmt in ("csv", "json")
+    ),
+    *(f"sweep-dt {method} {_METHODS[method]} {_THETA} {_SWEEP}" for method in _PLAIN),
+    *(f"exponent as-slope {_SLOPE} --epsilon 0{t} --format csv" for t in ("", " --theta 0")),
+    "exponent ms-exact --theta 0.5",
+    f"sweep-dt as-mc {_MC} --theta 0.5",
     # region
     *(f"region --lambda 2 --sigma-range 0:4:2 --format {fmt}" for fmt in ("csv", "json")),
     "region --format json --out r.json",
