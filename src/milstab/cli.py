@@ -58,7 +58,6 @@ head) ends the output quietly with 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -415,7 +414,7 @@ def _cmd_sweep_dt(ns: argparse.Namespace, values: dict) -> int:
         row.update(discrete_value=value, abs_error=abs(value - target))
     # `or` and `>` keep None, 0.0 and NaN errors out of the fit
     points = [(row["dt"], row["abs_error"]) for row in rows if (row["abs_error"] or 0.0) > 0.0]
-    fit = dataclasses.asdict(fit_loglog(*zip(*points))) if len(points) >= 3 else None
+    fit = dict(vars(fit_loglog(*zip(*points)))) if len(points) >= 3 else None
     pairs = {**_method_pairs(method, values), "dts": values["dts"]}
     header = ["dt", "discrete_value", "continuum_value", "abs_error"]
     text = _table(values, pairs, header, rows, "error", fit=fit)
@@ -562,4 +561,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from .__main__ import run
+
+    run()

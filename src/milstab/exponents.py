@@ -31,10 +31,10 @@ import collections
 import functools
 import math
 import os
-from dataclasses import dataclass
 from enum import Enum
 
 from . import _np as np
+from ._record import Record
 from .model import (
     ModelParams,
     continuum_as_exponent,
@@ -144,8 +144,7 @@ STOCHASTIC_METHODS = frozenset({Method.AS_MONTE_CARLO, Method.AS_PATH_SLOPE})
 MS_METHODS = frozenset({Method.MS_EXACT, Method.THETA_MS_EXACT})
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(Record):
     """An exponent value with its method tag and, when stochastic, its error.
 
     std_error is present exactly for the Monte Carlo and path-slope methods.
@@ -169,8 +168,7 @@ class ExponentEstimate:
             raise ValueError(f"std_error must be nonnegative, got {self.std_error!r}")
 
 
-@dataclass(frozen=True)
-class ConvergenceFit:
+class ConvergenceFit(Record):
     """Least-squares fit |error| ~ C * dt^p over a dt sweep.
 
     residual is the maximum absolute residual of the log10-log10 regression.
@@ -191,8 +189,7 @@ class ConvergenceFit:
             raise ValueError(f"constant_C must be positive, got {self.constant_C!r}")
 
 
-@dataclass(frozen=True)
-class RemainderReport:
+class RemainderReport(Record):
     """Truncated remainder series value with its explicit bound."""
 
     value: float

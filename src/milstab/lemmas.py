@@ -17,10 +17,10 @@ numpy; it decays like -(18/sqrt(2*pi)) * |s|^3/gamma^3 for small s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import _np as np
+from ._record import Record
 from .model import ModelParams
 from .scheme import gamma_dt
 
@@ -37,8 +37,7 @@ class BoundKind(Enum):
     LOWER = "lower"  # valid for x > -2*gamma/3
 
 
-@dataclass(frozen=True)
-class LogBoundDomain:
+class LogBoundDomain(Record):
     gamma: float
     kind: BoundKind
 
@@ -100,8 +99,7 @@ def log_lower_surrogate(gamma: float, x):
     return _like(x, _quadratic(gamma, x) + xi_gamma(gamma, x))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(Record):
     """Grid-check result for the log sandwich.
 
     Margins are signed so that nonnegative means the inequality held:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+
+from ._record import Record
 
 #: Absolute tolerance on the continuum exponent below which a parameter point
 #: is reported as Boundary rather than classified. On the boundary curves no
@@ -20,8 +21,7 @@ from enum import Enum
 BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Drift and noise coefficients of the linear SDE system.
 
     lam is the drift rate (1/time); epsilon and sigma are the rotational and
@@ -39,8 +39,7 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class InitialDatum:
+class InitialDatum(Record):
     """Initial point (x0, y0) of the system; the origin is excluded."""
 
     x0: float
@@ -77,8 +76,7 @@ class StabilityClass(Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class RegionClass:
+class RegionClass(Record):
     """Classification of a parameter point in one sense.
 
     class_ is Boundary exactly when the corresponding continuum exponent lies

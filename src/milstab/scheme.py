@@ -42,9 +42,9 @@ datum is cli's simulate's alone, which adds log|Z_0| to each path it writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import _np as np
+from ._record import Record
 from .model import ModelParams
 from .stochastics import RngStream
 
@@ -64,8 +64,7 @@ def _check_steps(n_steps: int) -> None:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(Record):
     """Step size, horizon and the scheme; a path starts at log|Z_0/Z_0| = 0.
 
     theta names the scheme: absent is the plain Milstein scheme, a number the
@@ -84,8 +83,7 @@ class SchemeConfig:
         _check_steps(self.n_steps)
 
 
-@dataclass(frozen=True)
-class LogModulusPath:
+class LogModulusPath(Record):
     """A trajectory of log|Z_n/Z_0| on the grid t_n = n*dt.
 
     log_values has length n_steps + 1 and starts at 0.0.
@@ -95,7 +93,8 @@ class LogModulusPath:
 
     dt: float
     log_values: np.ndarray
-    flags: np.ndarray = field(repr=False)
+    flags: np.ndarray
+    _hidden = ("flags",)
 
     def __post_init__(self) -> None:
         if self.log_values.ndim != 1 or self.flags.ndim != 1:
@@ -111,8 +110,7 @@ class LogModulusPath:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class _StepFactor:
+class _StepFactor(Record):
     """The one-step factor F = c0 + (sigma*dB + (sigma^2/2)*dB^2) / denom.
 
     c0m1 is c0 - 1 formed from the parameters rather than by subtracting 1

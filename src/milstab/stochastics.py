@@ -12,10 +12,10 @@ polynomials and the weights the squared first components of its eigenvectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import _np as np
+from ._record import Record
 
 _U64 = 2**64
 
@@ -26,7 +26,6 @@ REPLAY_CHUNK = 2**18
 MAX_NODES = 1024
 
 
-@dataclass
 class RngStream:
     """A named substream of the package-wide Philox generator.
 
@@ -34,27 +33,32 @@ class RngStream:
     stream at position k > 0 replays and discards k draws, REPLAY_CHUNK at a
     time so memory stays bounded; normal sampling consumes a variable number
     of raw generator words, so positions cannot be reached by counter jumps.
+    Streams compare equal by (root_seed, stream_id, position).
     """
 
-    root_seed: int
-    stream_id: int
-    position: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for name in ("root_seed", "stream_id"):
-            v = getattr(self, name)
+    def __init__(self, root_seed: int, stream_id: int, position: int = 0) -> None:
+        self.root_seed, self.stream_id, self.position = root_seed, stream_id, position
+        for name, v in (("root_seed", root_seed), ("stream_id", stream_id)):
             if not isinstance(v, (int, np.integer)) or not 0 <= v < _U64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
-        if not isinstance(self.position, (int, np.integer)) or self.position < 0:
-            raise ValueError(f"position must be a nonnegative integer, got {self.position!r}")
-        key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
+        if not isinstance(position, (int, np.integer)) or position < 0:
+            raise ValueError(f"position must be a nonnegative integer, got {position!r}")
+        key = np.array([root_seed, stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        left = int(self.position)
+        left = int(position)
         while left:
             step = min(left, REPLAY_CHUNK)
             self._gen.standard_normal(step)
             left -= step
+
+    def _key(self) -> tuple:
+        return self.root_seed, self.stream_id, self.position
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return "RngStream(root_seed={!r}, stream_id={!r}, position={!r})".format(*self._key())
 
     def normals(self, n: int) -> np.ndarray:
         """Draw the next n standard normal variates as a float64 array."""
@@ -65,8 +69,7 @@ class RngStream:
         return out
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Record):
     """Nodes and weights for integrals against the standard normal density.
 
     Weights are normalized to sum to 1 and nodes are symmetric about 0.

@@ -1,0 +1,124 @@
+"""The one process entry, milstab.__main__.run, and the collector policy it sets.
+
+``python -m milstab``, ``python -m milstab.cli`` and the console script named
+in pyproject.toml all reach run(), which runs the command with the cyclic
+collector off and freezes what is alive before the process exits. cli.main
+itself leaves the collector as its caller set it.
+
+The collector may stay off because a call's cyclic garbage does not grow with
+its size: after each call below, run in process with the collector disabled,
+gc.collect() finds the same number of objects at a small and a large size
+(the argparse parser's graph), not one per block, path or row.
+"""
+
+import contextlib
+import gc
+import io
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from conftest import src_env
+
+from milstab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Runs a launcher with gc.freeze traced; at exit, stderr's last line names the
+#: functions that froze, then whether the collector was on and anything frozen.
+_PROBE = """
+import atexit, gc, importlib, os, runpy, sys
+
+callers = []
+freeze = gc.freeze
+
+def traced_freeze():
+    code = sys._getframe(1).f_code
+    callers.append(f"{os.path.basename(code.co_filename)}:{code.co_name}")
+    freeze()
+
+gc.freeze = traced_freeze
+atexit.register(lambda: sys.stderr.write(f"{callers} {gc.isenabled()} {gc.get_freeze_count() > 0}\\n"))
+launcher, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if ":" in launcher:  # a console script's target, called as its wrapper calls it
+    module, _, name = launcher.partition(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+runpy.run_module(launcher, run_name="__main__", alter_sys=True)
+"""
+
+
+#: A call that answers and one refused with exit 2.
+CALLS = [(["exponent", "ms-exact"], 0), (["exponent", "ms-exact", "--dt", "2"], 2)]
+
+
+def _script_target():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["milstab"]
+
+
+def test_the_console_script_is_run():
+    assert _script_target() == "milstab.__main__:run"
+
+
+@pytest.mark.parametrize("launcher", ["milstab", "milstab.cli", "script"])
+@pytest.mark.parametrize("argv, code", CALLS, ids=["exit-0", "refusal"])
+def test_every_launcher_reaches_run(launcher, argv, code):
+    target = _script_target() if launcher == "script" else launcher
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, target, *argv],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith('{"')
+    assert proc.stderr.splitlines()[-1] == "['__main__.py:run'] False True"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, code", CALLS, ids=["exit-0", "refusal"])
+def test_main_leaves_the_collector_as_found(capsys, enabled, argv, code):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    try:
+        assert cli.main(argv) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _garbage(argv):
+    """(exit code, objects gc.collect() finds) after cli.main(argv) runs with the collector off."""
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        return code, gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+#: Each call at a small and a large size. The 8 as-quad step sizes include
+#: four that the scheme refuses, whose rows carry an error.
+SIZES = {
+    "as-mc": ("exponent as-mc --threads 2 --samples", str(2**18), str(2**21)),
+    "simulate": ("simulate --threads 2 --paths", "2", "40"),
+    "as-slope": ("exponent as-slope --paths", "2", "20"),
+    "sweep-dt": ("sweep-dt as-quad --dts", "1e-2,1e-3,1e-4",
+                 "0.9,0.5,0.3,0.2,1e-1,1e-2,1e-3,1e-4"),
+    "verify": ("verify --samples", "100000", "1000000"),
+}
+
+
+@pytest.mark.parametrize("call", SIZES)
+def test_garbage_does_not_grow_with_size(call):
+    prefix, small, large = SIZES[call]
+    argv = prefix.split()
+    _garbage([*argv, small])  # first use loads numpy, the pool and the tables
+    found = [_garbage([*argv, size]) for size in (small, large)]
+    assert found[0] == found[1] and found[0][0] == 0, found
+

@@ -239,6 +239,12 @@ def test_package_import_skips_numpy():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # the records are milstab._record's, which generates no code per class
+    code = "import sys, milstab.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _python(code) == "[]\n"
+
+
 def test_xi_expectation_and_gaussian_moment_skip_numpy():
     code = (
         "import sys\n"
@@ -382,7 +388,7 @@ _LOADED = "import sys\nprint(sorted(m for m in sys.modules if m.startswith('mils
 #: (statements, the milstab submodules loaded after them).
 FIRST_USE = [
     ("import milstab", []),
-    ("from milstab import ModelParams", ["milstab.model"]),
+    ("from milstab import ModelParams", ["milstab._record", "milstab.model"]),
     ("import milstab\nassert milstab.__version__ == '0.1.0'", []),
     (
         "import milstab\n"

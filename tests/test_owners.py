@@ -20,7 +20,9 @@ read by cli's simulate alone: no other function builds an InitialDatum, and
 neither scheme nor exponents imports it. The scheme is chosen in one place,
 scheme._factor, the one caller of _theta_factor beside the public theta_eta;
 outside scheme only verify's closedform suite builds the plain factor
-itself. cli._provenance alone writes the theta provenance key.
+itself. cli._provenance alone writes the theta provenance key. The records
+are milstab._record's, so no module imports dataclasses, and the process
+entry, milstab.__main__, alone sets the collector policy.
 """
 
 import ast
@@ -244,3 +246,27 @@ def _node_count_takers(tree):
 def test_only_the_rule_takes_a_node_count():
     takers = [(name, owner) for name, tree in _trees() for owner in _node_count_takers(tree)]
     assert takers == [("stochastics.py", "gauss_hermite_rule")]
+
+
+def _imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_dataclasses():
+    found = [name for name, tree in _trees() if "dataclasses" in _imports(tree)]
+    assert found == []
+
+
+def test_only_the_entry_uses_the_collector():
+    users = sorted({
+        name
+        for name, tree in _trees()
+        if "gc" in _imports(tree)
+        or any(isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "gc" for node in ast.walk(tree))
+    })
+    assert users == ["__main__.py"]
