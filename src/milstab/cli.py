@@ -10,8 +10,14 @@ Subcommands:
 
 Parameter precedence is built-in defaults, then --config JSON, then explicit
 flags. _PARAMS states each parameter's flag, type, default and help, and
-_COMMANDS each subcommand's handler, default format and arguments. All
-randomness derives from (--seed, stream index) pairs and partial results
+_COMMANDS each subcommand's handler, default format and arguments;
+build_parser adds arguments to the one subcommand that argv names. Only the
+verify subcommand imports milstab.verify, and with it milstab.lemmas; the
+verify names that the benchmark's tracer patches on this module
+(_FROM_VERIFY) are read from milstab.verify on first use, by the module's
+__getattr__ (PEP 562).
+
+All randomness derives from (--seed, stream index) pairs and partial results
 combine in index order, so outputs are byte-identical across runs and across
 --threads settings; --threads splits simulate paths, Monte Carlo blocks and
 as-slope paths. simulate writes each path straight into its column of one
@@ -66,7 +72,6 @@ import re
 import sys
 
 from . import _np as np
-from . import verify
 from .exponents import (
     MS_METHODS, Method, _map_indexed, _simulate_paths, check_dt_free, continuum_target, estimate,
     fit_loglog,
@@ -83,10 +88,22 @@ from .stochastics import _U64
 
 # perfbench/spans.py patches these names on this module; they go with its tracer.
 from .scheme import simulate_path, simulate_theta_path  # noqa: F401
-from .verify import (  # noqa: F401
-    composite_increment_moments, gauss_hermite_rule, gaussian_moment,
-    verify_log_sandwich, xi_gamma,
+
+#: The rest of them, which milstab.verify imports and __getattr__ reads there.
+_FROM_VERIFY = (
+    "composite_increment_moments", "gauss_hermite_rule", "gaussian_moment",
+    "verify_log_sandwich", "xi_gamma",
 )
+
+
+def __getattr__(name: str):
+    if name not in _FROM_VERIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = globals()[name] = getattr(verify, name)
+    return value
+
 
 #: Each config key: (flag, type, default, help). x0 and y0 have no flag, and
 #: simulate alone reads them.
@@ -183,7 +200,10 @@ def _resolve(ns: argparse.Namespace) -> dict:
             values[key] = flag
     if values["format"] not in _CHOICES["format"]:
         raise ValueError(f"format must be csv or json, got {values['format']!r}")
-    verify.suites_named(values["suite"])
+    if values["suite"] not in _CHOICES["suite"]:
+        from . import verify
+
+        verify.suites_named(values["suite"])  # raises verify's refusal of the name
     if not 0 <= values["seed"] < _U64:
         raise ValueError(f"--seed must be a 64-bit unsigned integer, got {values['seed']}")
     # region and verify run on one thread and take no --threads
@@ -457,15 +477,18 @@ def _cmd_region(ns: argparse.Namespace, values: dict) -> int:
     return _write([_table(values, pairs, list(rows[0]), rows)], ns.out)
 
 
-#: Arguments whose values come from a fixed list.
+#: Arguments whose values come from a fixed list. The suites are
+#: verify.SUITES in order, stated here so that no other subcommand loads verify.
 _CHOICES = {
     "method": [m.value for m in Method],
-    "suite": [*verify.SUITES, "all"],
+    "suite": ["lemmas", "moments", "closedform", "all"],
     "format": ["csv", "json"],
 }
 
 
 def _cmd_verify(ns: argparse.Namespace, values: dict) -> int:
+    from . import verify
+
     suite = values["suite"]
     checks = verify.run(
         suite, _model(values), values["dt"], seed=values["seed"], n_samples=values["samples"]
@@ -524,17 +547,26 @@ class _Parser(argparse.ArgumentParser):
             raise SystemExit(code)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with arguments only where argparse may read them.
+
+    Every subcommand gets its parser, so usage, help and errors stay whole.
+    Arguments go to the first subcommand that argv names, the only one that
+    argparse can hand argv to, or to all of them when argv is None.
+    """
     parser = _Parser(
         prog="milstab",
         description="Discrete Lyapunov exponents of Milstein schemes for a 2x2 linear test system",
     )
+    named = None if argv is None else next((arg for arg in argv if arg in _COMMANDS), "")
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (handler, summary, default_format, arguments) in _COMMANDS.items():
         # no prefix matching, so that a dropped flag such as sweep-dt's --dt
         # is refused instead of read as --dts
         sub = commands.add_parser(name, help=summary, allow_abbrev=False)
         sub.set_defaults(func=handler, default_format=default_format)
+        if named not in (None, name):
+            continue
         for key in arguments.split():
             flag, cast, default, text = _PARAMS.get(key) or _RUN_ARGS[key]
             # Only the positional method takes its default here: a flag left
@@ -549,7 +581,8 @@ def main(argv=None) -> int:
     # numpy's OpenBLAS starts a spinning helper thread when numpy loads, and no
     # call here makes a multi-threaded BLAS call; a value already set is kept
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = build_parser(argv).parse_args(argv)
     try:
         return ns.func(ns, _resolve(ns))
     except ValueError as exc:

@@ -4,14 +4,19 @@ Every stochastic computation in the package draws from an RngStream keyed by
 (root_seed, stream_id). Distinct ids give independent substreams of a
 counter-based generator, so worker count and execution order never change what
 a path or sample block sees. Expectations against the standard normal density
-are evaluated with cached Gauss-Hermite rules, built with numpy alone by the
-Golub-Welsch method (Golub and Welsch, Math. Comp. 23, 1969): the nodes are the
-eigenvalues of the symmetric Jacobi matrix of the probabilists' Hermite
-polynomials and the weights the squared first components of its eigenvectors.
+are evaluated with cached Gauss-Hermite rules. The package ships the rules of
+the quadrature route (exponents.QUAD_NODES nodes and twice as many) as
+hermite_<n>.npy files beside this module, written by tools/hermite_tables.py,
+so their bits do not depend on the host's LAPACK and loading one takes no
+eigensolve. Every other rule is built with numpy alone by the Golub-Welsch
+method (Golub and Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues
+of the symmetric Jacobi matrix of the probabilists' Hermite polynomials and
+the weights the squared first components of its eigenvectors.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 from . import _np as np
@@ -91,14 +96,19 @@ class QuadratureRule(Record):
         return float(np.sum(self.weights * values))
 
 
-@lru_cache(maxsize=None)
-def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Golub-Welsch for probabilists' Hermite polynomials: the Jacobi matrix is
-    # symmetric tridiagonal with zero diagonal and off-diagonal sqrt(k). The
-    # dense eigh spares the scipy import. It runs a different LAPACK driver
-    # from scipy's eigh_tridiagonal, so equal bits are a property of the
-    # LAPACK/BLAS build and thread count, not a guarantee; the table pin in
-    # tests/test_stochastics.py checks them wherever the tests run.
+def _shipped_path(n: int) -> str:
+    """The file that ships the n-node rule, whether or not it exists."""
+    return os.path.join(os.path.dirname(__file__), f"hermite_{n}.npy")
+
+
+def _golub_welsch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node rule's (nodes, weights), computed by Golub-Welsch."""
+    # The Jacobi matrix is symmetric tridiagonal with zero diagonal and
+    # off-diagonal sqrt(k). The dense eigh spares the scipy import. It runs a
+    # different LAPACK driver from scipy's eigh_tridiagonal, so equal bits are
+    # a property of the LAPACK/BLAS build and thread count, not a guarantee;
+    # the table pin in tests/test_stochastics.py checks them wherever the
+    # tests run. The shipped rules hold the quadrature route's bits on any build.
     off = np.sqrt(np.arange(1.0, n))
     nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0] ** 2
@@ -106,7 +116,16 @@ def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     # 1 only within ~2e-14 at large n.
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
-    weights = weights / weights.sum()
+    return nodes, weights / weights.sum()
+
+
+@lru_cache(maxsize=None)
+def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # A shipped rule is one (2, n) array: the nodes, then the weights.
+    try:
+        nodes, weights = np.load(_shipped_path(n))
+    except FileNotFoundError:
+        nodes, weights = _golub_welsch(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -116,7 +135,7 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     """Return the n-point Gauss-Hermite rule for E[f(Y)], Y ~ N(0,1).
 
     Exact for polynomials up to degree 2n-1; n must be an integer in
-    [3, MAX_NODES]. Tables are computed once per n and cached.
+    [3, MAX_NODES]. Tables are loaded or computed once per n and cached.
     """
     if not (isinstance(n, int) or isinstance(n, np.integer)) or not 3 <= n <= MAX_NODES:
         raise ValueError(f"node count must be an integer in [3, {MAX_NODES}], got {n!r}")

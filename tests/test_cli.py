@@ -1407,6 +1407,26 @@ def test_flag_surface(name):
         assert helps["method"] == "estimator (default as-quad)"
 
 
+@pytest.mark.parametrize("name", list(_FLAG_SURFACE))
+def test_only_the_first_named_subcommand_gets_arguments(name):
+    # argparse hands argv to that subcommand alone; the others keep -h
+    def subparsers(parser):
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return commands.choices
+
+    whole = cli.build_parser()
+    built = cli.build_parser(["--threads", "2", name, "region"])
+    assert built.format_help() == whole.format_help()
+    assert list(subparsers(built)) == list(subparsers(whole))
+    for other, sub in subparsers(built).items():
+        dests = [action.dest for action in sub._actions]
+        if other == name:
+            assert dests == [action.dest for action in subparsers(whole)[name]._actions]
+            assert sub.format_help() == subparsers(whole)[name].format_help()
+        else:
+            assert dests == ["help"]
+
+
 @pytest.mark.parametrize(
     "args",
     [("sweep-dt", "as-quad", "--dt", "0.1"), ("region", "--threads", "2"),

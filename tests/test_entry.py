@@ -2,8 +2,9 @@
 
 ``python -m milstab``, ``python -m milstab.cli`` and the console script named
 in pyproject.toml all reach run(), which runs the command with the cyclic
-collector off and freezes what is alive before the process exits. cli.main
-itself leaves the collector as its caller set it.
+collector off, flushes stdout and stderr and ends the process with os._exit,
+skipping the interpreter's teardown; a flush that fails sends it through
+sys.exit instead. cli.main itself leaves the collector as its caller set it.
 
 The collector may stay off because a call's cyclic garbage does not grow with
 its size: after each call below, run in process with the collector disabled,
@@ -14,6 +15,7 @@ gc.collect() finds the same number of objects at a small and a large size
 import contextlib
 import gc
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,25 +23,26 @@ from pathlib import Path
 import pytest
 from conftest import src_env
 
+from milstab import __main__ as entry
 from milstab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Runs a launcher with gc.freeze traced; at exit, stderr's last line names the
-#: functions that froze, then whether the collector was on and anything frozen.
+#: Runs a launcher with os._exit traced: its last stderr line names the
+#: function that called os._exit, the code, and whether the collector was on.
 _PROBE = """
-import atexit, gc, importlib, os, runpy, sys
+import gc, importlib, os, runpy, sys
 
-callers = []
-freeze = gc.freeze
+exit_now = os._exit
 
-def traced_freeze():
-    code = sys._getframe(1).f_code
-    callers.append(f"{os.path.basename(code.co_filename)}:{code.co_name}")
-    freeze()
+def traced_exit(code):
+    caller = sys._getframe(1).f_code
+    where = f"{os.path.basename(caller.co_filename)}:{caller.co_name}"
+    sys.stderr.write(f"{where} {code} {gc.isenabled()}\\n")
+    sys.stderr.flush()
+    exit_now(code)
 
-gc.freeze = traced_freeze
-atexit.register(lambda: sys.stderr.write(f"{callers} {gc.isenabled()} {gc.get_freeze_count() > 0}\\n"))
+os._exit = traced_exit
 launcher, sys.argv[1:] = sys.argv[1], sys.argv[2:]
 if ":" in launcher:  # a console script's target, called as its wrapper calls it
     module, _, name = launcher.partition(":")
@@ -72,7 +75,52 @@ def test_every_launcher_reaches_run(launcher, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.startswith('{"')
-    assert proc.stderr.splitlines()[-1] == "['__main__.py:run'] False True"
+    assert proc.stderr.splitlines()[-1] == f"__main__.py:run {code} False"
+
+
+@pytest.mark.parametrize(
+    "argv, code, head",
+    [*((argv, code, '{"') for argv, code in CALLS), (["--help"], 0, "usage:"), (["nope"], 2, "")],
+    ids=["exit-0", "refusal", "help", "usage"],
+)
+def test_run_flushes_then_exits_without_teardown(monkeypatch, capsys, argv, code, head):
+    # main's code, or argparse's, reaches os._exit, and stdout is written by then
+    exits = []
+
+    def flushed_exit(status):
+        exits.append((status, capsys.readouterr().out))
+        raise SystemExit(status)  # stops run where os._exit would
+
+    was = gc.isenabled()
+    monkeypatch.setattr(sys, "argv", ["milstab", *argv])
+    monkeypatch.setattr(os, "_exit", flushed_exit)
+    try:
+        with pytest.raises(SystemExit):
+            entry.run()
+    finally:
+        (gc.enable if was else gc.disable)()
+    ((status, out),) = exits
+    assert status == code
+    assert out.startswith(head) and (out == "") == (head == "")
+
+
+class _FailingFlush(io.StringIO):
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_flush_exits_through_sys_exit(monkeypatch):
+    # the interpreter's exit then flushes again and reports the failure itself
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(os, "_exit", lambda status: pytest.fail("os._exit was called"))
+    monkeypatch.setattr(sys, "stdout", _FailingFlush())
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            entry.run()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

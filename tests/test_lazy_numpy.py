@@ -239,6 +239,103 @@ def test_package_import_skips_numpy():
     assert proc.stdout == "False\n"
 
 
+#: Runs cli.main on argv, then reports on stderr's last line which of verify
+#: and lemmas got loaded.
+_VERIFY_PROBE = """
+import sys
+from milstab import cli
+
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse's help
+    code = exc.code
+sys.stdout.flush()
+sys.stderr.write(f"{sorted({'milstab.verify', 'milstab.lemmas'} & set(sys.modules))}\\n")
+sys.exit(code)
+"""
+
+#: (argv, exit code, the verify modules loaded): only verify loads them.
+VERIFY_USE = [
+    (("exponent", "ms-exact"), 0, []),
+    (("exponent", "as-quad", "--dt", "0.1"), 0, []),
+    (("simulate", "--steps", "10", "--paths", "2"), 0, []),
+    (("sweep-dt", "as-quad", "--dts", "1e-1,1e-2,1e-3"), 0, []),
+    (("region", *REGION), 0, []),
+    (("verify", "--help"), 0, []),
+    (("verify", "--suite", "lemmas"), 0, ["milstab.lemmas", "milstab.verify"]),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code, loaded", VERIFY_USE, ids=[" ".join(case[0]) for case in VERIFY_USE]
+)
+def test_only_verify_loads_verify_and_lemmas(args, code, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_PROBE, *args],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(loaded)
+
+
+def test_cli_reads_the_traced_verify_names_on_first_use():
+    out = _python(
+        "import sys\n"
+        "from milstab import cli\n"
+        "print('milstab.verify' in sys.modules)\n"
+        "from milstab import lemmas, stochastics\n"
+        "print(cli.xi_gamma is lemmas.xi_gamma,\n"
+        "      cli.gauss_hermite_rule is stochastics.gauss_hermite_rule,\n"
+        "      'milstab.verify' in sys.modules, 'xi_gamma' in vars(cli))\n"
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == (
+        "False\nTrue True True True\nmodule 'milstab.cli' has no attribute 'no_such_name'\n"
+    )
+
+
+def test_cli_states_the_verify_suites_in_order():
+    from milstab import verify
+
+    assert cli._CHOICES["suite"] == [*verify.SUITES, "all"]
+
+
+#: Runs cli.main on argv with numpy.linalg.eigh replaced by a function that raises.
+_NO_EIGH = """
+import sys
+import numpy.linalg
+
+def refuse(*args, **kwargs):
+    raise RuntimeError("eigh ran")
+
+numpy.linalg.eigh = refuse
+from milstab import cli
+
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args", [("exponent", "as-quad", "--dt", "0.1"), ("sweep-dt", "as-quad")],
+    ids=["exponent", "sweep-dt"],
+)
+def test_the_quadrature_route_runs_no_eigensolve(args):
+    # its two rules are the shipped ones, loaded with no eigh
+    def run(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    plain = run("import sys\nfrom milstab import cli\nsys.exit(cli.main(sys.argv[1:]))")
+    assert plain[0] == 0 and plain[1]
+    assert run(_NO_EIGH) == plain
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # the records are milstab._record's, which generates no code per class
     code = "import sys, milstab.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

@@ -1,7 +1,10 @@
+import fnmatch
 import math
+import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from milstab.exponents import QUAD_NODES
 from milstab.stochastics import (
     REPLAY_CHUNK,
     QuadratureRule,
     RngStream,
+    _golub_welsch,
     _hermite_table,
+    _shipped_path,
     gauss_hermite_rule,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(_shipped_path(QUAD_NODES)).parent
+#: The node counts of the quadrature route, whose rules the package ships.
+SHIPPED = (QUAD_NODES, 2 * QUAD_NODES)
 
 
 class TestRngStream:
@@ -196,6 +207,55 @@ class TestGaussHermite:
         got_nodes, got_weights = _hermite_table(n)
         assert np.array_equal(got_nodes, nodes)
         assert np.array_equal(got_weights, weights)
+
+
+class TestShippedRules:
+    """The route's two rules ship as .npy files, checked against Golub-Welsch."""
+
+    def test_exactly_the_quadrature_route_s_rules_ship(self):
+        shipped = {path.name for path in PACKAGE.iterdir() if path.suffix == ".npy"}
+        assert shipped == {Path(_shipped_path(n)).name for n in SHIPPED}
+
+    @pytest.mark.parametrize("n", SHIPPED)
+    def test_a_shipped_rule_is_golub_welsch_here(self, n):
+        table = np.load(_shipped_path(n))
+        assert (table.dtype, table.shape) == (np.dtype("<f8"), (2, n))
+        nodes, weights = _golub_welsch(n)
+        assert np.array_equal(table[0], nodes) and np.array_equal(table[1], weights)
+        QuadratureRule(nodes=table[0], weights=table[1])  # symmetric, weights sum to 1
+        got = _hermite_table(n)
+        assert np.array_equal(got[0], nodes) and np.array_equal(got[1], weights)
+        assert not (got[0].flags.writeable or got[1].flags.writeable)
+
+    def test_installs_carry_the_shipped_rules(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["milstab"]
+        for n in SHIPPED:
+            name = Path(_shipped_path(n)).name
+            assert any(fnmatch.fnmatch(name, pattern) for pattern in patterns), name
+
+    def test_the_tool_checks_and_rewrites_the_files(self, tmp_path):
+        # a copy of the tree, so that the tool's writes stay there
+        shutil.copytree(ROOT / "tools", tmp_path / "tools")
+        shutil.copytree(PACKAGE, tmp_path / "src" / "milstab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        tool = [sys.executable, str(tmp_path / "tools" / "hermite_tables.py")]
+
+        def run(*args):
+            proc = subprocess.run([*tool, *args], capture_output=True, text=True, timeout=120)
+            return proc.returncode, proc.stdout
+
+        assert run("--check") == (0, "")
+        target = tmp_path / "src" / "milstab" / Path(_shipped_path(2 * QUAD_NODES)).name
+        data = bytearray(target.read_bytes())
+        data[-1] ^= 1  # the last weight's lowest byte
+        target.write_bytes(bytes(data))
+        assert run("--check") == (1, f"{target.name} is missing or differs from Golub-Welsch "
+                                     "on this host\n")
+        assert run() == (0, "")
+        assert run("--check") == (0, "")
+        assert target.read_bytes() == Path(_shipped_path(2 * QUAD_NODES)).read_bytes()
 
 
 def test_cli_import_loads_no_scipy():

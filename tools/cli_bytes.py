@@ -134,6 +134,19 @@ MATRIX = [
     "verify --suite moments --samples 1000",
     "verify --suite moments --samples 10",
     "verify --suite lemmas --threads 2",
+    "verify --suite nope",
+    # argparse's own refusals: no subcommand, an unknown one, an option before
+    # the subcommand, an unknown option after it
+    "",
+    "nope",
+    "--lambda 1 exponent",
+    "exponent ms-exact --bogus 1",
+    # the quadrature rules of the route at every default step size, and a
+    # sweep whose dt = 0.1 row is refused
+    "sweep-dt as-quad",
+    "sweep-dt theta-as --theta 0.5 --epsilon 0",
+    # a config's suite is checked whatever the subcommand
+    ("exponent ms-exact --config c.json", {"suite": "nope"}),
     # the initial datum, a config-file key that simulate alone reads
     *(
         (f"{_SIM}{theta} --config c.json --format {fmt}", datum)
