@@ -64,6 +64,7 @@ head) ends the output quietly with 0.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
@@ -276,8 +277,9 @@ def _write(pieces, out: str | None = None) -> int:
     formatted slices). Every piece goes to one binary layer, str pieces UTF-8
     encoded, so `out` and stdout get the same bytes, with LF line endings
     whatever the platform or stdout's encoding; a stdout with no binary
-    layer (io.StringIO) gets them all as text. A failed write or close
-    prints one error line and returns 1. A reader that closes stdout early
+    layer (io.StringIO) gets them all as text. A failed write or close, or
+    a stdout that is None because descriptor 1 was closed at start, prints
+    one error line and returns 1. A reader that closes stdout early
     (`milstab simulate | head`) ends the output quietly with 0.
     """
     if out is not None:
@@ -289,6 +291,8 @@ def _write(pieces, out: str | None = None) -> int:
             return 1
         return 0
     try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.flush()  # what the text layer already holds goes first
         if hasattr(sys.stdout, "buffer"):
             _write_binary(sys.stdout.buffer, pieces)
@@ -313,10 +317,11 @@ def _write_binary(fh, pieces) -> None:
 
 def _discard_stdout() -> None:
     try:
+        fd = sys.stdout.fileno()
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, fd)
         os.close(devnull)
-    except (OSError, ValueError):  # no file descriptor behind sys.stdout
+    except (AttributeError, OSError, ValueError):  # no stdout, or no descriptor behind it
         pass
 
 

@@ -506,7 +506,7 @@ def theta_as_exponent_quadrature(p: ModelParams, theta: float, dt: float) -> Exp
     Requires eta > 1/(2*(1 - lam*theta*dt)), which keeps F positive. The
     factor and the value are as_exponent_quadrature's at the same theta; with
     theta = 0 both answer or refuse bit for bit as the plain scheme does at
-    epsilon = 0: the two factors and their domain are the same.
+    epsilon = 0: scheme._factor builds one factor for both.
     """
     return _quad(_factor(p, dt, theta), Method.THETA_AS_QUADRATURE)
 

@@ -4,11 +4,15 @@ Both schemes multiply the modulus each step by one factor
 
     F = c0 + (sigma*dB + (sigma^2/2)*dB^2) / denom,    dB ~ N(0, dt).
 
-The plain scheme is the Milstein step of the radial equation
+The drift-implicit theta variant of the Milstein step of the radial equation
 
-    d|Z| = (lam + epsilon^2/2)*|Z| dt + sigma*|Z| dW,
+    d|Z| = (lam + epsilon^2/2)*|Z| dt + sigma*|Z| dW
 
-with c0 = gamma_dt and denom = 1, where
+has denom = 1 - lam*theta*dt and
+
+    c0 = (1 + ((lam + epsilon^2/2)*(1 - theta) - sigma^2/2)*dt) / denom.
+
+The plain scheme is this step at theta = 0: denom = 1 and c0 = gamma_dt, where
 
     gamma_dt = 1 + (lam + epsilon^2/2 - sigma^2/2)*dt.
 
@@ -20,8 +24,7 @@ system. At epsilon != 0 the planar step multiplies Z = X + iY by
 and E|F_pl|^2 - E F^2 = epsilon^2*(epsilon^2 - 4*lam + 4*sigma^2)*dt^2/4, so
 the two schemes differ at O(dt) in both exponents.
 
-The drift-implicit theta variant (scalar case, epsilon = 0) has c0 = eta_dt
-and denom = 1 - lam*theta*dt, with
+The theta scheme proper is the scalar case, epsilon = 0, where c0 is
 
     eta_dt = (1 + (lam*(1-theta) - sigma^2/2)*dt) / (1 - lam*theta*dt).
 
@@ -29,13 +32,13 @@ _StepFactor holds this factor once for path simulation and for every
 exponent estimator; its one evaluation form, of_normals, serves paths,
 Monte Carlo blocks, quadrature nodes and the sampling verify suites. It
 states the one almost-sure domain of both schemes: F > 0 for every
-increment, which keeps log F real. _factor alone chooses the scheme, from
-theta (None is plain), for simulate_path and every estimator, and the theta
-factor alone checks theta. One function, simulate_path, generates
-trajectories of both schemes, as SchemeConfig.theta names. Trajectories are
-accumulated as sums of log|factor|; the raw product would overflow within a
-few hundred steps for blow-up parameters, so |Z_n| itself is never
-materialized. A path is log|Z_n/Z_0|, which no initial datum changes: the
+increment, which keeps log F real. _factor alone builds a scheme's factor,
+from theta (None is plain, the step at theta = 0), for simulate_path and
+every estimator, and alone checks theta. One function, simulate_path,
+generates trajectories of both schemes, as SchemeConfig.theta names.
+Trajectories are accumulated as sums of log|factor|; the raw product would
+overflow within a few hundred steps for blow-up parameters, so |Z_n| itself
+is never materialized. A path is log|Z_n/Z_0|, which no initial datum changes: the
 datum is cli's simulate's alone, which adds log|Z_0| to each path it writes.
 """
 
@@ -69,9 +72,9 @@ class SchemeConfig(Record):
 
     theta names the scheme: absent is the plain Milstein scheme, a number the
     drift-implicit theta variant. The step size must satisfy 0 < dt < 1 and
-    n_steps must be positive. The theta factor, which simulate_path builds
-    before any draw, checks the rest: epsilon = 0, theta in [0, 1] and the
-    well-posedness condition 1 - lam*theta*dt > 0.
+    n_steps must be positive. The factor, which simulate_path builds before
+    any draw, checks the rest of a theta scheme: epsilon = 0, theta in
+    [0, 1] and the well-posedness condition 1 - lam*theta*dt > 0.
     """
 
     dt: float
@@ -202,7 +205,7 @@ class _StepFactor(Record):
 
 def gamma_dt(p: ModelParams, dt: float) -> float:
     """Deterministic part of the one-step Milstein factor."""
-    return _plain_factor(p, dt).c0
+    return _factor(p, dt).c0
 
 
 def mu(p: ModelParams) -> float:
@@ -218,7 +221,7 @@ def mu(p: ModelParams) -> float:
 def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     """Deterministic part eta_dt of the theta-Milstein factor.
 
-    The c0 of _theta_factor, so it refuses what that factor refuses: epsilon
+    The c0 of _factor at theta, so it refuses what that factor refuses: epsilon
     != 0, theta outside [0, 1], dt outside (0, 1) and 1 - lam*theta*dt <= 0,
     where the implicit step is ill-posed. For theta = 0 eta_dt reduces to
     gamma_dt. It is public as milstab.theta_eta; inside the package the
@@ -226,27 +229,13 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     calls it before it builds a SchemeConfig, so that theta is refused before
     dt, in the order of the theta estimators.
     """
-    return _theta_factor(p, theta, dt).c0
-
-
-def _plain_factor(p: ModelParams, dt: float) -> _StepFactor:
-    """The Milstein factor: c0 = gamma_dt, denom = 1."""
-    _check_dt(dt)
-    c0m1 = (p.lam + 0.5 * p.epsilon * p.epsilon - 0.5 * p.sigma * p.sigma) * dt
-    return _StepFactor(
-        c0=1.0 + c0m1,
-        c0m1=c0m1,
-        mean_rate=p.lam + 0.5 * p.epsilon * p.epsilon,
-        sigma=p.sigma,
-        denom=1.0,
-        dt=dt,
-    )
+    return _factor(p, dt, theta).c0
 
 
 def _check_theta_scheme(p: ModelParams, theta: float) -> None:
     """Refuse a theta scheme for epsilon != 0 or theta outside [0, 1], in that order.
 
-    The checks of _theta_factor that need no dt, so exponents.c1 shares them.
+    The checks of _factor that need no dt, so exponents.c1 shares them.
     """
     if p.epsilon != 0.0:
         raise ValueError(f"theta scheme requires epsilon = 0, got epsilon = {p.epsilon!r}")
@@ -254,30 +243,27 @@ def _check_theta_scheme(p: ModelParams, theta: float) -> None:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
 
 
-def _theta_factor(p: ModelParams, theta: float, dt: float) -> _StepFactor:
-    """The scalar theta-Milstein factor; with theta = 0 its F is the plain one.
-
-    It checks epsilon and theta (_check_theta_scheme), then dt, then the pole
-    1 - lam*theta*dt > 0.
-    """
-    _check_theta_scheme(p, theta)
-    _check_dt(dt)
-    denom = 1.0 - p.lam * theta * dt
-    if denom <= 0.0:
-        raise ValueError(f"implicit step ill-posed: 1 - lam*theta*dt = {denom!r} must be positive")
-    return _StepFactor(
-        c0=(1.0 + (p.lam * (1.0 - theta) - 0.5 * p.sigma * p.sigma) * dt) / denom,
-        c0m1=(p.lam - 0.5 * p.sigma * p.sigma) * dt / denom, mean_rate=p.lam / denom,
-        sigma=p.sigma, denom=denom, dt=dt,
-    )
-
-
 def _factor(p: ModelParams, dt: float, theta: float | None = None) -> _StepFactor:
     """The step factor of the scheme theta names: None is plain, a number the theta scheme.
 
-    The one place the scheme is chosen, for paths and for every estimator.
+    The one constructor of a scheme's factor, for paths and for every
+    estimator. A number theta is checked first (_check_theta_scheme), then
+    dt, then the pole 1 - lam*theta*dt > 0. The plain scheme is the theta
+    step at theta = 0, whose denom is exactly 1, so its c0 is gamma_dt.
     """
-    return _plain_factor(p, dt) if theta is None else _theta_factor(p, theta, dt)
+    if theta is not None:
+        _check_theta_scheme(p, theta)
+    _check_dt(dt)
+    t = 0.0 if theta is None else theta
+    denom = 1.0 - p.lam * t * dt
+    if denom <= 0.0:
+        raise ValueError(f"implicit step ill-posed: 1 - lam*theta*dt = {denom!r} must be positive")
+    rate, half_s2 = p.lam + 0.5 * p.epsilon * p.epsilon, 0.5 * p.sigma * p.sigma
+    return _StepFactor(
+        c0=(1.0 + (rate * (1.0 - t) - half_s2) * dt) / denom,
+        c0m1=(rate - half_s2) * dt / denom, mean_rate=rate / denom,
+        sigma=p.sigma, denom=denom, dt=dt,
+    )
 
 
 def _noise_factor(sigma: float, dt: float) -> _StepFactor:
@@ -292,7 +278,7 @@ def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
     bounded below by gamma_dt - 1/2 for every increment. In particular it is
     strictly positive whenever gamma_dt > 1/2.
     """
-    return _plain_factor(p, dt).at(dB)
+    return _factor(p, dt).at(dB)
 
 
 def _accumulate(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +303,8 @@ def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogMo
 
     cfg.theta None is the plain Milstein scheme; a number is the scalar
     theta-Milstein scheme, whose factor refuses epsilon != 0, theta outside
-    [0, 1] and a pole before any increment is drawn. With theta = 0 that
-    factor coincides bit for bit with the plain one on shared increments.
+    [0, 1] and a pole before any increment is drawn. Both come from _factor,
+    so at theta = 0 the path has the plain one's bits on shared increments.
     Draws n_steps increments dB = sqrt(dt)*zeta from the stream, accumulates
     log|factor| step by step, and flags (without aborting) any step whose
     factor underflows to zero.

@@ -35,7 +35,7 @@ from .lemmas import (
     verify_log_sandwich, xi_gamma,
 )
 from .model import ModelParams
-from .scheme import _check_dt, _noise_factor, _plain_factor
+from .scheme import _check_dt, _factor, _noise_factor
 from .stochastics import RngStream, gauss_hermite_rule
 
 
@@ -95,11 +95,18 @@ def _suite_lemmas(**_) -> list[dict]:
 def _suite_moments(*, p: ModelParams, dt: float, seed: int, n_samples: int, **_) -> list[dict]:
     n = n_samples
     mean_ref, second_ref = composite_increment_moments(p.sigma, dt)
+    # Where the second moment is below 1 the samples and both references are
+    # scaled up by a power of two, so that the spread of the squares does not
+    # underflow (at dt = 1e-300 it did, to 0). The scale is exact and changes
+    # no z-score's bits; at sigma = 0 frexp's exponent is 0, so it is 1.
+    scale = 2.0 ** max(0, -math.frexp(second_ref)[1] // 2)
+    mean_ref, second_ref = mean_ref * scale, second_ref * scale * scale
     noise = _noise_factor(p.sigma, dt)
     stream = RngStream(root_seed=seed, stream_id=0)
 
     def slice_moments(lo: int):
         x = noise.of_normals(stream.normals(min(_MC_CHUNK, n - lo)))
+        x *= scale
         square = _moments_in_place(x * x)  # before x itself is overwritten
         return _moments_in_place(x), square
 
@@ -143,7 +150,7 @@ def _suite_moments(*, p: ModelParams, dt: float, seed: int, n_samples: int, **_)
 def _suite_closedform(*, p: ModelParams, dt: float, seed: int, **_) -> list[dict]:
     n_steps = 10
     n_paths = 10**5
-    factor = _plain_factor(p, dt)
+    factor = _factor(p, dt)
     base = 1.0 + factor.ms_base_m1()
     stream = RngStream(root_seed=seed, stream_id=0)
     # Path i takes draws i*n_steps to (i+1)*n_steps - 1; paths are built in

@@ -248,18 +248,24 @@ def test_criterion_08_theta_family(criterion):
     reduction = worst_rel <= 1e-12
 
     # theta = 0 through every method gives the plain method's bits, at dt =
-    # 1e-3 (root series) and 1e-2 (Gauss-Hermite); the theta slugs answer
-    # the plain estimates they name. Every method reads theta: each refuses
-    # it at epsilon != 0, so the equality is the theta scheme's.
+    # 1e-3 (root series) and 1e-2 (Gauss-Hermite), signed zeros included
+    # (lam = +-0 with no noise); the theta slugs answer the plain estimates
+    # they name. Every method reads theta: each refuses it at epsilon != 0,
+    # so the equality is the theta scheme's.
     plain_of = {Method.THETA_MS_EXACT: Method.MS_EXACT,
                 Method.THETA_AS_QUADRATURE: Method.AS_QUADRATURE}
     sizes = {"n_samples": 10**5, "seed": 8, "n_paths": 8, "n_steps": 1024}
+
+    def bits(e):
+        return [x.hex() if isinstance(x, float) else x for x in (e.value, e.std_error, e.n_samples)]
+
     every_method = all(
-        (a.value, a.std_error, a.n_samples) == (b.value, b.std_error, b.n_samples)
+        bits(estimate(p, dt, method, theta=0.0, **sizes))
+        == bits(estimate(p, dt, plain_of.get(method, method), **sizes))
+        for p in (p0, ModelParams(lam=0.0, epsilon=0.0, sigma=0.0),
+                  ModelParams(lam=-0.0, epsilon=0.0, sigma=0.0))
         for dt in (1e-3, 1e-2)
         for method in Method
-        for a, b in [(estimate(p0, dt, method, theta=0.0, **sizes),
-                      estimate(p0, dt, plain_of.get(method, method), **sizes))]
     )
 
     def refuses_epsilon(method):

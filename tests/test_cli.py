@@ -158,11 +158,14 @@ class TestExponentCommand:
         assert code == 0
         assert out == theirs.replace(f'"method": "{named}"', f'"method": "{plain}"')
 
+    @pytest.mark.parametrize("model", [(), ("--lambda", "-0", "--sigma", "0")],
+                             ids=["default", "signed-zero"])
     @pytest.mark.parametrize("method", ["ms-exact", "as-quad", "as-mc", "as-slope"])
-    def test_theta_zero_gives_the_plain_bits(self, capsys, method):
-        # only the theta provenance line tells the theta = 0 scheme from the plain one
+    def test_theta_zero_gives_the_plain_bits(self, capsys, method, model):
+        # only the theta provenance line tells the theta = 0 scheme from the
+        # plain one, down to the sign of a zero value at lambda = -0
         args = ("exponent", method, "--epsilon", "0", "--samples", "1000", "--paths", "3",
-                "--steps", "40", "--format", "csv")
+                "--steps", "40", "--format", "csv", *model)
         code, plain, _ = run_cli(capsys, *args)
         assert code == 0
         code, theta, _ = run_cli(capsys, *args, "--theta", "0")
@@ -376,7 +379,7 @@ class TestSimulateCommand:
         ],
     )
     def test_theta_checks_in_the_estimators_order(self, capsys, flags, message):
-        # the cases of _theta_factor's own order test, at lambda 20 and sigma 1
+        # the cases of _factor's own order test, at lambda 20 and sigma 1
         args = ["--lambda", "20", "--sigma", "1", *flags.split()]
         code, _, simulate_err = run_cli(capsys, "simulate", *args)
         assert code == 2 and simulate_err.startswith(f"error: {message}")
@@ -648,6 +651,18 @@ class TestFullStdout:
                 timeout=120,
             )
         assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+        assert proc.returncode == 1
+
+    @pytest.mark.parametrize(
+        "args", [("region", "--sigma-range", "0:1:1"), ("exponent", "--help")], ids=["region", "help"]
+    )
+    def test_stdout_closed_at_start(self, args):
+        # `milstab region ... >&-`: with descriptor 1 closed sys.stdout is None
+        proc = subprocess.run(
+            [sys.executable, "-m", "milstab", *args], preexec_fn=lambda: os.close(1),
+            stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.stderr == "error: cannot write stdout: [Errno 9] Bad file descriptor\n"
         assert proc.returncode == 1
 
     @pytest.mark.parametrize("unbuffered", [False, True])
@@ -1095,6 +1110,15 @@ class TestVerifyCommand:
         # case read z = 0 and the second z = 1897.357, a false FAIL. The noise
         # is exactly 0 at sigma = 0, so its z is 0 by exact equality.
         assert run_cli(capsys, "verify", *args) == (0, line, "")
+
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-200"])
+    def test_moments_at_tiny_dt(self, capsys, dt):
+        # the squares' deviations (about 1e-598 at 1e-300) underflowed to 0,
+        # so the second-moment z read inf, a false FAIL
+        code, out, err = run_cli(capsys, "verify", "--suite", "moments", "--dt", dt,
+                                 "--samples", "1000")
+        assert (code, err) == (0, "")
+        assert out.startswith("moments.composite_vs_mc: PASS - ") and "inf" not in out
 
     def test_closedform_labels_the_ratio(self, capsys, tmp_path):
         # |Z_0| = 5: the line gives E|Z_n|^2/|Z_0|^2, not E|Z_n|^2 (25 times it)

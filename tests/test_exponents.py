@@ -46,8 +46,6 @@ from milstab.model import (
 from milstab.scheme import (
     LogModulusPath,
     SchemeConfig,
-    _plain_factor,
-    _theta_factor,
     gamma_dt,
     simulate_path,
 )
@@ -396,7 +394,7 @@ def test_gauss_hermite_route_at_criterion_3_points(monkeypatch):
     series = [as_exponent_quadrature(p, 1e-3).value for p in points]
     monkeypatch.setattr(exponents, "_root_series", lambda f: None)
     for p, value in zip(points, series):
-        q1, q2 = (_gauss_hermite_exponent(_plain_factor(p, 1e-3), n) for n in (201, 402))
+        q1, q2 = (_gauss_hermite_exponent(scheme._factor(p, 1e-3), n) for n in (201, 402))
         assert abs(q1 - q2) <= 1e-10 * max(abs(q1), abs(q2))
         assert abs(value - q1) <= 1e-12 * max(abs(value), abs(q1), 1.0)
         # the estimator's quadrature route answers the 201-node value
@@ -554,8 +552,8 @@ class TestMonteCarloErrorBar:
     @pytest.mark.parametrize(
         "factor",
         [
-            _plain_factor(ModelParams(lam=1.0, epsilon=0.5, sigma=3.0), 1e-3),
-            _theta_factor(ModelParams(lam=-30.0, epsilon=0.0, sigma=1.7), 0.5, 1e-2),
+            scheme._factor(ModelParams(lam=1.0, epsilon=0.5, sigma=3.0), 1e-3),
+            scheme._factor(ModelParams(lam=-30.0, epsilon=0.0, sigma=1.7), 1e-2, 0.5),
         ],
         ids=["plain", "denom"],
     )
@@ -577,7 +575,7 @@ class TestMonteCarloErrorBar:
 
     def test_block_memory_is_one_block_and_a_slice(self):
         # the whole-block kernel held a factor temporary the size of the block
-        f = _plain_factor(P_REF, 1e-3)
+        f = scheme._factor(P_REF, 1e-3)
         _mc_block(f, 1, 0, 100)  # the first stream of a process loads numpy.random state
         tracemalloc.start()
         try:
@@ -751,7 +749,7 @@ class TestThetaFamily:
     def test_theta_zero_quadrature_bitwise(self):
         # dt = 1e-3 is answered by the root series, 1e-2 by Gauss-Hermite
         for dt, series in ((1e-3, True), (1e-2, False)):
-            assert (_root_series(_plain_factor(self.P0, dt)) is not None) == series
+            assert (_root_series(scheme._factor(self.P0, dt)) is not None) == series
             a = theta_as_exponent_quadrature(self.P0, 0.0, dt).value
             b = as_exponent_quadrature(self.P0, dt).value
             assert a == b

@@ -6,7 +6,7 @@ reduces with numpy's std or var, and both sampling estimators report
 _std_error's error bar. Path i of simulate and of as-slope is drawn from the
 stream (seed, i) by exponents._simulate_paths alone. The theta scheme's
 refusals are raised by milstab.scheme alone (_check_theta_scheme and
-_theta_factor), so each text occurs once. So is the one almost-sure domain
+_factor), so each text occurs once. So is the one almost-sure domain
 refusal (_StepFactor.check_domain), and the sandwich lemma's gamma_dt > 3/4
 is refused by milstab.lemmas alone. The CLI's result tables are laid out by
 cli._table alone; only simulate's streamed JSON head builds its own
@@ -17,15 +17,17 @@ gauss_hermite_rule (with the table cache it calls) takes a node count. The
 Monte Carlo floor of 100 samples is refused in one text, exponents', which
 verify's --samples shares. A path is log|Z_n/Z_0|, so the initial datum is
 read by cli's simulate alone: no other function builds an InitialDatum, and
-neither scheme nor exponents imports it. The scheme is chosen in one place,
-scheme._factor, the one caller of _theta_factor beside the public theta_eta;
-outside scheme only verify's closedform suite builds the plain factor
-itself. cli._provenance alone writes the theta provenance key. The records
+neither scheme nor exponents imports it. A scheme's factor has one
+constructor, scheme._factor, the plain scheme being its step at theta = 0:
+beside it only scheme._noise_factor builds a _StepFactor, and every
+estimator, simulate_path and verify's closedform suite take their factor
+from it. cli._provenance alone writes the theta provenance key. The records
 are milstab._record's, so no module imports dataclasses, and the process
 entry, milstab.__main__, alone sets the collector policy.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -122,10 +124,20 @@ def _statements_calling(callee):
 
 
 def test_one_scheme_choice():
-    assert _statements_calling("_theta_factor") == [("scheme.py", "_factor"),
-                                                    ("scheme.py", "theta_eta")]
-    outside = [call for call in _statements_calling("_plain_factor") if call[0] != "scheme.py"]
-    assert outside == [("verify.py", "_suite_closedform")]
+    assert _statements_calling("_StepFactor") == [("scheme.py", "_factor"),
+                                                  ("scheme.py", "_noise_factor")]
+    retired = re.compile(r"\b_(plain|theta)_factor\b")
+    assert [path.name for path in PACKAGE.rglob("*.py") if retired.search(path.read_text())] == []
+    # the estimators (as-slope's paths through simulate_path), simulate_path,
+    # verify's closedform suite and the public scheme functions
+    estimators = ["as_exponent_mc", "as_exponent_quadrature", "ms_exponent_exact",
+                  "theta_as_exponent_quadrature", "theta_ms_exponent"]
+    assert _statements_calling("_factor") == [
+        *(("exponents.py", name) for name in estimators),
+        *(("scheme.py", name) for name in ["gamma_dt", "milstein_factor", "simulate_path",
+                                           "theta_eta"]),
+        ("verify.py", "_suite_closedform"),
+    ]
 
 
 def test_only_provenance_writes_theta():

@@ -13,8 +13,7 @@ from milstab.scheme import (
     LogModulusPath,
     SchemeConfig,
     _accumulate,
-    _plain_factor,
-    _theta_factor,
+    _factor,
     gamma_dt,
     milstein_factor,
     mu,
@@ -73,8 +72,8 @@ def test_factor_spot_value():
 @pytest.mark.parametrize(
     "factor",
     [
-        _plain_factor(ModelParams(lam=1.0, epsilon=0.5, sigma=3.0), 1e-3),
-        _theta_factor(ModelParams(lam=-30.0, epsilon=0.0, sigma=1.7), 0.5, 1e-2),
+        _factor(ModelParams(lam=1.0, epsilon=0.5, sigma=3.0), 1e-3),
+        _factor(ModelParams(lam=-30.0, epsilon=0.0, sigma=1.7), 1e-2, 0.5),
     ],
     ids=["plain", "denom"],
 )
@@ -128,7 +127,7 @@ def test_radial_factor_against_planar_step(lam, eps, sigma, dt):
     w = w / math.sqrt(2.0 * math.pi)
     planar = sum(wi * float(np.sum(_planar_step(p, dt, math.sqrt(dt) * yi)[:, 0] ** 2))
                  for yi, wi in zip(y, w))
-    radial = 1.0 + _plain_factor(p, dt).ms_base_m1()
+    radial = 1.0 + _factor(p, dt).ms_base_m1()
     gap = eps * eps * (eps * eps - 4.0 * lam + 4.0 * sigma * sigma) * dt * dt / 4.0
     assert planar - radial == pytest.approx(gap, rel=1e-9, abs=1e-14)
     if (lam, eps, sigma, dt) == (8.0, 2.0, 4.0, 1e-2):
@@ -290,9 +289,9 @@ class TestThetaScheme:
     def test_eta_refuses_epsilon_as_the_factor_does(self):
         p = ModelParams(lam=1.0, epsilon=0.5, sigma=1.0)
         message = "theta scheme requires epsilon = 0, got epsilon = 0.5"
-        for fn in (theta_eta, _theta_factor):
+        for build in (lambda: theta_eta(p, 0.5, 1e-3), lambda: _factor(p, 1e-3, 0.5)):
             with pytest.raises(ValueError) as exc:
-                fn(p, 0.5, 1e-3)
+                build()
             assert str(exc.value) == message
 
     @pytest.mark.parametrize(
@@ -306,7 +305,7 @@ class TestThetaScheme:
     )
     def test_factor_checks_epsilon_theta_dt_then_the_pole(self, p, theta, dt, message):
         with pytest.raises(ValueError) as exc:
-            _theta_factor(p, theta, dt)
+            _factor(p, dt, theta)
         assert str(exc.value).startswith(message)
 
     def test_theta_required(self):

@@ -121,6 +121,9 @@ MATRIX = [
     *(f"exponent as-slope {_SLOPE} --epsilon 0{t} --format csv" for t in ("", " --theta 0")),
     "exponent ms-exact --theta 0.5",
     f"sweep-dt as-mc {_MC} --theta 0.5",
+    # the plain scheme is the theta step at theta = 0, down to a signed zero
+    *(f"exponent theta-as --theta {t} --lambda -0 --epsilon 0 --sigma 0" for t in ("0", "0.5")),
+    "exponent as-mc --theta 0 --lambda -0 --epsilon 0 --sigma 0",
     # region
     *(f"region --lambda 2 --sigma-range 0:4:2 --format {fmt}" for fmt in ("csv", "json")),
     "region --format json --out r.json",
@@ -133,6 +136,7 @@ MATRIX = [
     "verify --suite closedform --out v.json",
     "verify --suite moments --samples 1000",
     "verify --suite moments --samples 10",
+    "verify --suite moments --dt 1e-300 --samples 1000",
     "verify --suite lemmas --threads 2",
     "verify --suite nope",
     # argparse's own refusals: no subcommand, an unknown one, an option before
