@@ -56,9 +56,11 @@ writes, exactly when it is set.
 
 Exit codes: 0 success, 1 failed verification, unwritable output or a table
 too large for memory, 2 bad configuration or an estimator precondition
-violation. simulate with --theta checks the theta scheme first, in the theta
-estimators' order. A reader that closes stdout early (milstab simulate |
-head) ends the output quietly with 0.
+violation. simulate, exponent and sweep-dt refuse in the one order that
+exponents.check_dt_free states (the theta scheme, dt, the pole, the counts,
+then the almost-sure domain); sweep-dt makes the part that reads no step
+size once, before any row. A reader that closes stdout early (milstab
+simulate | head) ends the output quietly with 0.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ from .model import (
     as_boundary_epsilon,
     classify,
 )
-from .scheme import SchemeConfig, theta_eta
 from .stochastics import _U64
 
 # perfbench/spans.py patches these names on this module; they go with its tracer.
@@ -330,22 +331,19 @@ def _model(values: dict) -> ModelParams:
 
 
 def _cmd_simulate(ns: argparse.Namespace, values: dict) -> int:
-    p = _model(values)
     log0 = InitialDatum(values["x0"], values["y0"]).log_modulus()
-    theta = values["theta"]
-    if theta is not None:  # the theta scheme's own checks, in the estimators' order
-        theta_eta(p, theta, values["dt"])
-    cfg = SchemeConfig(dt=values["dt"], n_steps=values["steps"], theta=theta)
-    n_paths = values["paths"]
+    dt, n_steps, n_paths = values["dt"], values["steps"], values["paths"]
+    # refuses the theta scheme, dt, the pole and n_steps, as the estimators do
+    paths = _simulate_paths(_model(values), dt, n_steps, values["theta"], values["seed"], n_paths,
+                            values["threads"])
     if n_paths < 1:
         raise ValueError(f"paths must be at least 1, got {n_paths}")
     # t, one column per path, then the mean; each path log|Z_n/Z_0| goes into
     # its column as it arrives, and log|Z_0| is added as it is written there
-    table = np.empty((cfg.n_steps + 1, n_paths + 2))
-    paths = _simulate_paths(p, cfg, values["seed"], n_paths, values["threads"])
+    table = np.empty((n_steps + 1, n_paths + 2))
     for index, path in enumerate(paths, start=1):
         np.add(path.log_values, log0, out=table[:, index])
-    table[:, 0] = cfg.dt * np.arange(cfg.n_steps + 1)
+    table[:, 0] = dt * np.arange(n_steps + 1)
     table[:, -1] = table[:, 1:-1].mean(axis=1)
     # Any non-finite value reaches its row's mean, so past this check every
     # value is finite, and repr writes it as json.dumps does.

@@ -3,10 +3,11 @@
 Every estimator is an expectation over the one-step factor F of
 milstab.scheme (plain: c0 = gamma_dt, denom = 1; theta: c0 = eta_dt,
 denom = 1 - lam*theta*dt), and each one is written once against that factor.
-Each estimator takes theta, None for the plain scheme (as-slope through its
-paths' SchemeConfig), and its factor from scheme._factor, so every method
-runs either scheme; the theta-ms and theta-as methods are the mean-square
-and quadrature ones with theta required.
+Each estimator takes theta, None for the plain scheme, and its factor from
+scheme._factor (as-slope through its paths), so every method runs either
+scheme; the theta-ms and theta-as methods are the mean-square and
+quadrature ones with theta required. Every estimate refuses in the one
+order that check_dt_free states.
 
 Mean-square exponents come in closed form: squaring the scheme gives
 E(Z_n^2) = (x0^2 + y0^2) * base^n with base = E F^2, which for the plain
@@ -431,8 +432,8 @@ def as_exponent_mc(
     (p, dt, n_samples, seed) regardless of threads.
     """
     f = _factor(p, dt, theta)
-    f.check_domain()
     check_dt_free(p, Method.AS_MONTE_CARLO, n_samples=n_samples)
+    f.check_domain()
     if p.sigma == 0.0:
         return ExponentEstimate(value=math.log1p(f.c0m1) / dt, method=Method.AS_MONTE_CARLO,
                                 dt=dt, std_error=0.0, n_samples=n_samples)
@@ -447,12 +448,18 @@ def as_exponent_mc(
                             std_error=_std_error(stats) / dt, n_samples=n_samples)
 
 
-def _simulate_paths(p: ModelParams, cfg: SchemeConfig, seed: int, n_paths: int, threads: int):
-    """Yield paths 0, ..., n_paths - 1 of cfg in order, path i drawn from the stream (seed, i).
+def _simulate_paths(p: ModelParams, dt: float, n_steps: int, theta: float | None, seed: int,
+                    n_paths: int, threads: int):
+    """Paths 0, ..., n_paths - 1 of the scheme theta names, path i drawn from the stream (seed, i).
 
-    The one path fan-out, shared by simulate and as-slope; the paths run on
+    The one path fan-out, shared by simulate and as-slope, and the one builder
+    of a SchemeConfig. Before it returns it builds the factor, which refuses
+    the theta scheme, then dt, then the pole, and then the config, which
+    refuses n_steps; the paths are drawn only as they are asked for, on
     _map_indexed's pool, so they do not depend on threads.
     """
+    _factor(p, dt, theta)
+    cfg = SchemeConfig(dt=dt, n_steps=n_steps, theta=theta)
     return _map_indexed(
         lambda i: simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)), n_paths, threads
     )
@@ -595,10 +602,9 @@ def estimate(
     if method is Method.AS_MONTE_CARLO:
         return as_exponent_mc(p, dt, n_samples, seed, threads=threads, theta=theta)
     if method is Method.AS_PATH_SLOPE:
-        cfg = SchemeConfig(dt=dt, n_steps=n_steps, theta=theta)
-        check_dt_free(p, method, theta=theta, n_paths=n_paths, n_steps=n_steps)  # before any path
-        # takes each path as it is simulated
-        return as_exponent_path_slope(_simulate_paths(p, cfg, seed, n_paths, threads))
+        paths = _simulate_paths(p, dt, n_steps, theta, seed, n_paths, threads)
+        check_dt_free(p, method, n_paths=n_paths, n_steps=n_steps)  # before any path is drawn
+        return as_exponent_path_slope(paths)  # takes each path as it is simulated
     check_dt_free(p, method, theta=theta)
     if method is Method.THETA_MS_EXACT:
         return theta_ms_exponent(p, theta, dt)
@@ -607,25 +613,26 @@ def estimate(
 
 def check_dt_free(p: ModelParams, method: Method, *, theta: float | None = None,
                   n_samples: int = 10**6, n_paths: int = 50, n_steps: int = 10**4, **_) -> None:
-    """Refuse what estimate refuses for method at every dt, in estimate's text.
+    """Refuse what estimate refuses for method at every dt, in estimate's text and order.
 
-    These are the refusals that read no step size: as-mc's sample count,
-    as-slope's step count, then its path count, then the theta scheme's
+    These are the refusals that read no step size: first the theta scheme's
     epsilon = 0 and theta in [0, 1] for any method given a theta, which
-    theta-ms and theta-as require. The estimators make them here, in their
-    own order, some after a dt or domain check; a dt sweep makes them once,
-    before any estimate.
+    theta-ms and theta-as require, then as-mc's sample count, as-slope's
+    step count and its path count. Every estimate refuses in one order: the
+    theta scheme, dt, the pole, these counts, then the almost-sure domain.
+    So a dt sweep, which makes these refusals once before any estimate,
+    refuses as estimate does at a valid dt.
     """
+    if theta is not None:
+        _check_theta_scheme(p, theta)
+    elif method in (Method.THETA_MS_EXACT, Method.THETA_AS_QUADRATURE):
+        raise ValueError(f"method {method.value} requires theta")
     if method is Method.AS_MONTE_CARLO:
         _check_samples(n_samples)
     if method is Method.AS_PATH_SLOPE:
         _check_steps(n_steps)
         if n_paths < 2:
             raise ValueError(f"need at least 2 paths, got {n_paths}")
-    if theta is not None:
-        _check_theta_scheme(p, theta)
-    elif method in (Method.THETA_MS_EXACT, Method.THETA_AS_QUADRATURE):
-        raise ValueError(f"method {method.value} requires theta")
 
 
 def continuum_target(p: ModelParams, method: Method) -> float:

@@ -185,12 +185,22 @@ def composite_increment_moments(sigma: float, dt: float) -> tuple[float, float]:
     """Mean and second moment of sigma*dB + (sigma^2/2)*dB^2.
 
     Closed forms from the moment ladder: mean (sigma^2/2)*dt and second
-    moment sigma^2*dt + (3*sigma^4/4)*dt^2.
+    moment sigma^2*dt + (3*sigma^4/4)*dt^2, formed by _scaled_increment_moments.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    s2 = sigma * sigma
-    return 0.5 * s2 * dt, s2 * dt + 0.75 * s2 * s2 * dt * dt
+    return _scaled_increment_moments(abs(sigma) * math.sqrt(dt), 1.0)
+
+
+def _scaled_increment_moments(s: float, scale: float) -> tuple[float, float]:
+    """Mean and second moment of scale*(sigma*dB + (sigma^2/2)*dB^2), s = |sigma|*sqrt(dt).
+
+    In s the moments are s^2/2 and s^2 + (3/4)*s^4. They are formed as
+    (scale*s)*(s/2) and (scale*s)^2*(1 + (3/4)*s^2), so with a scale near
+    1/s both stay in range where s^2 itself underflows.
+    """
+    cs = scale * s
+    return cs * (0.5 * s), cs * cs * (1.0 + 0.75 * s * s)
 
 
 #: E[zeta^k] of a standard normal zeta for k = 0..8.

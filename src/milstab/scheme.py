@@ -72,9 +72,11 @@ class SchemeConfig(Record):
 
     theta names the scheme: absent is the plain Milstein scheme, a number the
     drift-implicit theta variant. The step size must satisfy 0 < dt < 1 and
-    n_steps must be positive. The factor, which simulate_path builds before
-    any draw, checks the rest of a theta scheme: epsilon = 0, theta in
-    [0, 1] and the well-posedness condition 1 - lam*theta*dt > 0.
+    n_steps must be positive. The factor checks the rest of a theta scheme:
+    epsilon = 0, theta in [0, 1] and the well-posedness condition
+    1 - lam*theta*dt > 0. exponents._simulate_paths, the one builder of a
+    config in the package, builds the factor first, so theta is refused
+    before dt.
     """
 
     dt: float
@@ -224,10 +226,8 @@ def theta_eta(p: ModelParams, theta: float, dt: float) -> float:
     The c0 of _factor at theta, so it refuses what that factor refuses: epsilon
     != 0, theta outside [0, 1], dt outside (0, 1) and 1 - lam*theta*dt <= 0,
     where the implicit step is ill-posed. For theta = 0 eta_dt reduces to
-    gamma_dt. It is public as milstab.theta_eta; inside the package the
-    estimators and simulate_path read the factor through _factor. cli's simulate
-    calls it before it builds a SchemeConfig, so that theta is refused before
-    dt, in the order of the theta estimators.
+    gamma_dt. It is public as milstab.theta_eta; inside the package nothing
+    calls it: the estimators and the paths read the factor through _factor.
     """
     return _factor(p, dt, theta).c0
 

@@ -86,7 +86,7 @@ class QuadratureRule(Record):
     def __post_init__(self) -> None:
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-14:
+        if not abs(float(self.weights.sum()) - 1.0) <= 1e-14:  # a NaN sum too
             raise ValueError("weights must sum to 1 within 1e-14")
         if not np.array_equal(self.nodes, -self.nodes[::-1]):
             raise ValueError("nodes must be symmetric about 0")

@@ -6,7 +6,7 @@
 
 run() checks its inputs before any suite runs, then returns one
 {name, passed, detail} record per check, in SUITES order for "all".
-Only moments reads n_samples (--samples); its Gauss-Hermite checks use the
+Only moments reads n_samples (--samples); its Gauss-Hermite check uses the
 rule of the quadrature estimators (exponents.QUAD_NODES nodes). lemmas does
 not read it, and closedform always runs 10^5 ten-step paths and does not
 read it either: it keeps one double per path, so following n_samples would
@@ -31,9 +31,10 @@ import sys
 from . import _np as np
 from .exponents import _MC_CHUNK, QUAD_NODES, _check_samples, _merge, _moments_in_place, _std_error
 from .lemmas import (
-    BoundKind, LogBoundDomain, composite_increment_moments, gaussian_moment,
-    verify_log_sandwich, xi_gamma,
+    BoundKind, LogBoundDomain, _scaled_increment_moments, gaussian_moment, verify_log_sandwich,
+    xi_gamma,
 )
+from .lemmas import composite_increment_moments  # noqa: F401  (cli.__getattr__ reads it here)
 from .model import ModelParams
 from .scheme import _check_dt, _factor, _noise_factor
 from .stochastics import RngStream, gauss_hermite_rule
@@ -94,13 +95,14 @@ def _suite_lemmas(**_) -> list[dict]:
 
 def _suite_moments(*, p: ModelParams, dt: float, seed: int, n_samples: int, **_) -> list[dict]:
     n = n_samples
-    mean_ref, second_ref = composite_increment_moments(p.sigma, dt)
-    # Where the second moment is below 1 the samples and both references are
-    # scaled up by a power of two, so that the spread of the squares does not
-    # underflow (at dt = 1e-300 it did, to 0). The scale is exact and changes
-    # no z-score's bits; at sigma = 0 frexp's exponent is 0, so it is 1.
-    scale = 2.0 ** max(0, -math.frexp(second_ref)[1] // 2)
-    mean_ref, second_ref = mean_ref * scale, second_ref * scale * scale
+    # Where s = |sigma|*sqrt(dt) is below 1/2, the samples and both
+    # references are scaled up by the power of two that takes s into [1/2, 1),
+    # so the scaled noise is of order 1: where s^2 underflows (sigma 1e-12 at
+    # dt 1e-300) neither the references nor the spread of the squares do. The
+    # scale is exact and changes no z-score's bits; at sigma = 0 it is 1.
+    s = abs(p.sigma) * math.sqrt(dt)
+    scale = 2.0 ** max(0, -math.frexp(s)[1])
+    mean_ref, second_ref = _scaled_increment_moments(s, scale)
     noise = _noise_factor(p.sigma, dt)
     stream = RngStream(root_seed=seed, stream_id=0)
 
@@ -134,14 +136,6 @@ def _suite_moments(*, p: ModelParams, dt: float, seed: int, n_samples: int, **_)
             "moments.hermite_even_moments",
             worst_rel <= 1e-12,
             f"orders 2..20 against closed-form moments, worst relative error {worst_rel!r}",
-        )
-    )
-    weight_defect = abs(float(rule.weights.sum()) - 1.0)
-    checks.append(
-        _check(
-            "moments.weight_sum",
-            weight_defect <= 1e-14,
-            f"|sum of weights - 1| = {weight_defect!r}",
         )
     )
     return checks

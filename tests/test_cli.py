@@ -77,6 +77,28 @@ class TestExponentCommand:
         ref = as_exponent_quadrature(ModelParams(8.0, 2.0, 4.0), 1e-3).value
         assert obj["value"] == ref
 
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_one_refusal_order(self, capsys, method):
+        # every method refuses the theta scheme, then dt, then the pole, then
+        # the sample, step and path counts, then the almost-sure domain
+        counts = ["--samples", "5", "--steps", "0", "--paths", "1"]
+        for flags, refusal in [
+            ("--epsilon 0 --theta 1.5 --dt 2", "theta must lie in [0, 1], got 1.5"),
+            ("--epsilon 0 --theta 1 --dt 2", "dt must lie in (0, 1), got 2.0"),
+            ("--lambda 20 --epsilon 0 --theta 1 --dt 0.1", "implicit step ill-posed"),
+        ]:
+            code, _, err = run_cli(capsys, "exponent", method, *flags.split(), *counts,
+                                   "--format", "csv")
+            assert code == 2 and err.startswith(f"error: {refusal}")
+        # gamma_dt = 0.3995 is outside the domain, which the mean-square
+        # methods do not read and as-slope's paths run past
+        code, _, err = run_cli(capsys, "exponent", method, "--lambda", "-600", "--sigma", "1",
+                               "--epsilon", "0", *counts, "--theta", "0", "--format", "csv")
+        first = {"as-mc": "n_samples must be at least", "as-slope": "n_steps must be a positive",
+                 "as-quad": "the step factor's lower bound", "theta-as": "the step factor's"}
+        if method in first:
+            assert code == 2 and err.startswith(f"error: {first[method]}")
+
     def test_std_error_key_present_for_mc(self, capsys):
         code, out, _ = run_cli(
             capsys, "exponent", "as-mc", "--samples", "1000", "--seed", "1"
@@ -778,6 +800,17 @@ class TestSweepCommand:
             (("as-slope", "--steps", "0"), "n_steps must be a positive integer, got 0"),
             (("as-slope", "--steps", "0", "--paths", "1"),
              "n_steps must be a positive integer, got 0"),
+            # several errors at once: exponent's one order, the theta scheme,
+            # then the counts, then the domain, is the sweep's
+            *(((method, flag, value, "--epsilon", "0", "--theta", "1.5"),
+               "theta must lie in [0, 1], got 1.5")
+              for method, flag, value in [("as-mc", "--samples", "5"),
+                                          ("as-slope", "--steps", "0"),
+                                          ("as-slope", "--paths", "1")]),
+            (("as-slope", "--paths", "1", "--theta", "0.5"),
+             "theta scheme requires epsilon = 0, got epsilon = 2.0"),
+            (("as-mc", "--samples", "5", "--lambda", "-600", "--sigma", "1", "--epsilon", "0"),
+             "n_samples must be at least 100, got 5"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -935,11 +968,10 @@ _LEMMAS_CHECKS = [
 ]
 
 
-#: The moments suite's quadrature lines, which depend on no flag.
-_HERMITE_LINES = (
+#: The moments suite's quadrature line, which depends on no flag.
+_HERMITE_LINE = (
     "moments.hermite_even_moments: PASS - orders 2..20 against closed-form moments, worst "
     "relative error 3.7143142097911834e-14\n"
-    "moments.weight_sum: PASS - |sum of weights - 1| = 1.1102230246251565e-16\n"
 )
 
 #: z-scores printed by `verify --suite all` at default sizes: the moments
@@ -1011,7 +1043,7 @@ class TestVerifyCommand:
             "".join(f"{name}: PASS - {detail}\n" for name, detail in _LEMMAS_CHECKS)
             + "moments.composite_vs_mc: PASS - mean and second moment within 4 standard "
             f"errors, z = {z_mean} and {z_second} over 1000000 samples\n"
-            + _HERMITE_LINES
+            + _HERMITE_LINE
             + "closedform.second_moment: PASS - E|Z_n|^2/|Z_0|^2 at n = 10 within 3 standard "
             f"errors of base^n, z = {z_closed} over 100000 paths\n"
         )
@@ -1101,7 +1133,7 @@ class TestVerifyCommand:
             (
                 ("--suite", "moments", "--sigma", "0"),
                 "moments.composite_vs_mc: PASS - mean and second moment within 4 standard "
-                "errors, z = 0.000 and 0.000 over 1000000 samples\n" + _HERMITE_LINES,
+                "errors, z = 0.000 and 0.000 over 1000000 samples\n" + _HERMITE_LINE,
             ),
         ],
     )
@@ -1111,12 +1143,16 @@ class TestVerifyCommand:
         # is exactly 0 at sigma = 0, so its z is 0 by exact equality.
         assert run_cli(capsys, "verify", *args) == (0, line, "")
 
-    @pytest.mark.parametrize("dt", ["1e-300", "1e-200"])
-    def test_moments_at_tiny_dt(self, capsys, dt):
+    @pytest.mark.parametrize("dt, sigma", [pytest.param("1e-300", "4", id="1e-300"),
+                                           pytest.param("1e-200", "4", id="1e-200"),
+                                           ("1e-300", "1e-12"), ("1e-200", "1e100")])
+    def test_moments_at_tiny_dt(self, capsys, dt, sigma):
         # the squares' deviations (about 1e-598 at 1e-300) underflowed to 0,
-        # so the second-moment z read inf, a false FAIL
+        # so the second-moment z read inf, a false FAIL; at sigma 1e-12 the
+        # references sigma^2*dt underflowed too, and the mean's z read inf;
+        # at sigma 1e100 the reference's sigma^4 overflowed, though s = 1
         code, out, err = run_cli(capsys, "verify", "--suite", "moments", "--dt", dt,
-                                 "--samples", "1000")
+                                 "--sigma", sigma, "--samples", "1000")
         assert (code, err) == (0, "")
         assert out.startswith("moments.composite_vs_mc: PASS - ") and "inf" not in out
 

@@ -21,9 +21,11 @@ neither scheme nor exponents imports it. A scheme's factor has one
 constructor, scheme._factor, the plain scheme being its step at theta = 0:
 beside it only scheme._noise_factor builds a _StepFactor, and every
 estimator, simulate_path and verify's closedform suite take their factor
-from it. cli._provenance alone writes the theta provenance key. The records
-are milstab._record's, so no module imports dataclasses, and the process
-entry, milstab.__main__, alone sets the collector policy.
+from it. exponents._simulate_paths alone builds a SchemeConfig, after the
+factor, and cli calls none of the scheme's checks, so every command refuses
+in the estimators' order. cli._provenance alone writes the theta provenance
+key. The records are milstab._record's, so no module imports dataclasses,
+and the process entry, milstab.__main__, alone sets the collector policy.
 """
 
 import ast
@@ -128,16 +130,35 @@ def test_one_scheme_choice():
                                                   ("scheme.py", "_noise_factor")]
     retired = re.compile(r"\b_(plain|theta)_factor\b")
     assert [path.name for path in PACKAGE.rglob("*.py") if retired.search(path.read_text())] == []
-    # the estimators (as-slope's paths through simulate_path), simulate_path,
-    # verify's closedform suite and the public scheme functions
-    estimators = ["as_exponent_mc", "as_exponent_quadrature", "ms_exponent_exact",
-                  "theta_as_exponent_quadrature", "theta_ms_exponent"]
+    # the estimators (as-slope's paths through simulate_path), the path
+    # fan-out, which refuses before any path, simulate_path, verify's
+    # closedform suite and the public scheme functions
+    estimators = ["_simulate_paths", "as_exponent_mc", "as_exponent_quadrature",
+                  "ms_exponent_exact", "theta_as_exponent_quadrature", "theta_ms_exponent"]
     assert _statements_calling("_factor") == [
         *(("exponents.py", name) for name in estimators),
         *(("scheme.py", name) for name in ["gamma_dt", "milstein_factor", "simulate_path",
                                            "theta_eta"]),
         ("verify.py", "_suite_closedform"),
     ]
+
+
+def test_one_refusal_order():
+    # the fan-out alone builds a SchemeConfig, after the factor, so simulate
+    # and as-slope refuse the theta scheme, dt, the pole and n_steps in the
+    # estimators' order; cli takes from scheme only the two path names the
+    # benchmark's tracer patches, and calls none of the scheme's checks
+    assert _statements_calling("SchemeConfig") == [("exponents.py", "_simulate_paths")]
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    from_scheme = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scheme"
+        for alias in node.names
+    )
+    assert from_scheme == ["simulate_path", "simulate_theta_path"]
+    called = set(_calls_in(tree))
+    assert called & {"_factor", "theta_eta", "SchemeConfig"} == set()
 
 
 def test_only_provenance_writes_theta():

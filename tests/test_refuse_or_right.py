@@ -1,0 +1,51 @@
+"""Refuse or right: every number the CLI reports is right, or it is refused with exit 2.
+
+The known wrong numbers are pinned here as strict xfails. Each marker names
+the FOUND line of CHANGES.md that reports it, so the change that mends one
+turns its xfail into a failure until the marker goes. Both come from the
+path and Monte Carlo kernels forming F = c0 + noise with c0 = 1 + c0m1
+already rounded, which ROADMAP's log1p path kernel is to mend.
+"""
+
+import json
+import math
+
+import pytest
+
+from milstab import cli
+
+
+def _exponent(capsys, *args) -> dict:
+    """The JSON object `milstab exponent ARGS --format json` prints, which must answer."""
+    code = cli.main(["exponent", *args, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return json.loads(out)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: scheme.simulate_path loses c0 - 1 at sigma = 0 "
+                   "and small dt, so as-slope does too")
+def test_noise_free_slope_keeps_c0m1(capsys):
+    # lam + epsilon^2/2 - sigma^2/2 = 10, so every step logs F = 1 + 1e-9
+    # exactly; the slope reads 10.000000822403702 with std_error 0.0
+    got = _exponent(capsys, "as-slope", "--sigma", "0", "--dt", "1e-10", "--paths", "3",
+                    "--steps", "100")
+    exact = math.log1p(10.0 * 1e-10) / 1e-10
+    assert exact == pytest.approx(9.999999995, rel=1e-15)
+    assert got["value"] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: as_exponent_mc and scheme.simulate_path (so "
+                   "as-slope) form F = c0 + noise with c0 = 1 + c0m1, and at tiny dt the noise "
+                   "rounds away against c0 = 1")
+@pytest.mark.parametrize("dt", ["1e-34", "1e-36"])
+@pytest.mark.parametrize("method", [("as-mc", "--samples", "100000"), ("as-slope",)],
+                         ids=["as-mc", "as-slope"])
+def test_sampled_estimate_at_tiny_dt(capsys, method, dt):
+    # as-quad answers 2.0 there; as-mc read -8.698597397938102e+16 at 1e-34,
+    # and both read 0.0 +- 0.0 at 1e-36
+    exact = _exponent(capsys, "as-quad", "--dt", dt)["value"]
+    assert exact == 2.0
+    got = _exponent(capsys, *method, "--dt", dt)
+    assert got["std_error"] > 0.0
+    assert abs(got["value"] - exact) <= 5.0 * got["std_error"]

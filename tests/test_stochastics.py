@@ -136,6 +136,11 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([-1.0, 1.0]), weights=np.array([0.5, 0.6]))
 
+    def test_nan_weight_is_refused(self):
+        # a NaN sum is no defect above 1e-14, so only "<= 1e-14" refuses it
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            QuadratureRule(nodes=np.array([-1.0, 1.0]), weights=np.array([0.5, math.nan]))
+
     def test_nodes_must_be_symmetric(self):
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([-1.0, 2.0]), weights=np.array([0.5, 0.5]))

@@ -163,6 +163,20 @@ MATRIX = [
         for call in (_SIM, "exponent ms-exact", "sweep-dt ms-exact")
     ),
     ("exponent as-slope --paths 5 --steps 1000 --config c.json", {"x0": 1e300}),
+    # several errors at once, refused in one order: the theta scheme, dt, the
+    # pole, the sample, step and path counts, then the almost-sure domain
+    *(
+        f"{command} {flags} --epsilon 0 --theta 1.5"
+        for command in ("exponent", "sweep-dt")
+        for flags in ("as-mc --samples 5", "as-slope --steps 0", "as-slope --paths 1")
+    ),
+    "exponent as-slope --epsilon 0 --theta 1.5 --dt 2",
+    "exponent as-mc --samples 5 --dt 2",
+    "exponent as-mc --samples 5 --lambda -600 --sigma 1 --epsilon 0",
+    "simulate --steps 0 --dt 2",
+    "simulate --paths 0 --epsilon 0 --theta 1.5",
+    # sigma^2*dt underflows, and the suite's references with it
+    "verify --suite moments --dt 1e-300 --sigma 1e-12 --samples 1000",
 ]
 
 
