@@ -304,16 +304,23 @@ def _root_series(f: _StepFactor) -> float | None:
     return math.log1p(f.c0m1) - math.fsum(parts)
 
 
+def _log(x: float) -> float:
+    """log x, or np.log's -inf at 0 and NaN below 0, where math.log raises."""
+    return math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan
+
+
 def _quad(f: _StepFactor, method: Method) -> ExponentEstimate:
     """(1/dt) * E log F by the root series, else by Gauss-Hermite with a convergence check.
 
     F must lie in its almost-sure domain (_StepFactor.check_domain), which
     keeps the log argument positive, before either route is chosen.
     _root_series answers where it is exact to rounding, with no table built.
-    Elsewhere F is evaluated at QUAD_NODES nodes, standard normal points, by
-    _StepFactor.of_normals, the kernel of paths and Monte Carlo, on a
-    writable copy since it writes over its input. Doubling the node count
-    must move the value by less than DOUBLING_RTOL relative.
+    Elsewhere F is evaluated at each of QUAD_NODES nodes, standard normal
+    points, by _StepFactor.of_normals, the kernel of paths and Monte Carlo,
+    and the logs are summed by QuadratureRule.integrate, in pure Python, so
+    neither route loads numpy. Doubling the node count must move the value
+    by less than DOUBLING_RTOL relative. A node whose F rounds to 0 or below
+    gives a non-finite value, which ExponentEstimate refuses.
     """
     f.check_domain()
     value = _root_series(f)
@@ -321,7 +328,7 @@ def _quad(f: _StepFactor, method: Method) -> ExponentEstimate:
         return ExponentEstimate(value=value / f.dt, method=method, dt=f.dt)
 
     v1, v2 = (
-        rule.integrate(np.log(f.of_normals(rule.nodes.copy()))) / f.dt
+        rule.integrate(_log(f.of_normals(x)) for x in rule.nodes) / f.dt
         for rule in (gauss_hermite_rule(QUAD_NODES), gauss_hermite_rule(2 * QUAD_NODES))
     )
     diff = abs(v2 - v1)
@@ -342,8 +349,9 @@ def as_exponent_quadrature(p: ModelParams, dt: float,
     noise the root series of _root_series gives the value; elsewhere
     substituting zeta = dB/sqrt(dt) turns the expectation into a standard
     normal integral evaluated by Gauss-Hermite quadrature on QUAD_NODES
-    nodes, checked against twice as many (_quad). Requires F > 0 for every
-    increment, for the plain scheme gamma_dt > 1/2 (_StepFactor.check_domain).
+    nodes, checked against twice as many (_quad), without numpy. Requires
+    F > 0 for every increment, for the plain scheme gamma_dt > 1/2
+    (_StepFactor.check_domain).
     """
     return _quad(_factor(p, dt, theta), Method.AS_QUADRATURE)
 

@@ -154,12 +154,12 @@ class _StepFactor(Record):
         return f
 
     def of_normals(self, z):
-        """F at dB = sqrt(dt)*z, written over the standard normals z and returned.
+        """F at dB = sqrt(dt)*z for a float z, or written over an array of normals z.
 
-        The bits are those of at(sqrt(dt)*z).
+        The bits are those of at(sqrt(dt)*z) either way.
         """
         z *= math.sqrt(self.dt)
-        return self.at(z, out=z)
+        return self.at(z, out=None if isinstance(z, float) else z)
 
     def ms_base_m1(self) -> float:
         """E F^2 - 1, formed without cancellation near 1.

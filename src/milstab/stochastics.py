@@ -4,19 +4,23 @@ Every stochastic computation in the package draws from an RngStream keyed by
 (root_seed, stream_id). Distinct ids give independent substreams of a
 counter-based generator, so worker count and execution order never change what
 a path or sample block sees. Expectations against the standard normal density
-are evaluated with cached Gauss-Hermite rules. The package ships the rules of
-the quadrature route (exponents.QUAD_NODES nodes and twice as many) as
-hermite_<n>.npy files beside this module, written by tools/hermite_tables.py,
-so their bits do not depend on the host's LAPACK and loading one takes no
-eigensolve. Every other rule is built with numpy alone by the Golub-Welsch
-method (Golub and Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues
-of the symmetric Jacobi matrix of the probabilists' Hermite polynomials and
-the weights the squared first components of its eigenvectors.
+are evaluated with cached Gauss-Hermite rules, held as tuples of floats. The
+package ships the rules of the quadrature route (exponents.QUAD_NODES nodes
+and twice as many) as hermite_<n>.npy files beside this module, written by
+tools/hermite_tables.py, so their bits do not depend on the host's LAPACK.
+_hermite_table reads one with the standard library alone, so the route loads
+no numpy and runs no eigensolve. Every other rule is built with numpy by the
+Golub-Welsch method (Golub and Welsch, Math. Comp. 23, 1969): the nodes are
+the eigenvalues of the symmetric Jacobi matrix of the probabilists' Hermite
+polynomials and the weights the squared first components of its eigenvectors.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
+import struct
 from functools import lru_cache
 
 from . import _np as np
@@ -77,23 +81,29 @@ class RngStream:
 class QuadratureRule(Record):
     """Nodes and weights for integrals against the standard normal density.
 
-    Weights are normalized to sum to 1 and nodes are symmetric about 0.
+    The package's rules hold tuples of floats. Nodes and weights have equal
+    length, the weights sum to 1 within 1e-14 by math.fsum and the nodes are
+    symmetric about 0; any rule that is not is refused.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: tuple[float, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if not abs(float(self.weights.sum()) - 1.0) <= 1e-14:  # a NaN sum too
+        if len(self.nodes) != len(self.weights):
+            raise ValueError("nodes and weights must be of equal length")
+        if not abs(math.fsum(self.weights) - 1.0) <= 1e-14:  # a NaN sum too
             raise ValueError("weights must sum to 1 within 1e-14")
-        if not np.array_equal(self.nodes, -self.nodes[::-1]):
+        if not all(a == -b for a, b in zip(self.nodes, reversed(self.nodes))):
             raise ValueError("nodes must be symmetric about 0")
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values evaluated at the nodes."""
-        return float(np.sum(self.weights * values))
+    def integrate(self, values) -> float:
+        """Sum of weight * value over integrand values given at the nodes in order.
+
+        math.fsum adds the products with one rounding, so the order of the
+        nodes does not change the bits.
+        """
+        return math.fsum(map(operator.mul, self.weights, values))
 
 
 def _shipped_path(n: int) -> str:
@@ -119,16 +129,32 @@ def _golub_welsch(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / weights.sum()
 
 
+def _read_rule(data: bytes, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(nodes, weights) of a shipped n-node rule from its .npy bytes, read without numpy.
+
+    The file must be exactly what tools/hermite_tables.py writes: the .npy
+    v1.0 preamble, the header of one little-endian float64 (2, n) array in C
+    order, then its 16*n payload bytes, the nodes and then the weights. Any
+    other file is refused rather than misread.
+    """
+    end = 10 + int.from_bytes(data[8:10], "little")
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': (2, {n}), }}"
+    if (data[:8] != b"\x93NUMPY\x01\x00" or len(data) != end + 16 * n
+            or data[10:end].decode("latin-1") != header.ljust(end - 11) + "\n"):
+        raise ValueError(f"{_shipped_path(n)} is not the shipped {n}-node rule")
+    table = struct.unpack_from(f"<{2 * n}d", data, end)  # little-endian on any host
+    return table[:n], table[n:]
+
+
 @lru_cache(maxsize=None)
-def _hermite_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # A shipped rule is one (2, n) array: the nodes, then the weights.
+def _hermite_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The n-node rule's (nodes, weights) as tuples of floats: shipped, else Golub-Welsch."""
     try:
-        nodes, weights = np.load(_shipped_path(n))
+        with open(_shipped_path(n), "rb") as fh:
+            return _read_rule(fh.read(), n)
     except FileNotFoundError:
         nodes, weights = _golub_welsch(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+        return tuple(nodes.tolist()), tuple(weights.tolist())
 
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:

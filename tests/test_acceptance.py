@@ -84,7 +84,7 @@ def test_criterion_02_almost_sure_quadrature_convergence(criterion):
 def _gauss_hermite_exponent(p, dt, n):
     """(1/dt) * E log F on the n-point Gauss-Hermite rule, F formed from its definition."""
     rule = gauss_hermite_rule(n)
-    dB = math.sqrt(dt) * rule.nodes
+    dB = math.sqrt(dt) * np.asarray(rule.nodes)
     return rule.integrate(np.log(gamma_dt(p, dt) + p.sigma * dB + 0.5 * p.sigma**2 * dB * dB)) / dt
 
 

@@ -332,8 +332,8 @@ class TestRootSeries:
         "theta, dt, bits",
         [
             (None, 1e-1, "0x1.19590e3cdc814p+2"),
-            (None, 1e-2, "0x1.7c26a5213d337p+1"),
-            (0.5, 1e-2, "0x1.401a877f5d162p-1"),
+            (None, 1e-2, "0x1.7c26a5213d338p+1"),
+            (0.5, 1e-2, "0x1.401a877f5d167p-1"),
         ],
     )
     def test_quadrature_regime_keeps_its_bits(self, theta, dt, bits):
@@ -380,9 +380,10 @@ def _criterion_3_points():
 
 
 def _gauss_hermite_exponent(f, n):
-    """(1/dt) * E log F on the n-point Gauss-Hermite rule."""
+    """(1/dt) * E log F on the n-point Gauss-Hermite rule, by numpy's log and sum."""
     rule = gauss_hermite_rule(n)
-    return rule.integrate(np.log(f.of_normals(rule.nodes.copy()))) / f.dt
+    logs = np.log(f.of_normals(np.array(rule.nodes)))
+    return float(np.sum(np.array(rule.weights) * logs)) / f.dt
 
 
 def test_gauss_hermite_route_at_criterion_3_points(monkeypatch):
@@ -397,8 +398,33 @@ def test_gauss_hermite_route_at_criterion_3_points(monkeypatch):
         q1, q2 = (_gauss_hermite_exponent(scheme._factor(p, 1e-3), n) for n in (201, 402))
         assert abs(q1 - q2) <= 1e-10 * max(abs(q1), abs(q2))
         assert abs(value - q1) <= 1e-12 * max(abs(value), abs(q1), 1.0)
-        # the estimator's quadrature route answers the 201-node value
-        assert as_exponent_quadrature(p, 1e-3).value == q1
+
+
+@pytest.mark.parametrize(
+    "lam, eps, sigma, theta, dt",
+    [*TestRootSeries.GAUSS_HERMITE_POINTS,
+     *((p.lam, p.epsilon, p.sigma, None, 1e-3) for p in _criterion_3_points())],
+)
+def test_the_route_is_numpy_s_sum_of_its_rule(monkeypatch, lam, eps, sigma, theta, dt):
+    # the route sums in pure Python (math.log, math.fsum) what numpy sums on
+    # the same 201 nodes: the two differ only in the last bits of the logs
+    # and of the sum. Relative, with a floor of 1 (one exponent is -1.1e-3).
+    monkeypatch.setattr(exponents, "_root_series", lambda f: None)
+    want = _gauss_hermite_exponent(_factor(lam, eps, sigma, dt, theta), exponents.QUAD_NODES)
+    got = _almost_sure(lam, eps, sigma, dt, theta)
+    assert abs(got - want) <= 1e-14 * max(abs(want), 1.0)
+
+
+def test_a_node_whose_factor_rounds_to_zero_gives_a_refusal():
+    # gamma_dt is one ulp above 1/2, so F > 0 for every increment, but F
+    # rounds to exactly 0 at the 201-node rule's node z = -6.93...: its log
+    # is -inf, as numpy's is, and no math domain error escapes
+    p = ModelParams(lam=-1.9583577306549547, epsilon=0.0, sigma=0.28859060741834547)
+    f = scheme._factor(p, 0.25)
+    assert _root_series(f) is None
+    assert 0.0 in [f.of_normals(z) for z in gauss_hermite_rule(exponents.QUAD_NODES).nodes]
+    with pytest.raises(ValueError, match=r"^as-quad exponent must be finite, got -inf$"):
+        as_exponent_quadrature(p, 0.25)
 
 
 class TestFirstOrderConstant:

@@ -1,7 +1,8 @@
 """numpy loads on first array use: the closed-form calls never import it.
 
-Neither do the almost-sure quadrature calls that the root series answers,
-nor the sweeps of closed-form methods, whose fit is pure Python.
+Neither do the almost-sure quadrature calls, whether the root series or the
+shipped Gauss-Hermite rules answer them, nor the sweeps of closed-form and
+quadrature methods, whose fit is pure Python.
 
 The package namespace loads each module on the first read of one of its
 names, and the thread pool module loads only when a pool starts. Each case
@@ -209,6 +210,26 @@ def test_config_refusals_skip_numpy(tmp_path, command, text, refusal):
     config.write_text(text)
     result = run_fresh(command, "--config", str(config))
     assert result == (2, "", f"error: {refusal}\n", "not imported")
+
+
+#: (argv, exit code) of calls on the Gauss-Hermite route, which reads the
+#: shipped rules and sums in pure Python: quadrature rows, sweeps with such
+#: rows, and the row that doubling the nodes refuses.
+QUADRATURE_ROUTE = [
+    (("exponent", "as-quad", "--dt", "0.1"), 0),
+    (("exponent", "theta-as", "--theta", "0.5", "--epsilon", "0", "--dt", "0.01"), 0),
+    (("sweep-dt", "as-quad"), 0),
+    (("sweep-dt", "theta-as", "--theta", "0.5", "--epsilon", "0"), 0),
+    (("exponent", "theta-as", "--theta", "0.5", "--epsilon", "0", "--dt", "0.1"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code", QUADRATURE_ROUTE, ids=[" ".join(args) for args, _ in QUADRATURE_ROUTE]
+)
+def test_the_quadrature_route_skips_numpy(capsys, args, code):
+    assert cli.main(list(args)) == code
+    assert run_fresh(*args) == (code, capsys.readouterr().out, "", "not imported")
 
 
 def test_help_skips_numpy(capsys):

@@ -226,7 +226,8 @@ class TestCompositeMoments:
         mean_ref, second_ref = composite_increment_moments(sigma, dt)
         rule = gauss_hermite_rule(61)
         s = sigma * math.sqrt(dt)
-        c = s * rule.nodes + 0.5 * s * s * rule.nodes**2
+        nodes = np.array(rule.nodes)
+        c = s * nodes + 0.5 * s * s * nodes**2
         assert rule.integrate(c) == pytest.approx(mean_ref, rel=1e-12)
         assert rule.integrate(c * c) == pytest.approx(second_ref, rel=1e-12)
 
@@ -239,8 +240,8 @@ class TestLogIntegralDoubling:
             lambda y: np.log(2.0 + y * y),
             lambda y: np.log(2.0 + 0.2 * y + 0.02 * y * y),
         ):
-            i1 = r1.integrate(f(r1.nodes))
-            i2 = r2.integrate(f(r2.nodes))
+            i1 = r1.integrate(f(np.array(r1.nodes)))
+            i2 = r2.integrate(f(np.array(r2.nodes)))
             assert abs(i1 - i2) < 1e-12
 
 

@@ -86,6 +86,12 @@ MATRIX = [
     f"exponent theta-as {_THETA} --dt 0.05",
     "exponent as-quad --lambda -2 --epsilon 0 --sigma 0.5 --dt 0.15",
     "exponent as-mc --sigma 0 --dt 1e-10 --samples 1000",
+    "exponent as-quad --dt 0.01",
+    *(f"exponent theta-as --theta 0.5 --epsilon 0 --dt {dt}" for dt in ("0.01", "0.1")),
+    "exponent as-quad --lambda 6 --epsilon 0.5 --dt 0.05 --format csv",
+    # gamma_dt one ulp above 1/2: F rounds to 0 at a node, a non-finite value
+    "exponent as-quad --lambda -1.9583577306549547 --epsilon 0 --sigma 0.28859060741834547 "
+    "--dt 0.25",
     # sweep-dt
     *(
         f"sweep-dt {method} {flags} {_SWEEP} --format {fmt}"
