@@ -58,9 +58,11 @@ Exit codes: 0 success, 1 failed verification, unwritable output or a table
 too large for memory, 2 bad configuration or an estimator precondition
 violation. simulate, exponent and sweep-dt refuse in the one order that
 exponents.check_dt_free states (the theta scheme, dt, the pole, the counts,
-then the almost-sure domain); sweep-dt makes the part that reads no step
-size once, before any row. A reader that closes stdout early (milstab
-simulate | head) ends the output quietly with 0.
+then the almost-sure domain). sweep-dt prints the rows and the fit of
+exponents.sweep_dt, the one dt sweep, which makes the part that reads no
+step size once, before any row; cli adds the provenance, the layout, the
+.fit.json sidecar and exit 1 when there is no fit. A reader that closes
+stdout early (milstab simulate | head) ends the output quietly with 0.
 """
 
 from __future__ import annotations
@@ -76,8 +78,7 @@ import sys
 
 from . import _np as np
 from .exponents import (
-    MS_METHODS, Method, _map_indexed, _simulate_paths, check_dt_free, continuum_target, estimate,
-    fit_loglog,
+    MS_METHODS, Method, _map_indexed, _simulate_paths, continuum_target, estimate, sweep_dt,
 )
 from .model import (
     InitialDatum,
@@ -89,6 +90,7 @@ from .model import (
 from .stochastics import _U64
 
 # perfbench/spans.py patches these names on this module; they go with its tracer.
+from .exponents import fit_loglog  # noqa: F401
 from .scheme import simulate_path, simulate_theta_path  # noqa: F401
 
 #: The rest of them, which milstab.verify imports and __getattr__ reads there.
@@ -421,23 +423,8 @@ def _cmd_exponent(ns: argparse.Namespace, values: dict) -> int:
 def _cmd_sweep_dt(ns: argparse.Namespace, values: dict) -> int:
     method = Method(ns.method)
     dts = _parse_dts(values["dts"])
-    p = _model(values)
-    kwargs = _estimator_kwargs(values)
-    check_dt_free(p, method, **kwargs)  # once, before any row
-    target = continuum_target(p, method)
-    rows = []
-    for dt in dts:
-        row = {"dt": dt, "continuum_value": target, "discrete_value": None, "abs_error": None}
-        rows.append(row)
-        try:
-            value = estimate(p, dt, method, **kwargs).value
-        except ValueError as exc:
-            row["error"] = str(exc)
-            continue
-        row.update(discrete_value=value, abs_error=abs(value - target))
-    # `or` and `>` keep None, 0.0 and NaN errors out of the fit
-    points = [(row["dt"], row["abs_error"]) for row in rows if (row["abs_error"] or 0.0) > 0.0]
-    fit = dict(vars(fit_loglog(*zip(*points)))) if len(points) >= 3 else None
+    rows, fit = sweep_dt(_model(values), dts, method, **_estimator_kwargs(values))
+    fit = None if fit is None else vars(fit)
     pairs = {**_method_pairs(method, values), "dts": values["dts"]}
     header = ["dt", "discrete_value", "continuum_value", "abs_error"]
     text = _table(values, pairs, header, rows, "error", fit=fit)

@@ -23,7 +23,8 @@ slope estimator retained for trajectory plots. The deterministic route sums
 an asymptotic series in the roots of F where that series is exact to
 rounding (small noise, sigma^2*dt below about 0.02) and falls back to
 Gauss-Hermite quadrature elsewhere. Convergence orders against the continuum
-exponents are measured by log-log regression over dt sweeps.
+exponents are measured by one dt sweep, sweep_dt: its rows and its log-log
+fit are what the sweep-dt command prints.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class ExponentEstimate(Record):
             raise ValueError(f"std_error must be absent for method {self.method.value}")
         if not math.isfinite(self.value):
             raise ValueError(f"{self.method.value} exponent must be finite, got {self.value!r}")
-        if self.std_error is not None and not self.std_error >= 0.0:
-            raise ValueError(f"std_error must be nonnegative, got {self.std_error!r}")
+        if self.std_error is not None and not 0.0 <= self.std_error < math.inf:
+            raise ValueError(f"std_error must be finite and nonnegative, got {self.std_error!r}")
 
 
 class ConvergenceFit(Record):
@@ -491,7 +492,7 @@ def as_exponent_path_slope(paths) -> ExponentEstimate:
             dt, n = path.dt, path.n_steps
         elif path.dt != dt or path.n_steps != n:
             raise ValueError("mismatched grids: all paths must share dt and n_steps")
-        slopes.append((path.log_values[-1] - path.log_values[0]) / (n * dt))
+        slopes.append(float(path.log_values[-1] - path.log_values[0]) / (n * dt))
     if len(slopes) < 2:
         raise ValueError(f"need at least 2 paths, got {len(slopes)}")
     stats = _moments_in_place(np.array(slopes))
@@ -531,7 +532,7 @@ def fit_loglog(dts, errors) -> ConvergenceFit:
 
     The sums run in math.fsum about the mean log step size. At least two
     distinct step sizes are needed, since one alone fixes no slope. A
-    constant C too large for a float is infinite; one that underflows to 0 is
+    constant C too large for a float, or one that underflows to 0, is
     refused.
     """
     dts = [float(d) for d in dts]
@@ -552,7 +553,9 @@ def fit_loglog(dts, errors) -> ConvergenceFit:
     try:
         constant_C = 10.0**intercept
     except OverflowError:
-        constant_C = math.inf
+        raise ValueError(
+            f"log-log fit constant C = 10**{intercept!r} overflows, so the fit has no finite C"
+        ) from None
     if constant_C == 0.0:
         raise ValueError(
             f"log-log fit constant C = 10**{intercept!r} underflows to 0, so the fit has "
@@ -655,16 +658,31 @@ def continuum_target(p: ModelParams, method: Method) -> float:
     return target
 
 
-def sweep_dt(p: ModelParams, dts, method: Method, **estimator_params) -> ConvergenceFit:
-    """Errors |estimate(dt) - continuum exponent| fitted over a dt sweep.
+def sweep_dt(p: ModelParams, dts, method: Method,
+             **estimator_params) -> tuple[list[dict], ConvergenceFit | None]:
+    """Rows of |estimate(dt) - continuum exponent| over a dt sweep, and their log-log fit.
 
-    Estimator failures propagate; an exactly-zero error is reported as below
-    resolution since it cannot enter the log-log regression.
+    The one sweep, which `milstab sweep-dt` prints. It first makes the
+    refusals that read no step size, once (check_dt_free), then computes
+    the continuum target; either refusal raises. Each dt then gets a row
+    {"dt", "continuum_value", "discrete_value", "abs_error"}; a refused
+    estimate leaves the last two None and adds "error", its text. The fit
+    is fit_loglog's over the rows with a positive abs_error, or None when
+    fewer than 3 remain: an exactly-zero error is below resolution and
+    cannot enter the log-log regression.
     """
-    dts = [float(d) for d in dts]
-    if len(dts) < 3:
-        raise ValueError("a sweep needs at least 3 step sizes")
+    check_dt_free(p, method, **estimator_params)
     target = continuum_target(p, method)
-    values = [estimate(p, dt, method, **estimator_params).value for dt in dts]
-    errors = [abs(v - target) for v in values]
-    return fit_loglog(dts, errors)
+    rows = []
+    for dt in map(float, dts):
+        row = {"dt": dt, "continuum_value": target, "discrete_value": None, "abs_error": None}
+        rows.append(row)
+        try:
+            value = estimate(p, dt, method, **estimator_params).value
+        except ValueError as exc:
+            row["error"] = str(exc)
+            continue
+        row.update(discrete_value=value, abs_error=abs(value - target))
+    # `or` and `>` keep None, 0.0 and NaN errors out of the fit
+    points = [(row["dt"], row["abs_error"]) for row in rows if (row["abs_error"] or 0.0) > 0.0]
+    return rows, fit_loglog(*zip(*points)) if len(points) >= 3 else None

@@ -46,7 +46,7 @@ def test_criterion_01_mean_square_sharpness(criterion):
     """Exact mean-square exponent approaches 18 at first order in dt."""
     t0 = time.perf_counter()
     assert continuum_ms_exponent(P_REF) == 18.0
-    fit = sweep_dt(P_REF, DT_SET, Method.MS_EXACT)
+    _, fit = sweep_dt(P_REF, DT_SET, Method.MS_EXACT)
     elapsed = time.perf_counter() - t0
     ok = 0.9 <= fit.order_p <= 1.1 and fit.residual < 0.05 and elapsed < 1.0
     criterion(
@@ -66,7 +66,7 @@ def test_criterion_02_almost_sure_quadrature_convergence(criterion):
     parts = []
     for p, target in cases:
         assert continuum_as_exponent(p) == target
-        fit = sweep_dt(p, DT_SET, Method.AS_QUADRATURE)
+        _, fit = sweep_dt(p, DT_SET, Method.AS_QUADRATURE)
         ok = ok and fit.order_p >= 0.45
         parts.append(
             f"target {target}: p={fit.order_p:.4f}"
@@ -281,8 +281,8 @@ def test_criterion_08_theta_family(criterion):
     orders = []
     converge = True
     for theta in (0.5, 1.0):
-        fit_ms = sweep_dt(p0, DT_SET, Method.THETA_MS_EXACT, theta=theta)
-        fit_as = sweep_dt(p0, DT_SET, Method.THETA_AS_QUADRATURE, theta=theta)
+        _, fit_ms = sweep_dt(p0, DT_SET, Method.THETA_MS_EXACT, theta=theta)
+        _, fit_as = sweep_dt(p0, DT_SET, Method.THETA_AS_QUADRATURE, theta=theta)
         converge = converge and 0.9 <= fit_ms.order_p <= 1.1 and fit_as.order_p >= 0.45
         orders.append(f"theta={theta}: ms p={fit_ms.order_p:.4f}, as p={fit_as.order_p:.4f}")
     elapsed = time.perf_counter() - t0

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from milstab.exponents import (
     as_exponent_quadrature,
     continuum_target,
     ms_exponent_exact,
+    sweep_dt,
 )
 from milstab.model import ModelParams
 from milstab.scheme import SchemeConfig, simulate_path
@@ -270,6 +272,26 @@ class TestExponentCommand:
         refusal = "continuum exponent must be finite, got inf"
         assert run_cli(capsys, *args) == (2, json.dumps({"error": refusal}) + "\n", "")
         assert run_cli(capsys, *args, "--format", "csv") == (2, "", f"error: {refusal}\n")
+
+    def test_overflowing_std_error_is_refused(self, capsys):
+        # M2 of these path slopes overflows, though their true spread is finite
+        args = ("exponent", "as-slope", "--dt", "1e-310", "--sigma", "1e150", "--paths", "3",
+                "--steps", "10")
+        refusal = "std_error must be finite and nonnegative, got inf"
+        assert run_cli(capsys, *args) == (2, json.dumps({"error": refusal}) + "\n", "")
+
+    def test_overflowing_slope_is_refused_without_a_warning(self):
+        # each path's slope overflows a float; in a fresh process a numpy
+        # division would print its warning above the refusal
+        proc = subprocess.run(
+            [sys.executable, "-m", "milstab", "exponent", "as-slope", "--paths", "2", "--steps",
+             "1", "--sigma", "1.3e154", "--epsilon", "0", "--lambda", "0", "--dt", "2e-310",
+             "--format", "csv"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: as-slope exponent must be finite, got inf\n"
+        )
 
     def test_precondition_error_follows_out(self, capsys, tmp_path):
         target = tmp_path / "x.json"
@@ -717,6 +739,20 @@ def test_negative_value_in_exponent_notation(capsys, flag):
     assert run("-1e-3") == run("-0.001")
 
 
+def test_every_traced_name_exists(monkeypatch):
+    # perfbench/spans.py patches names where callers look them up, so a name
+    # that src/ drops would stop its spans without failing any other test
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.spans import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+
+
 def test_cli_import_loads_no_process_pool():
     code = (
         "import sys, milstab.cli\n"
@@ -730,7 +766,38 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+_DEFAULT_DTS = [float(dt) for dt in DEFAULTS["dts"].split(",")]
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize(
+        "args, p, dts, method, params, refusal",
+        [
+            (("ms-exact", "--dts", "1e-2,2,1e-3,1e-4"), ModelParams(8.0, 2.0, 4.0),
+             [1e-2, 2.0, 1e-3, 1e-4], Method.MS_EXACT, {}, None),
+            # the sample count is refused before the continuum exponent overflows
+            (("as-mc", "--epsilon", "1e200", "--samples", "5"), ModelParams(8.0, 1e200, 4.0),
+             _DEFAULT_DTS, Method.AS_MONTE_CARLO, {"n_samples": 5},
+             "n_samples must be at least 100, got 5"),
+            # its dt = 0.1 row is refused
+            (("theta-as", "--theta", "0.5", "--epsilon", "0"), ModelParams(8.0, 0.0, 4.0),
+             _DEFAULT_DTS, Method.THETA_AS_QUADRATURE, {"theta": 0.5}, None),
+        ],
+        ids=["refused-row", "refused-sweep", "theta-as"],
+    )
+    def test_prints_the_library_sweep(self, capsys, args, p, dts, method, params, refusal):
+        code, out, err = run_cli(capsys, "sweep-dt", *args, "--format", "json")
+        if refusal is not None:
+            assert (code, out, err) == (2, "", f"error: {refusal}\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                sweep_dt(p, dts, method, **params)
+            return
+        rows, fit = sweep_dt(p, dts, method, **params)
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["rows"] == rows
+        assert obj["fit"] == json.loads(json.dumps(vars(fit)))
+
     def test_csv_with_fit_comment(self, capsys):
         code, out, _ = run_cli(capsys, "sweep-dt", "ms-exact", "--dts", "1e-2,1e-3,1e-4")
         assert code == 0
@@ -823,7 +890,7 @@ class TestSweepCommand:
         def estimated(*_, **__):
             raise AssertionError("an estimate ran")
 
-        monkeypatch.setattr(cli, "estimate", estimated)
+        monkeypatch.setattr(exponents, "estimate", estimated)  # which sweep_dt calls
         got = run_cli(capsys, "sweep-dt", *args, "--format", fmt)
         assert got == (2, "", f"error: {refusal}\n")
 

@@ -886,6 +886,8 @@ class TestEstimateContainer:
             ExponentEstimate(
                 value=1.0, method=Method.AS_MONTE_CARLO, dt=1e-3, std_error=-0.5
             )
+        with pytest.raises(ValueError, match="^std_error must be finite and nonnegative, got inf$"):
+            ExponentEstimate(value=1.0, method=Method.AS_PATH_SLOPE, dt=1e-3, std_error=math.inf)
 
     def test_method_slugs(self):
         assert {m.value for m in Method} == {
@@ -934,9 +936,12 @@ class TestFits:
             assert fit.constant_C == pytest.approx(10.0**intercept, rel=1e-11)
             assert fit.residual == pytest.approx(residual, rel=1e-11, abs=1e-12)
 
-    def test_overflowing_constant_is_infinite(self):
-        fit = fit_loglog([0.5, 0.4, 0.3], [1e100, 1e-100, 1e-300])
-        assert fit.constant_C == math.inf
+    def test_overflowing_constant_is_refused_by_the_fit(self):
+        refusal = (
+            "log-log fit constant C = 10**630.4568415483334 overflows, so the fit has no finite C"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            fit_loglog([0.5, 0.4, 0.3], [1e100, 1e-100, 1e-300])
 
     def test_underflowing_constant_is_refused_by_the_fit(self):
         # the refusal used to be ConvergenceFit's own "constant_C must be positive, got 0.0"
@@ -966,13 +971,39 @@ class TestFits:
             )
 
     def test_sweep_ms_first_order(self):
-        fit = sweep_dt(P_REF, [1e-2, 1e-3, 1e-4, 1e-5], Method.MS_EXACT)
+        _, fit = sweep_dt(P_REF, [1e-2, 1e-3, 1e-4, 1e-5], Method.MS_EXACT)
         assert 0.9 <= fit.order_p <= 1.1
         assert fit.residual < 0.05
 
     def test_sweep_needs_three(self):
-        with pytest.raises(ValueError):
-            sweep_dt(P_REF, [1e-2, 1e-3], Method.MS_EXACT)
+        # two rows are reported, but they are too few for a fit
+        rows, fit = sweep_dt(P_REF, [1e-2, 1e-3], Method.MS_EXACT)
+        assert fit is None
+        assert [row["dt"] for row in rows] == [1e-2, 1e-3]
+        assert all(row["abs_error"] > 0.0 for row in rows)
+
+    def test_sweep_rows(self):
+        # a refused estimate stays in its row, and the other rows are fitted
+        rows, fit = sweep_dt(P_REF, [1e-2, 2, 1e-3, 1e-4], Method.MS_EXACT)
+        values = [ms_exponent_exact(P_REF, dt).value for dt in (1e-2, 1e-3, 1e-4)]
+        expected = [
+            {"dt": dt, "continuum_value": 18.0, "discrete_value": value,
+             "abs_error": abs(value - 18.0)}
+            for dt, value in zip((1e-2, 1e-3, 1e-4), values)
+        ]
+        expected.insert(1, {"dt": 2.0, "continuum_value": 18.0, "discrete_value": None,
+                            "abs_error": None, "error": "dt must lie in (0, 1), got 2.0"})
+        assert rows == expected
+        assert list(rows[0]) == ["dt", "continuum_value", "discrete_value", "abs_error"]
+        assert fit == fit_loglog([1e-2, 1e-3, 1e-4], [row["abs_error"] for row in expected
+                                                      if row["abs_error"] is not None])
+
+    def test_sweep_row_records_an_overflowing_std_error(self):
+        # M2 of these path slopes overflows, though their true spread is finite
+        rows, fit = sweep_dt(ModelParams(lam=8.0, epsilon=2.0, sigma=1e150), [1e-310],
+                             Method.AS_PATH_SLOPE, n_paths=3, n_steps=10, seed=42)
+        assert rows[0]["error"] == "std_error must be finite and nonnegative, got inf"
+        assert fit is None
 
     def test_continuum_target_by_sense(self):
         assert continuum_target(P_REF, Method.MS_EXACT) == 18.0

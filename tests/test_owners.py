@@ -23,9 +23,12 @@ beside it only scheme._noise_factor builds a _StepFactor, and every
 estimator, simulate_path and verify's closedform suite take their factor
 from it. exponents._simulate_paths alone builds a SchemeConfig, after the
 factor, and cli calls none of the scheme's checks, so every command refuses
-in the estimators' order. cli._provenance alone writes the theta provenance
-key. The records are milstab._record's, so no module imports dataclasses,
-and the process entry, milstab.__main__, alone sets the collector policy.
+in the estimators' order. The dt sweep is exponents.sweep_dt alone: it alone
+calls fit_loglog, and cli's sweep-dt prints its rows and fit, calling neither
+check_dt_free nor fit_loglog. cli._provenance alone writes the theta
+provenance key. The records are milstab._record's, so no module imports
+dataclasses, and the process entry, milstab.__main__, alone sets the
+collector policy.
 """
 
 import ast
@@ -159,6 +162,13 @@ def test_one_refusal_order():
     assert from_scheme == ["simulate_path", "simulate_theta_path"]
     called = set(_calls_in(tree))
     assert called & {"_factor", "theta_eta", "SchemeConfig"} == set()
+
+
+def test_one_dt_sweep():
+    assert _callers("fit_loglog") == [("exponents.py", "sweep_dt")]
+    assert _callers("sweep_dt") == [("cli.py", "_cmd_sweep_dt")]
+    called = set(_calls_in(ast.parse((PACKAGE / "cli.py").read_text())))
+    assert called & {"check_dt_free", "fit_loglog"} == set()
 
 
 def test_only_provenance_writes_theta():

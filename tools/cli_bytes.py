@@ -183,6 +183,20 @@ MATRIX = [
     "simulate --paths 0 --epsilon 0 --theta 1.5",
     # sigma^2*dt underflows, and the suite's references with it
     "verify --suite moments --dt 1e-300 --sigma 1e-12 --samples 1000",
+    # the sweep's edges: a refusal that reads no step size comes before the
+    # continuum overflow, a refused row, one step size thrice (exit 2, no
+    # rows), zero errors (rows, exit 1), and a fit constant that underflows
+    # or overflows
+    "sweep-dt as-mc --epsilon 1e200 --samples 5",
+    "sweep-dt ms-exact --epsilon 1e200",
+    "sweep-dt ms-exact --dts 1e-2,2,1e-3,1e-4 --format json",
+    "sweep-dt ms-exact --dts 1e-2,1e-2,1e-2",
+    "sweep-dt ms-exact --dts 1e-300,1e-301,1e-302",
+    "sweep-dt as-quad --lambda 0 --epsilon 0 --sigma 1e-160 --dts 1e-2,1e-3,1e-4",
+    "sweep-dt ms-exact --lambda -1.7976931348623157e308 --epsilon 0 --sigma 0 --format json",
+    # path slopes whose M2 overflows, and slopes that overflow
+    "exponent as-slope --dt 1e-310 --sigma 1e150 --paths 3 --steps 10",
+    "exponent as-slope --paths 2 --steps 1 --sigma 1.3e154 --epsilon 0 --lambda 0 --dt 2e-310",
 ]
 
 
