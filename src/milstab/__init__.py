@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 #: Each public name, under the module that defines it.
 _EXPORTS = {
     "exponents": (
-        "MC_BLOCK", "MS_METHODS", "STOCHASTIC_METHODS", "ConvergenceFit", "ExponentEstimate",
+        "MC_BLOCK", "SENSE", "STOCHASTIC_METHODS", "ConvergenceFit", "ExponentEstimate",
         "Method", "RemainderReport", "as_exponent_mc", "as_exponent_path_slope",
         "as_exponent_quadrature", "continuum_target", "estimate", "fit_loglog",
         "ms_exponent_exact", "ms_remainder", "sweep_dt", "theta_as_exponent_quadrature",
@@ -40,7 +40,7 @@ _EXPORTS = {
         "xi_expectation", "xi_gamma",
     ),
     "model": (
-        "BOUNDARY_TOL", "InitialDatum", "ModelParams", "RegionClass", "Sense", "StabilityClass",
+        "BOUNDARY_TOL", "InitialDatum", "ModelParams", "Sense", "StabilityClass",
         "as_boundary_epsilon", "classify", "continuum_as_exponent", "continuum_ms_exponent",
     ),
     "scheme": (

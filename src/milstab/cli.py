@@ -58,11 +58,13 @@ Exit codes: 0 success, 1 failed verification, unwritable output or a table
 too large for memory, 2 bad configuration or an estimator precondition
 violation. simulate, exponent and sweep-dt refuse in the one order that
 exponents.check_dt_free states (the theta scheme, dt, the pole, the counts,
-then the almost-sure domain). sweep-dt prints the rows and the fit of
-exponents.sweep_dt, the one dt sweep, which makes the part that reads no
-step size once, before any row; cli adds the provenance, the layout, the
-.fit.json sidecar and exit 1 when there is no fit. A reader that closes
-stdout early (milstab simulate | head) ends the output quietly with 0.
+then the almost-sure domain). exponent's region_class is classify's in
+the method's own sense, exponents.SENSE. sweep-dt prints the rows and the
+fit of exponents.sweep_dt, the one dt sweep, which makes the part that
+reads no step size once, before any row; cli adds the provenance, the
+layout, the .fit.json sidecar and exit 1 when there is no fit. A reader
+that closes stdout early (milstab simulate | head) ends the output quietly
+with 0.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ import sys
 
 from . import _np as np
 from .exponents import (
-    MS_METHODS, Method, _map_indexed, _simulate_paths, continuum_target, estimate, sweep_dt,
+    SENSE, Method, _map_indexed, _simulate_paths, continuum_target, estimate, sweep_dt,
 )
 from .model import (
     InitialDatum,
@@ -404,14 +406,13 @@ def _cmd_exponent(ns: argparse.Namespace, values: dict) -> int:
         if values["format"] != "json":
             raise  # main prints it on stderr
         return _write([json.dumps({"error": str(exc)}) + "\n"], ns.out) or 2
-    sense = Sense.MEAN_SQUARE if method in MS_METHODS else Sense.ALMOST_SURE
     obj = {
         "method": method.value,
         "dt": values["dt"],
         "value": est.value,
         "std_error": est.std_error,
         "continuum_value": target,
-        "region_class": classify(p, sense).class_.value,
+        "region_class": classify(p, SENSE[method]).value,
     }
     if values["format"] == "csv":
         return _write([_table(values, _method_pairs(method, values), list(obj), [obj])], ns.out)
@@ -461,7 +462,7 @@ def _cmd_region(ns: argparse.Namespace, values: dict) -> int:
                 "sigma": sigma,
                 "epsilon_boundary_plus": plus,
                 "epsilon_boundary_minus": minus,
-                "class_at_epsilon_0": classify(at_zero, Sense.ALMOST_SURE).class_.value,
+                "class_at_epsilon_0": classify(at_zero, Sense.ALMOST_SURE).value,
             }
         )
     return _write([_table(values, pairs, list(rows[0]), rows)], ns.out)

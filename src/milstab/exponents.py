@@ -6,8 +6,11 @@ denom = 1 - lam*theta*dt), and each one is written once against that factor.
 Each estimator takes theta, None for the plain scheme, and its factor from
 scheme._factor (as-slope through its paths), so every method runs either
 scheme; the theta-ms and theta-as methods are the mean-square and
-quadrature ones with theta required. Every estimate refuses in the one
-order that check_dt_free states.
+quadrature ones with theta required, which their own entry points check.
+Every estimate refuses in the one order that check_dt_free states. SENSE
+is the one map from a method to the sense of its exponent, and so to its
+continuum target (model's table); estimate names each method and refuses
+any other value, so no value falls through to an estimator.
 
 Mean-square exponents come in closed form: squaring the scheme gives
 E(Z_n^2) = (x0^2 + y0^2) * base^n with base = E F^2, which for the plain
@@ -37,11 +40,7 @@ from enum import Enum
 
 from . import _np as np
 from ._record import Record
-from .model import (
-    ModelParams,
-    continuum_as_exponent,
-    continuum_ms_exponent,
-)
+from .model import _CONTINUUM, ModelParams, Sense, continuum_as_exponent, continuum_ms_exponent
 from .scheme import (
     LogModulusPath,
     SchemeConfig,
@@ -141,9 +140,10 @@ class Method(Enum):
 #: Methods whose estimates carry sampling error.
 STOCHASTIC_METHODS = frozenset({Method.AS_MONTE_CARLO, Method.AS_PATH_SLOPE})
 
-#: Methods targeting the mean-square continuum exponent; the rest target the
-#: almost-sure one.
-MS_METHODS = frozenset({Method.MS_EXACT, Method.THETA_MS_EXACT})
+#: The sense of each method's exponent, which names the continuum exponent it targets.
+SENSE = {Method.MS_EXACT: Sense.MEAN_SQUARE, Method.THETA_MS_EXACT: Sense.MEAN_SQUARE,
+         Method.AS_QUADRATURE: Sense.ALMOST_SURE, Method.AS_MONTE_CARLO: Sense.ALMOST_SURE,
+         Method.AS_PATH_SLOPE: Sense.ALMOST_SURE, Method.THETA_AS_QUADRATURE: Sense.ALMOST_SURE}
 
 
 class ExponentEstimate(Record):
@@ -509,8 +509,9 @@ def theta_ms_exponent(p: ModelParams, theta: float, dt: float) -> ExponentEstima
     E F = 1 + lam*dt/(1 - lam*theta*dt) and
     Var F = (sigma^2*dt + sigma^4*dt^2/2)/(1 - lam*theta*dt)^2, so the
     small-dt exponent keeps full precision. The factor and the value are
-    ms_exponent_exact's at the same theta.
+    ms_exponent_exact's at the same theta; theta None is refused.
     """
+    check_dt_free(p, Method.THETA_MS_EXACT, theta=theta)
     return _ms(_factor(p, dt, theta), Method.THETA_MS_EXACT)
 
 
@@ -522,8 +523,10 @@ def theta_as_exponent_quadrature(p: ModelParams, theta: float, dt: float) -> Exp
     Requires eta > 1/(2*(1 - lam*theta*dt)), which keeps F positive. The
     factor and the value are as_exponent_quadrature's at the same theta; with
     theta = 0 both answer or refuse bit for bit as the plain scheme does at
-    epsilon = 0: scheme._factor builds one factor for both.
+    epsilon = 0: scheme._factor builds one factor for both. theta None is
+    refused.
     """
+    check_dt_free(p, Method.THETA_AS_QUADRATURE, theta=theta)
     return _quad(_factor(p, dt, theta), Method.THETA_AS_QUADRATURE)
 
 
@@ -605,6 +608,7 @@ def estimate(
     number the theta scheme, which theta-ms and theta-as require. No
     estimator reads an initial datum: every exponent is a limit of
     (1/(n*dt)) log|Z_n/Z_0|, and as-slope's paths start at log|Z_0/Z_0| = 0.
+    A method that is not a Method member is refused.
     """
     if method is Method.MS_EXACT:
         return ms_exponent_exact(p, dt, theta)
@@ -616,10 +620,11 @@ def estimate(
         paths = _simulate_paths(p, dt, n_steps, theta, seed, n_paths, threads)
         check_dt_free(p, method, n_paths=n_paths, n_steps=n_steps)  # before any path is drawn
         return as_exponent_path_slope(paths)  # takes each path as it is simulated
-    check_dt_free(p, method, theta=theta)
     if method is Method.THETA_MS_EXACT:
         return theta_ms_exponent(p, theta, dt)
-    return theta_as_exponent_quadrature(p, theta, dt)
+    if method is Method.THETA_AS_QUADRATURE:
+        return theta_as_exponent_quadrature(p, theta, dt)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def check_dt_free(p: ModelParams, method: Method, *, theta: float | None = None,
@@ -647,12 +652,13 @@ def check_dt_free(p: ModelParams, method: Method, *, theta: float | None = None,
 
 
 def continuum_target(p: ModelParams, method: Method) -> float:
-    """The continuum exponent an estimator of this method converges to.
+    """The continuum exponent of the method's sense (SENSE), which its estimates converge to.
 
     Raises ValueError where it overflows (sigma^2/2 does for |sigma| above
-    about 1.9e154), so no caller reports an infinite target.
+    about 1.9e154), so no caller reports an infinite target, and the
+    table's KeyError for a method that is not a Method member.
     """
-    target = continuum_ms_exponent(p) if method in MS_METHODS else continuum_as_exponent(p)
+    target = _CONTINUUM[SENSE[method]](p)
     if not math.isfinite(target):
         raise ValueError(f"continuum exponent must be finite, got {target!r}")
     return target

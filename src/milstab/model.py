@@ -4,7 +4,10 @@ The underlying model is the 2x2 linear system with drift rate lam, rotational
 noise intensity epsilon, and scalar noise intensity sigma. Its modulus grows
 like exp(t * (lam + epsilon^2/2 + sigma^2/2)) in root mean square and like
 exp(t * (lam + epsilon^2/2 - sigma^2/2)) almost surely, which splits the
-parameter space into stable and blow-up regions in each sense.
+parameter space into stable and blow-up regions in each sense. _CONTINUUM is
+the one table from a Sense to its continuum exponent: classify looks its sense
+up there, and exponents.continuum_target the sense of a method, so a value
+that is not a Sense has no exponent and raises the lookup's KeyError.
 """
 
 from __future__ import annotations
@@ -76,17 +79,6 @@ class StabilityClass(Enum):
     BOUNDARY = "boundary"
 
 
-class RegionClass(Record):
-    """Classification of a parameter point in one sense.
-
-    class_ is Boundary exactly when the corresponding continuum exponent lies
-    within BOUNDARY_TOL of zero.
-    """
-
-    sense: Sense
-    class_: StabilityClass
-
-
 def continuum_ms_exponent(p: ModelParams) -> float:
     """Mean-square Lyapunov exponent of the continuum system.
 
@@ -103,23 +95,23 @@ def continuum_as_exponent(p: ModelParams) -> float:
     return p.lam + 0.5 * p.epsilon * p.epsilon - 0.5 * p.sigma * p.sigma
 
 
-def classify(p: ModelParams, sense: Sense) -> RegionClass:
-    """Classify a parameter point as stable, blow-up, or boundary.
+#: The continuum exponent of each sense; a value that is not a Sense has none.
+_CONTINUUM = {Sense.MEAN_SQUARE: continuum_ms_exponent, Sense.ALMOST_SURE: continuum_as_exponent}
+
+
+def classify(p: ModelParams, sense: Sense) -> StabilityClass:
+    """Classify a parameter point as stable, blow-up, or boundary in one sense.
 
     Stable means the continuum exponent of the chosen sense is below
     -BOUNDARY_TOL, blow-up means above +BOUNDARY_TOL, boundary otherwise.
+    A sense that is not a Sense member raises the table's KeyError.
     """
-    if sense is Sense.MEAN_SQUARE:
-        exponent = continuum_ms_exponent(p)
-    else:
-        exponent = continuum_as_exponent(p)
+    exponent = _CONTINUUM[sense](p)
     if exponent < -BOUNDARY_TOL:
-        cls = StabilityClass.STABLE
-    elif exponent > BOUNDARY_TOL:
-        cls = StabilityClass.BLOW_UP
-    else:
-        cls = StabilityClass.BOUNDARY
-    return RegionClass(sense=sense, class_=cls)
+        return StabilityClass.STABLE
+    if exponent > BOUNDARY_TOL:
+        return StabilityClass.BLOW_UP
+    return StabilityClass.BOUNDARY
 
 
 def as_boundary_epsilon(lam: float, sigma: float) -> tuple[float, ...]:

@@ -214,7 +214,7 @@ def test_criterion_07_trajectory_slopes(criterion):
         p = ModelParams(lam=lam, epsilon=eps, sigma=sig)
         est = estimate(p, 1e-3, Method.AS_PATH_SLOPE, seed=42, n_paths=50, n_steps=10**4)
         ref = as_exponent_quadrature(p, 1e-3).value
-        blow_up = classify(p, Sense.ALMOST_SURE).class_ is StabilityClass.BLOW_UP
+        blow_up = classify(p, Sense.ALMOST_SURE) is StabilityClass.BLOW_UP
         sign_ok = (est.value > 0.0) == blow_up
         z = abs(est.value - ref) / est.std_error
         worst_z = max(worst_z, z)

@@ -753,6 +753,45 @@ def test_every_traced_name_exists(monkeypatch):
         tracer.uninstall()
 
 
+#: The spans that the subcommands fire, each from a hook a caller looks up.
+#: The tracer's other hooks (lemmas.gauss_hermite_rule, and on cli
+#: gauss_hermite_rule, simulate_path, simulate_theta_path, fit_loglog and the
+#: verify names) are never looked up there, so they fire nothing.
+_LIVE_SPANS = {
+    "normals", "gauss_hermite_rule", "simulate_path", "estimate", "ms_exponent_exact",
+    "theta_ms_exponent", "as_exponent_quadrature", "theta_as_exponent_quadrature",
+    "as_exponent_mc", "path_slope", "classify", "as_boundary_epsilon",
+}
+
+
+def test_the_live_spans_fire(monkeypatch, capsys, tmp_path):
+    # a name check cannot see a span stop when its caller stops looking the
+    # name up; running the calls under the tracer can
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.spans import Tracer
+
+    theta = ["--theta", "0.5", "--epsilon", "0"]
+    calls = [
+        ["exponent", "ms-exact"],
+        ["exponent", "as-quad", "--dt", "0.1"],
+        ["exponent", "theta-ms", *theta],
+        ["exponent", "theta-as", *theta],
+        ["exponent", "as-mc", "--samples", "1000"],
+        ["exponent", "as-slope", "--paths", "2", "--steps", "10"],
+        ["region", "--sigma-range", "0:1:1"],
+        ["simulate", "--paths", "2", "--steps", "10", "--out", str(tmp_path / "s.csv")],
+    ]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        codes = [main(argv) for argv in calls]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(calls)
+    assert {span.name for span in tracer.spans} == _LIVE_SPANS
+
+
 def test_cli_import_loads_no_process_pool():
     code = (
         "import sys, milstab.cli\n"

@@ -1009,3 +1009,29 @@ class TestFits:
         assert continuum_target(P_REF, Method.MS_EXACT) == 18.0
         assert continuum_target(P_REF, Method.AS_QUADRATURE) == 2.0
         assert continuum_target(P_REF, Method.AS_MONTE_CARLO) == 2.0
+
+
+class TestNonMembers:
+    """Each method fact has one owner with no default branch, so a value that
+    is not a Method member reaches no estimator and no continuum target."""
+
+    @pytest.mark.parametrize("method", ["ms-exact", None, 0])
+    def test_estimate_refuses(self, method):
+        with pytest.raises(ValueError, match=f"^unknown method {re.escape(repr(method))}$"):
+            estimate(P_REF, 1e-3, method)
+
+    @pytest.mark.parametrize("method", ["ms-exact", None, 0])
+    def test_sweep_and_target_refuse(self, method):
+        with pytest.raises(KeyError):
+            continuum_target(P_REF, method)
+        with pytest.raises(KeyError):
+            sweep_dt(P_REF, [1e-2, 1e-3, 1e-4], method)
+
+    def test_every_method_has_a_sense(self):
+        assert set(exponents.SENSE) == set(Method)
+
+    @pytest.mark.parametrize("entry, slug", [(theta_ms_exponent, "theta-ms"),
+                                             (theta_as_exponent_quadrature, "theta-as")])
+    def test_theta_entry_points_require_theta(self, entry, slug):
+        with pytest.raises(ValueError, match=f"^method {slug} requires theta$"):
+            entry(P_REF, None, 1e-3)

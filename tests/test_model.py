@@ -74,29 +74,35 @@ def test_log_modulus(x0, y0, expected):
 class TestClassify:
     def test_reference_classes(self):
         p = ModelParams(lam=8.0, epsilon=2.0, sigma=4.0)
-        assert classify(p, Sense.ALMOST_SURE).class_ is StabilityClass.BLOW_UP
+        assert classify(p, Sense.ALMOST_SURE) is StabilityClass.BLOW_UP
         q = ModelParams(lam=6.0, epsilon=0.5, sigma=4.0)
-        assert classify(q, Sense.ALMOST_SURE).class_ is StabilityClass.STABLE
-        assert classify(q, Sense.MEAN_SQUARE).class_ is StabilityClass.BLOW_UP
+        assert classify(q, Sense.ALMOST_SURE) is StabilityClass.STABLE
+        assert classify(q, Sense.MEAN_SQUARE) is StabilityClass.BLOW_UP
 
     def test_boundary_band(self):
         # lam chosen so the almost-sure exponent is exactly zero
         p = ModelParams(lam=8.0, epsilon=0.0, sigma=4.0)
-        assert classify(p, Sense.ALMOST_SURE).class_ is StabilityClass.BOUNDARY
+        assert classify(p, Sense.ALMOST_SURE) is StabilityClass.BOUNDARY
 
     def test_tolerance_band_edges(self):
         base = 4.0 * 4.0 / 2.0
         inside = ModelParams(lam=base + 0.25 * BOUNDARY_TOL, epsilon=0.0, sigma=4.0)
-        assert classify(inside, Sense.ALMOST_SURE).class_ is StabilityClass.BOUNDARY
+        assert classify(inside, Sense.ALMOST_SURE) is StabilityClass.BOUNDARY
         above = ModelParams(lam=base + 1e-9, epsilon=0.0, sigma=4.0)
-        assert classify(above, Sense.ALMOST_SURE).class_ is StabilityClass.BLOW_UP
+        assert classify(above, Sense.ALMOST_SURE) is StabilityClass.BLOW_UP
         below = ModelParams(lam=base - 1e-9, epsilon=0.0, sigma=4.0)
-        assert classify(below, Sense.ALMOST_SURE).class_ is StabilityClass.STABLE
+        assert classify(below, Sense.ALMOST_SURE) is StabilityClass.STABLE
 
-    def test_sense_tagged(self):
-        p = ModelParams(lam=0.0, epsilon=0.0, sigma=1.0)
-        r = classify(p, Sense.MEAN_SQUARE)
-        assert r.sense is Sense.MEAN_SQUARE
+    def test_sense_picks_the_exponent(self):
+        # mean-square exponent 0.22, almost-sure exponent -1.22
+        p = ModelParams(lam=-0.5, epsilon=0.0, sigma=1.2)
+        assert classify(p, Sense.MEAN_SQUARE) is StabilityClass.BLOW_UP
+        assert classify(p, Sense.ALMOST_SURE) is StabilityClass.STABLE
+
+    @pytest.mark.parametrize("sense", ["mean-square", None, 0])
+    def test_a_sense_that_is_not_a_member_is_refused(self, sense):
+        with pytest.raises(KeyError):
+            classify(ModelParams(lam=-0.5, epsilon=0.0, sigma=1.2), sense)
 
 
 class TestBoundary:

@@ -28,7 +28,9 @@ calls fit_loglog, and cli's sweep-dt prints its rows and fit, calling neither
 check_dt_free nor fit_loglog. cli._provenance alone writes the theta
 provenance key. The records are milstab._record's, so no module imports
 dataclasses, and the process entry, milstab.__main__, alone sets the
-collector policy.
+collector policy. exponents.SENSE alone maps a method to its sense, and
+model's _CONTINUUM alone a sense to its continuum exponent, with no default
+branch: estimate names every method and ends in a refusal.
 """
 
 import ast
@@ -313,3 +315,30 @@ def test_only_the_entry_uses_the_collector():
                and node.value.id == "gc" for node in ast.walk(tree))
     })
     assert users == ["__main__.py"]
+
+
+def _statement_name(statement):
+    """The name a top-level def, class or single-name assignment binds."""
+    if isinstance(statement, ast.Assign):
+        return getattr(statement.targets[0], "id", "<module>")
+    return getattr(statement, "name", "<module>")
+
+
+def test_one_sense_table():
+    # exponents.SENSE maps each method to its sense and model's table each
+    # sense to its continuum exponent; no other statement names a sense by
+    # a branch, and estimate refuses what is not a method
+    stating = sorted({
+        (name, _statement_name(statement))
+        for name, tree in _trees()
+        for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr == "MEAN_SQUARE"
+        and isinstance(node.value, ast.Name) and node.value.id == "Sense"
+    })
+    assert stating == [("exponents.py", "SENSE"), ("model.py", "_CONTINUUM")]
+    retired = re.compile(r"\b(RegionClass|MS_METHODS)\b")
+    assert [path.name for path in PACKAGE.rglob("*.py") if retired.search(path.read_text())] == []
+    (function,) = [node for name, node in _functions()
+                   if name == "exponents.py" and node.name == "estimate"]
+    assert isinstance(function.body[-1], ast.Raise)

@@ -1,6 +1,6 @@
 """The package's records, built on milstab._record.Record, behave as frozen dataclasses.
 
-Each of the 12 records takes its fields positionally or by keyword, with
+Each of the 11 records takes its fields positionally or by keyword, with
 defaults, refuses assignment and deletion, compares and hashes by its fields,
 and prints the text dataclasses gave it; LogModulusPath leaves its flags out.
 The pinned repr strings are the dataclass texts of the same records.
@@ -13,7 +13,7 @@ import pytest
 from milstab._record import Record
 from milstab.exponents import ConvergenceFit, ExponentEstimate, Method, RemainderReport
 from milstab.lemmas import BoundKind, LogBoundDomain, SandwichReport
-from milstab.model import InitialDatum, ModelParams, RegionClass, Sense, StabilityClass
+from milstab.model import InitialDatum, ModelParams
 from milstab.scheme import LogModulusPath, SchemeConfig, _StepFactor
 from milstab.stochastics import QuadratureRule, RngStream
 
@@ -25,10 +25,6 @@ RECORDS = [
     (ModelParams, (8.0, 2.0, 4.0), {"lam": 8.0, "epsilon": 2.0, "sigma": 4.0},
      "ModelParams(lam=8.0, epsilon=2.0, sigma=4.0)"),
     (InitialDatum, (3.0, 4.0), {"y0": 4.0, "x0": 3.0}, "InitialDatum(x0=3.0, y0=4.0)"),
-    (RegionClass, (Sense.ALMOST_SURE, StabilityClass.STABLE),
-     {"sense": Sense.ALMOST_SURE, "class_": StabilityClass.STABLE},
-     "RegionClass(sense=<Sense.ALMOST_SURE: 'almost-sure'>, "
-     "class_=<StabilityClass.STABLE: 'stable'>)"),
     (SchemeConfig, (0.01, 10), {"dt": 0.01, "n_steps": 10},
      "SchemeConfig(dt=0.01, n_steps=10, theta=None)"),
     (LogModulusPath, (0.5, *_PATH), {"dt": 0.5, "log_values": _PATH[0], "flags": _PATH[1]},
@@ -64,7 +60,7 @@ ARRAY_RECORDS = (LogModulusPath, QuadratureRule)
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 12
+    assert len(RECORDS) == 11
     records = {sub for sub in _subclasses(Record) if sub.__module__.startswith("milstab.")}
     assert {cls for cls, *_ in RECORDS} == records
 

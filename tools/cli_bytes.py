@@ -130,8 +130,15 @@ MATRIX = [
     # the plain scheme is the theta step at theta = 0, down to a signed zero
     *(f"exponent theta-as --theta {t} --lambda -0 --epsilon 0 --sigma 0" for t in ("0", "0.5")),
     "exponent as-mc --theta 0 --lambda -0 --epsilon 0 --sigma 0",
+    # each method's region_class is that of its own sense: blow-up in mean
+    # square and stable almost surely at one point, and a boundary point
+    *(f"exponent {method} --lambda -0.5 --epsilon 0 --sigma 1.2 --format csv"
+      for method in ("ms-exact", "as-quad")),
+    "exponent theta-ms --theta 0.5 --lambda -0.5 --epsilon 0 --sigma 1.2",
+    "exponent ms-exact --lambda 0 --epsilon 0 --sigma 0",
     # region
     *(f"region --lambda 2 --sigma-range 0:4:2 --format {fmt}" for fmt in ("csv", "json")),
+    "region --lambda 0.72 --sigma-range 1.2:1.2:1 --format json",
     "region --format json --out r.json",
     "region --out r.csv",
     "region --sigma-range 1:0:1",
