@@ -44,8 +44,8 @@ _EXPORTS = {
         "as_boundary_epsilon", "classify", "continuum_as_exponent", "continuum_ms_exponent",
     ),
     "scheme": (
-        "LOG_CLAMP", "LogModulusPath", "SchemeConfig", "gamma_dt", "milstein_factor", "mu",
-        "simulate_path", "simulate_theta_path", "theta_eta",
+        "LogModulusPath", "SchemeConfig", "gamma_dt", "milstein_factor", "mu", "simulate_path",
+        "simulate_theta_path", "theta_eta",
     ),
     "stochastics": ("QuadratureRule", "RngStream", "gauss_hermite_rule"),
 }

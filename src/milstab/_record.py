@@ -11,8 +11,7 @@ that imports the package.
 An instance takes its fields positionally or by keyword, runs the class's
 __post_init__ check, refuses assignment and deletion, and compares and
 hashes by its fields, as a frozen dataclass does. Its repr is the
-dataclass text, leaving out the fields a class names in _hidden. vars() of
-a record is its field dict, in field order.
+dataclass text. vars() of a record is its field dict, in field order.
 """
 
 _MISSING = object()
@@ -23,7 +22,6 @@ class Record:
 
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
-    _hidden: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         own = [name for name in cls.__annotations__ if name not in cls._fields]
@@ -65,5 +63,5 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({', '.join(shown)})"

@@ -411,8 +411,7 @@ def _mc_block(f: _StepFactor, seed: int, block_id: int, count: int) -> tuple[int
     The block's normals are drawn at once, then turned into F by
     _StepFactor.of_normals and logged in _MC_CHUNK slices, each slice
     staying in cache through its passes. The caller's check_domain keeps F
-    positive, so the log needs none of _accumulate's abs and zero-clamp
-    passes.
+    positive, so the log takes F itself, where _accumulate takes |F|.
     """
     logs = RngStream(root_seed=seed, stream_id=block_id).normals(count)
     for z in _slices(logs):

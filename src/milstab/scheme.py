@@ -40,6 +40,8 @@ Trajectories are accumulated as sums of log|factor|; the raw product would
 overflow within a few hundred steps for blow-up parameters, so |Z_n| itself
 is never materialized. A path is log|Z_n/Z_0|, which no initial datum changes: the
 datum is cli's simulate's alone, which adds log|Z_0| to each path it writes.
+A factor of exactly 0 puts the path at Z = 0 for good, log|Z_n/Z_0| = -inf,
+and every caller refuses a path that is not finite.
 """
 
 from __future__ import annotations
@@ -50,12 +52,6 @@ from . import _np as np
 from ._record import Record
 from .model import ModelParams
 from .stochastics import RngStream
-
-#: Log contribution recorded for a step whose factor underflows to exactly 0
-#: in floating point (a measure-zero event). Near the most negative log a
-#: double can carry; the step is flagged rather than aborting the batch.
-LOG_CLAMP = -745.0
-
 
 def _check_dt(dt: float) -> None:
     if not (0.0 < dt < 1.0):
@@ -91,28 +87,26 @@ class SchemeConfig(Record):
 class LogModulusPath(Record):
     """A trajectory of log|Z_n/Z_0| on the grid t_n = n*dt.
 
-    log_values has length n_steps + 1 and starts at 0.0.
-    flags marks, per step, factors that underflowed to zero and had their log
-    contribution clamped; all other entries are finite.
+    log_values has length n_steps + 1 and starts at 0.0. A step whose factor
+    is exactly 0 takes it to -inf, where it stays.
     """
 
     dt: float
     log_values: np.ndarray
-    flags: np.ndarray
-    _hidden = ("flags",)
 
     def __post_init__(self) -> None:
-        if self.log_values.ndim != 1 or self.flags.ndim != 1:
-            raise ValueError("log_values and flags must be 1-d arrays")
-        if len(self.flags) != len(self.log_values) - 1:
-            raise ValueError("flags must have one entry per step")
+        if self.log_values.ndim != 1:
+            raise ValueError("log_values must be a 1-d array")
 
     @property
     def n_steps(self) -> int:
         return len(self.log_values) - 1
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
+    @property
+    def flags(self) -> np.ndarray:
+        """Per step, whether it took the path from a finite value to -inf (a zero factor)."""
+        v = self.log_values
+        return np.isneginf(v[1:]) & np.isfinite(v[:-1])
 
 
 class _StepFactor(Record):
@@ -281,21 +275,17 @@ def milstein_factor(p: ModelParams, dt: float, dB: float) -> float:
     return _factor(p, dt).at(dB)
 
 
-def _accumulate(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0.0 and the running sums of log|factors|, exact zeros flagged and clamped.
+def _accumulate(factors: np.ndarray) -> np.ndarray:
+    """0.0 and the running sums of log|factors|; a zero factor gives -inf from there on.
 
-    factors is overwritten with its clamped logs, so beside it only the
-    returned arrays are allocated.
+    factors is overwritten with its logs, so beside it only the returned
+    array is allocated.
     """
-    logs = np.abs(factors, out=factors)
-    flags = logs == 0.0
-    np.copyto(logs, 1.0, where=flags)
-    np.log(logs, out=logs)
-    np.copyto(logs, LOG_CLAMP, where=flags)
+    logs = np.log(np.abs(factors, out=factors), out=factors)
     log_values = np.empty(len(logs) + 1)
     log_values[0] = 0.0
     np.cumsum(logs, out=log_values[1:])
-    return log_values, flags
+    return log_values
 
 
 def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogModulusPath:
@@ -305,18 +295,18 @@ def simulate_path(p: ModelParams, cfg: SchemeConfig, stream: RngStream) -> LogMo
     theta-Milstein scheme, whose factor refuses epsilon != 0, theta outside
     [0, 1] and a pole before any increment is drawn. Both come from _factor,
     so at theta = 0 the path has the plain one's bits on shared increments.
-    Draws n_steps increments dB = sqrt(dt)*zeta from the stream, accumulates
-    log|factor| step by step, and flags (without aborting) any step whose
-    factor underflows to zero.
+    Draws n_steps increments dB = sqrt(dt)*zeta from the stream and
+    accumulates log|factor| step by step. A factor of exactly 0 makes the
+    path -inf from that step on, which every caller refuses.
     """
     f = _factor(p, cfg.dt, cfg.theta)
-    # Parameters so large that F overflows give a non-finite path, which its
-    # callers refuse; numpy's state is per thread, so it is set here, where
-    # worker threads run too.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Parameters so large that F overflows, or a factor of 0, give a
+    # non-finite path, which its callers refuse; numpy's state is per
+    # thread, so it is set here, where worker threads run too.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         factors = f.of_normals(stream.normals(cfg.n_steps))
-        log_values, flags = _accumulate(factors)
-    return LogModulusPath(dt=cfg.dt, log_values=log_values, flags=flags)
+        log_values = _accumulate(factors)
+    return LogModulusPath(dt=cfg.dt, log_values=log_values)
 
 
 #: The name of simulate_path for theta configs, kept for existing callers.

@@ -315,7 +315,7 @@ def _simulate_reference(steps, paths, seed):
     p = ModelParams(8.0, 2.0, 4.0)
     runs = [simulate_path(p, cfg, RngStream(root_seed=seed, stream_id=i)) for i in range(paths)]
     matrix = np.column_stack([run.log_values for run in runs])
-    return runs[0].times(), matrix, matrix.mean(axis=1)
+    return cfg.dt * np.arange(steps + 1), matrix, matrix.mean(axis=1)
 
 
 class TestSimulateCommand:

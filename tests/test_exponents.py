@@ -676,7 +676,7 @@ class TestWorkerPool:
 class TestPathSlope:
     def _path(self, slope: float, dt: float = 0.1, n: int = 10) -> LogModulusPath:
         values = slope * dt * np.arange(n + 1, dtype=float)
-        return LogModulusPath(dt=dt, log_values=values, flags=np.zeros(n, dtype=bool))
+        return LogModulusPath(dt=dt, log_values=values)
 
     def test_exact_on_linear_paths(self):
         est = as_exponent_path_slope([self._path(1.0), self._path(3.0)])

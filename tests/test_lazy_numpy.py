@@ -536,7 +536,7 @@ def test_star_import_and_dir_list_every_public_name():
         "from milstab import *\n"
         "print(len(set(milstab.__all__)), [n for n in milstab.__all__ if n not in globals()])"
     )
-    assert out == "[]\n49 []\n"
+    assert out == "[]\n48 []\n"
 
 
 def test_submodules_resolve_as_attributes():

@@ -2,7 +2,7 @@
 
 Each of the 11 records takes its fields positionally or by keyword, with
 defaults, refuses assignment and deletion, compares and hashes by its fields,
-and prints the text dataclasses gave it; LogModulusPath leaves its flags out.
+and prints the text dataclasses gave it.
 The pinned repr strings are the dataclass texts of the same records.
 RngStream, the one mutable class, compares by all but its generator.
 """
@@ -17,7 +17,7 @@ from milstab.model import InitialDatum, ModelParams
 from milstab.scheme import LogModulusPath, SchemeConfig, _StepFactor
 from milstab.stochastics import QuadratureRule, RngStream
 
-_PATH = (np.array([0.0, 1.0]), np.array([False]))
+_PATH = np.array([0.0, 1.0])
 _RULE = (np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
 
 #: (class, positional fields, the same by keyword, the dataclass repr).
@@ -27,7 +27,7 @@ RECORDS = [
     (InitialDatum, (3.0, 4.0), {"y0": 4.0, "x0": 3.0}, "InitialDatum(x0=3.0, y0=4.0)"),
     (SchemeConfig, (0.01, 10), {"dt": 0.01, "n_steps": 10},
      "SchemeConfig(dt=0.01, n_steps=10, theta=None)"),
-    (LogModulusPath, (0.5, *_PATH), {"dt": 0.5, "log_values": _PATH[0], "flags": _PATH[1]},
+    (LogModulusPath, (0.5, _PATH), {"dt": 0.5, "log_values": _PATH},
      "LogModulusPath(dt=0.5, log_values=array([0., 1.]))"),
     (_StepFactor, (1.5, 0.5, 2.0, 4.0, 1.0, 0.01),
      {"c0": 1.5, "c0m1": 0.5, "mean_rate": 2.0, "sigma": 4.0, "denom": 1.0, "dt": 0.01},
@@ -155,8 +155,8 @@ def test_post_init_checks_run_on_construction():
         ModelParams(lam=float("nan"), epsilon=0.0, sigma=1.0)
     with pytest.raises(ValueError, match="dt must lie"):
         SchemeConfig(dt=2.0, n_steps=1)
-    with pytest.raises(ValueError, match="one entry per step"):
-        LogModulusPath(0.5, np.zeros(3), np.zeros(1, dtype=bool))
+    with pytest.raises(ValueError, match="1-d array"):
+        LogModulusPath(0.5, np.zeros((3, 1)))
 
 
 def test_rng_stream_compares_without_its_generator():

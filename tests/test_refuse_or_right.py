@@ -8,14 +8,28 @@ already rounded, which ROADMAP's log1p path kernel is to mend. The error
 bar at tiny sigma has a second cause that the kernel alone leaves: the mean
 of equal samples can miss them by an ulp, which _std_error divides by
 sqrt(n).
+
+A mended wrong number stays here as a plain test: a path whose step factor
+is exactly 0 (lam = -1000, sigma = 0, dt = 1e-3) has exponent -inf, and
+as-slope and simulate refuse it rather than print a finite stand-in for
+log 0 (-745 per step, with std_error 0.0).
 """
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
+from conftest import src_env
 
 from milstab import cli
+from milstab.model import ModelParams
+from milstab.scheme import SchemeConfig, simulate_path
+from milstab.stochastics import RngStream
+
+#: lam*dt = -1, sigma = 0: every step factor is exactly 0.
+_ZERO_FACTOR = ["--lambda", "-1000", "--epsilon", "0", "--sigma", "0"]
 
 
 def _exponent(capsys, *args) -> dict:
@@ -65,3 +79,31 @@ def test_sampled_error_bar_at_tiny_sigma(capsys):
     got = _exponent(capsys, "as-mc", "--sigma", "1e-300", "--samples", "100000")
     assert got["std_error"] > 0.0
     assert abs(got["value"] - exact) <= 5.0 * got["std_error"]
+
+
+def test_a_path_onto_zero_is_minus_inf():
+    path = simulate_path(ModelParams(-1000.0, 0.0, 0.0), SchemeConfig(dt=1e-3, n_steps=3),
+                         RngStream(root_seed=42, stream_id=0))
+    assert path.log_values.tolist() == [0.0, -math.inf, -math.inf, -math.inf]
+    assert path.flags.tolist() == [True, False, False]
+
+
+def test_slope_onto_zero_is_refused(capsys):
+    code = cli.main(["exponent", "as-slope", *_ZERO_FACTOR, "--paths", "3", "--steps", "100",
+                     "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, json.dumps({"error": "as-slope exponent must be finite, got -inf"}) + "\n", ""
+    )
+
+
+def test_simulate_onto_zero_is_refused_without_a_warning():
+    # in a fresh process a numpy warning for log 0 would print above the refusal
+    proc = subprocess.run(
+        [sys.executable, "-m", "milstab", "simulate", *_ZERO_FACTOR, "--paths", "2", "--steps",
+         "3"],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: mean log-modulus must be finite, got -inf at t = 0.001\n"
+    )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from milstab.exponents import _MC_CHUNK, Method, estimate
 from milstab.model import InitialDatum, ModelParams
 from milstab.scheme import (
-    LOG_CLAMP,
     LogModulusPath,
     SchemeConfig,
     _accumulate,
@@ -138,35 +137,38 @@ def test_radial_factor_against_planar_step(lam, eps, sigma, dt):
 
 class TestAccumulate:
     def test_plain_products(self):
-        logs, flags = _accumulate(np.array([2.0, 1.0, 0.25]))
-        assert not flags.any()
+        logs = _accumulate(np.array([2.0, 1.0, 0.25]))
+        assert not LogModulusPath(dt=0.1, log_values=logs).flags.any()
         np.testing.assert_allclose(
             logs, [0.0, math.log(2.0), math.log(2.0), math.log(0.5)]
         )
 
-    def test_zero_factor_clamps(self):
-        logs, flags = _accumulate(np.array([1.0, 0.0, 2.0]))
-        assert list(flags) == [False, True, False]
-        assert logs[2] == pytest.approx(LOG_CLAMP)
-        assert logs[3] == pytest.approx(LOG_CLAMP + math.log(2.0))
+    def test_zero_factor_gives_minus_inf(self):
+        # a factor of exactly 0 puts Z at the origin for good: log|Z_n/Z_0| = -inf
+        with np.errstate(divide="ignore"):
+            logs = _accumulate(np.array([1.0, 0.0, 2.0]))
+        assert logs.tolist() == [0.0, 0.0, -math.inf, -math.inf]
+        assert LogModulusPath(dt=0.1, log_values=logs).flags.tolist() == [False, True, False]
 
     def test_negative_factor_uses_modulus(self):
-        logs, _ = _accumulate(np.array([-3.0]))
+        logs = _accumulate(np.array([-3.0]))
         assert logs[1] == pytest.approx(math.log(3.0))
 
     def test_bits_are_pinned(self):
-        # the whole-array form: cumsum(where(flags, LOG_CLAMP, log(|F|))) after 0.0
-        logs, flags = _accumulate(np.array([2.0, 0.0, -0.5, 3.0]))
+        # the whole-array form: cumsum(log(|F|)) after 0.0; from the zero
+        # factor on, every entry is -inf
+        with np.errstate(divide="ignore"):
+            logs = _accumulate(np.array([2.0, 0.0, -0.5, 3.0]))
         assert [v.hex() for v in logs.tolist()] == [
-            "0x0.0p+0", "0x1.62e42fefa39efp-1", "-0x1.742746f404172p+9",
-            "-0x1.7480000000000p+9", "-0x1.73f360ac2a97ep+9",
+            "0x0.0p+0", "0x1.62e42fefa39efp-1", "-inf", "-inf", "-inf",
         ]
-        assert flags.tolist() == [False, True, False, False]
+        assert LogModulusPath(dt=0.1, log_values=logs).flags.tolist() == [
+            False, True, False, False
+        ]
         # adding a log|Z_0| of 0.25 afterwards, as cli's simulate does, gives the
         # bits of log0 + cumsum(...)
         assert [v.hex() for v in np.add(logs, 0.25).tolist()] == [
-            "0x1.0000000000000p-2", "0x1.e2e42fefa39efp-1", "-0x1.740746f404172p+9",
-            "-0x1.7460000000000p+9", "-0x1.73d360ac2a97ep+9",
+            "0x1.0000000000000p-2", "0x1.e2e42fefa39efp-1", "-inf", "-inf", "-inf",
         ]
         cfg = SchemeConfig(dt=1e-3, n_steps=6)
         path = simulate_path(P_REF, cfg, RngStream(root_seed=42, stream_id=7))
@@ -193,7 +195,7 @@ class TestAccumulate:
 
     def test_path_peak_is_three_step_arrays(self):
         # the normals turn into factors and then into logs in place, so a path
-        # holds them and its log_values (and the one-byte flags) at once
+        # holds them and its log_values at once
         n = 10**5
         cfg = SchemeConfig(dt=1e-3, n_steps=n)
         simulate_path(P_REF, cfg, RngStream(root_seed=1, stream_id=0))  # warm numpy up
@@ -236,10 +238,9 @@ class TestSimulate:
         path = simulate_path(P_REF, cfg, RngStream(root_seed=0, stream_id=0))
         assert path.log_values[0] == 0.0
 
-    def test_times(self):
+    def test_n_steps(self):
         path = simulate_path(P_REF, self.cfg(n_steps=4), RngStream(root_seed=0, stream_id=0))
-        np.testing.assert_allclose(path.times(), [0.0, 1e-3, 2e-3, 3e-3, 4e-3])
-        assert path.n_steps == 4
+        assert (path.dt, path.n_steps, len(path.log_values)) == (1e-3, 4, 5)
 
     def test_theta_cfg_rejected(self):
         with pytest.raises(ValueError):
@@ -380,6 +381,6 @@ class TestConfigValidation:
             theta_eta(p, 1.5, 1e-3)
         assert str(exc.value) == message
 
-    def test_path_flags_length(self):
-        with pytest.raises(ValueError):
-            LogModulusPath(dt=1e-3, log_values=np.zeros(4), flags=np.zeros(4, dtype=bool))
+    def test_path_is_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-d"):
+            LogModulusPath(dt=1e-3, log_values=np.zeros((4, 1)))

@@ -204,6 +204,9 @@ MATRIX = [
     # path slopes whose M2 overflows, and slopes that overflow
     "exponent as-slope --dt 1e-310 --sigma 1e150 --paths 3 --steps 10",
     "exponent as-slope --paths 2 --steps 1 --sigma 1.3e154 --epsilon 0 --lambda 0 --dt 2e-310",
+    # every step factor is exactly 0, so every path is -inf from its first step
+    "exponent as-slope --lambda -1000 --epsilon 0 --sigma 0 --paths 3 --steps 100",
+    "simulate --lambda -1000 --epsilon 0 --sigma 0 --paths 2 --steps 3",
 ]
 
 
