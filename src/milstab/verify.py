@@ -93,6 +93,21 @@ def _suite_lemmas(**_) -> list[dict]:
     ]
 
 
+def _increment_scale(p: ModelParams, dt: float) -> float:
+    """s = |sigma|*sqrt(dt), the moments suite's noise scale, refused if subnormal.
+
+    A subnormal s is refused (ValueError): the noise s*zeta + (s*zeta)^2/2
+    then takes only a few subnormal values, so its sampled moments cannot
+    match the references, and no finite power of two takes s into [1/2, 1).
+    """
+    s = abs(p.sigma) * math.sqrt(dt)
+    if 0.0 < s < sys.float_info.min:
+        raise ValueError(f"the moments suite needs |sigma|*sqrt(dt) to be 0 or at least "
+                         f"{sys.float_info.min!r}, got {s!r}: below that its samples round "
+                         "to a few subnormal values")
+    return s
+
+
 def _suite_moments(*, p: ModelParams, dt: float, seed: int, n_samples: int, **_) -> list[dict]:
     n = n_samples
     # Where s = |sigma|*sqrt(dt) is below 1/2, the samples and both
@@ -100,7 +115,7 @@ def _suite_moments(*, p: ModelParams, dt: float, seed: int, n_samples: int, **_)
     # so the scaled noise is of order 1: where s^2 underflows (sigma 1e-12 at
     # dt 1e-300) neither the references nor the spread of the squares do. The
     # scale is exact and changes no z-score's bits; at sigma = 0 it is 1.
-    s = abs(p.sigma) * math.sqrt(dt)
+    s = _increment_scale(p, dt)
     scale = 2.0 ** max(0, -math.frexp(s)[1])
     mean_ref, second_ref = _scaled_increment_moments(s, scale)
     noise = _noise_factor(p.sigma, dt)
@@ -193,12 +208,16 @@ def run(suite: str, p: ModelParams, dt: float, *, seed: int, n_samples: int) -> 
     """The check records of one suite of SUITES, or of all of them for "all".
 
     Every suite takes the same inputs, and they are checked before any suite
-    runs or numpy loads: the suite name, dt, then n_samples. A statistic
-    that overflows fails its check instead of raising a numpy warning.
+    runs or numpy loads, in this order: the suite name, dt, n_samples, then,
+    when the moments suite is selected, its noise scale |sigma|*sqrt(dt),
+    which must be 0 or a normal float. A statistic that overflows fails its
+    check instead of raising a numpy warning.
     """
     suites = suites_named(suite)
     _check_dt(dt)
     _check_samples(n_samples)  # as-mc's floor, in its text
+    if _suite_moments in suites:
+        _increment_scale(p, dt)
     inputs = dict(p=p, dt=dt, seed=seed, n_samples=n_samples)
     checks = []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -739,20 +739,6 @@ def test_negative_value_in_exponent_notation(capsys, flag):
     assert run("-1e-3") == run("-0.001")
 
 
-def test_every_traced_name_exists(monkeypatch):
-    # perfbench/spans.py patches names where callers look them up, so a name
-    # that src/ drops would stop its spans without failing any other test
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
-    from perfbench.spans import Tracer
-
-    tracer = Tracer()
-    tracer.install()
-    try:
-        assert tracer.missing == []
-    finally:
-        tracer.uninstall()
-
-
 #: The spans that the subcommands fire, each from a hook a caller looks up.
 #: The tracer's other hooks (lemmas.gauss_hermite_rule, and on cli
 #: gauss_hermite_rule, simulate_path, simulate_theta_path, fit_loglog and the
@@ -1323,6 +1309,26 @@ class TestVerifyCommand:
             monkeypatch.setitem(verify.SUITES, name, ran)
         got = run_cli(capsys, "verify", "--suite", suite, *args)
         assert got == (2, "", f"error: {refusal}\n")
+
+    @pytest.mark.parametrize("sigma, scale", [("1e-320", "3.16e-322"), ("1e-322", "5e-324")])
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_a_subnormal_noise_scale_is_refused_by_moments_alone(self, capsys, suite, sigma,
+                                                                  scale):
+        # the moments suite's power-of-two scale for s = |sigma|*sqrt(dt) about
+        # 3e-322 was 2^1068, an OverflowError traceback with exit 1; moments
+        # and all now refuse it before any suite runs, and the others still run
+        args = ("verify", "--suite", suite, "--sigma", sigma, "--samples", "1000")
+        if suite == "moments":
+            refusal = (
+                "error: the moments suite needs |sigma|*sqrt(dt) to be 0 or at least "
+                f"2.2250738585072014e-308, got {scale}: below that its samples round to a few "
+                "subnormal values\n"
+            )
+            assert run_cli(capsys, *args) == (2, "", refusal)
+            assert run_cli(capsys, "verify", *args[3:]) == (2, "", refusal)  # --suite all
+        else:
+            code, out, err = run_cli(capsys, *args)
+            assert err == "" and out.startswith(f"{suite}.")  # its check lines
 
     def test_moments_memory_is_bounded_by_slices(self):
         # drawn and reduced slice by slice; all 16 blocks at once held 5 arrays

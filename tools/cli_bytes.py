@@ -190,6 +190,8 @@ MATRIX = [
     "simulate --paths 0 --epsilon 0 --theta 1.5",
     # sigma^2*dt underflows, and the suite's references with it
     "verify --suite moments --dt 1e-300 --sigma 1e-12 --samples 1000",
+    # |sigma|*sqrt(dt) is subnormal: refused before any suite runs
+    *(f"verify --suite {suite} --sigma 1e-320 --samples 1000" for suite in ("moments", "all")),
     # the sweep's edges: a refusal that reads no step size comes before the
     # continuum overflow, a refused row, one step size thrice (exit 2, no
     # rows), zero errors (rows, exit 1), and a fit constant that underflows
