@@ -9,9 +9,10 @@ command runs; a call leaves the same few hundred collectable objects whatever
 its size (tests/test_entry.py), so memory stays bounded. os._exit skips the
 interpreter's teardown, which would otherwise free every module and object
 that numpy and the command loaded: every file the command wrote is closed
-and every worker pool joined before main returns, so the flushes are all
-that the exit owes. If a flush fails, run exits through sys.exit instead,
-and the interpreter's own exit reports the failure as it always has.
+and every task finished before main returns, and idle workers end with
+os._exit, so the flushes are all that the exit owes. If a flush fails, run
+exits through sys.exit instead, and the interpreter's own exit reports the
+failure as it always has.
 
 This module alone sets the collector policy. Callers of cli.main inside a
 process of their own, such as tests and the benchmark's traced run, do not

@@ -36,6 +36,7 @@ import collections
 import functools
 import math
 import os
+import threading
 from enum import Enum
 
 from . import _np as np
@@ -84,37 +85,62 @@ def ThreadPoolExecutor(max_workers: int):
     """concurrent.futures.ThreadPoolExecutor, imported when a pool first starts.
 
     Single-thread calls then never load concurrent.futures (nor the logging
-    it imports). _map_indexed reads this module attribute, so a test or a
-    tracer can swap the pool class here.
+    it imports). _map_indexed reads this module attribute at each call, so a
+    test or a tracer can swap the pool class here.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=max_workers)
 
 
+#: Each calling thread's worker pool and its key (pool class, workers, process id).
+_pools = threading.local()
+
+
 def _map_indexed(fn, count: int, threads: int):
     """Yield fn(0), ..., fn(count - 1) in index order, over up to `threads` worker threads.
 
-    The pool starts no more workers than there are tasks or usable CPUs; one
+    The pool has no more workers than there are tasks or usable CPUs; one
     worker runs each call inline when its result is asked for. Callers give
     each index its own substream and reduce the results in index order, so
     the output does not depend on `threads`. A pool runs at most two calls
     per worker ahead of the caller, so a caller that reduces each result
     before asking for the next holds no more than that many, however many
-    tasks there are and however slowly it takes them.
+    tasks there are and however slowly it takes them. A caller that stops
+    early (closes the generator, or drops it) cancels the calls not started
+    and waits for the running ones, so none of its calls outlives it.
+
+    Each calling thread keeps its pool across calls, and builds a new one
+    only when the pool class (ThreadPoolExecutor here), the worker count or
+    the process changes, so a command's fan-outs (sweep rows, Monte Carlo
+    blocks, paths, formatter tasks) all run on the workers its first one
+    started. A forked child inherits its parent's pool but none of its
+    workers, so the child builds its own. A pool that is replaced, or whose
+    thread ends, is freed once no call holds it, and its idle workers then
+    end.
     """
     workers = min(threads, count, _usable_cpus())
     if workers < 2:
         yield from map(fn, range(count))
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ahead = collections.deque()
+    key = (ThreadPoolExecutor, workers, os.getpid())
+    if getattr(_pools, "key", None) != key:
+        _pools.pool, _pools.key = ThreadPoolExecutor(max_workers=workers), key
+    pool = _pools.pool
+    ahead = collections.deque()
+    try:
         for i in range(count):
             ahead.append(pool.submit(fn, i))
             if len(ahead) == 2 * workers:
                 yield ahead.popleft().result()
         while ahead:
             yield ahead.popleft().result()
+    finally:
+        # From the last call back: workers take calls in order, so every queued
+        # call is cancelled before any running one is waited for.
+        for future in reversed(ahead):
+            if not future.cancel():
+                future.exception()
 
 
 #: Node count of the Gauss-Hermite route, which is checked against twice as many.

@@ -19,7 +19,9 @@ mean, M2) of each slice in order, so its memory does not grow with n_samples,
 and closedform builds a slice of paths at a time. A statistic that overflows
 fails its check, with no numpy warning. At sigma = 0 every closed-form path is
 one number, which is compared with base^n within _ULPS_PER_FACTOR ulps per
-step factor instead of by a z-score.
+step factor instead of by a z-score. At tiny sigma the noise rounds away
+against the factors' deterministic part, and the paths take one or a few
+values, so a mean within that same budget passes whatever its z-score.
 """
 
 from __future__ import annotations
@@ -175,22 +177,32 @@ def _suite_closedform(*, p: ModelParams, dt: float, seed: int, **_) -> list[dict
         ref = base**n_steps
     except OverflowError:  # base^n beyond the float range: no finite reference
         ref = math.inf
+    rtol = _ULPS_PER_FACTOR * n_steps * sys.float_info.epsilon
     if p.sigma == 0.0:
         # Every path is one number, which can differ from base^n only by rounding.
         value = float(squared[0])
-        rtol = _ULPS_PER_FACTOR * n_steps * sys.float_info.epsilon
         passed = abs(value - ref) <= rtol * abs(ref)
         detail = (
             f"sigma = 0: E|Z_n|^2/|Z_0|^2 at n = {n_steps} is {value!r} on every path, "
             f"against base^n = {ref!r} within relative {rtol:.3g}"
         )
     else:
-        z = _z_score(_moments_in_place(squared), ref)
+        stats = _moments_in_place(squared)
+        z = _z_score(stats, ref)
         passed = z <= 3.0
         detail = (
             f"E|Z_n|^2/|Z_0|^2 at n = {n_steps} within 3 standard errors of base^n, "
             f"z = {z:.3f} over {n_paths} paths"
         )
+        if not passed and abs(stats[1] - ref) <= rtol * abs(ref):
+            # Noise that rounds away against the factors' deterministic part
+            # leaves a spread smaller than that rounding, so z cannot decide.
+            passed = True
+            detail = (
+                f"E|Z_n|^2/|Z_0|^2 at n = {n_steps} is {stats[1]!r} over {n_paths} paths, "
+                f"against base^n = {ref!r} within relative {rtol:.3g}, the rounding "
+                f"allowed at sigma = 0; z = {z:.3f}"
+            )
     return [_check("closedform.second_moment", passed, detail)]
 
 

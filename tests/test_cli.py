@@ -604,12 +604,6 @@ class TestSimulateStreaming:
             def __init__(self, max_workers):
                 built.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             @staticmethod
             def submit(fn, *args):
                 done = concurrent.futures.Future()
@@ -668,6 +662,31 @@ class TestSimulateStreaming:
         assert proc.wait(timeout=120) == 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("sweep-dt", "as-mc", "--samples", "524288", "--dts", "1e-2,1e-3,1e-4"),
+     ("simulate", "--paths", "4")],
+    ids=["sweep-dt", "simulate"],
+)
+def test_a_command_starts_its_workers_once(capsys, monkeypatch, args):
+    # every fan-out runs on the first one's pool: the sweep's three rows of two
+    # Monte Carlo blocks each, and simulate's four paths and its four slices,
+    # used to build three pools and two
+    built = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(exponents, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(exponents, "_usable_cpus", lambda: 2)
+    code, out, err = run_cli(capsys, *args, "--threads", "2")
+    assert (code, err, built) == (0, "", [2])
+    monkeypatch.undo()
+    assert run_cli(capsys, *args, "--threads", "1") == (code, out, err)
 
 
 class TestFullStdout:
@@ -1227,12 +1246,25 @@ class TestVerifyCommand:
                 "moments.composite_vs_mc: PASS - mean and second moment within 4 standard "
                 "errors, z = 0.000 and 0.000 over 1000000 samples\n" + _HERMITE_LINE,
             ),
+            *(
+                (
+                    ("--suite", "closedform", "--sigma", sigma),
+                    "closedform.second_moment: PASS - E|Z_n|^2/|Z_0|^2 at n = 10 is "
+                    "1.2201900399479673 over 100000 paths, against base^n = 1.2201900399479668 "
+                    f"within relative 1.78e-14, the rounding allowed at sigma = 0; z = {z}\n",
+                )
+                for sigma, z in [("1e-15", "3165.825"), ("3e-16", "inf"), ("1e-20", "inf"),
+                                 ("1e-300", "inf"), ("1e-320", "inf")]
+            ),
         ],
     )
     def test_noise_free_checks(self, capsys, args, line):
         # At sigma = 0 a closed-form z-score is decided by rounding: the first
         # case read z = 0 and the second z = 1897.357, a false FAIL. The noise
-        # is exactly 0 at sigma = 0, so its z is 0 by exact equality.
+        # is exactly 0 at sigma = 0, so its z is 0 by exact equality. At tiny
+        # sigma the noise rounds away against the step factors, so the paths
+        # take a few values (7 at 1e-15) or one: z read 3165.825 or inf, a
+        # false FAIL, while the mean is base^n to rounding.
         assert run_cli(capsys, "verify", *args) == (0, line, "")
 
     @pytest.mark.parametrize("dt, sigma", [pytest.param("1e-300", "4", id="1e-300"),

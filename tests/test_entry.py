@@ -151,9 +151,10 @@ def _garbage(argv):
 
 
 #: Each call at a small and a large size. The 8 as-quad step sizes include
-#: four that the scheme refuses, whose rows carry an error.
+#: four that the scheme refuses, whose rows carry an error. as-mc's small size
+#: is two blocks, so the warm-up and both calls run on the worker pool.
 SIZES = {
-    "as-mc": ("exponent as-mc --threads 2 --samples", str(2**18), str(2**21)),
+    "as-mc": ("exponent as-mc --threads 2 --samples", str(2**19), str(2**21)),
     "simulate": ("simulate --threads 2 --paths", "2", "40"),
     "as-slope": ("exponent as-slope --paths", "2", "20"),
     "sweep-dt": ("sweep-dt as-quad --dts", "1e-2,1e-3,1e-4",

@@ -1,10 +1,14 @@
 import math
+import os
 import re
+import signal
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -623,12 +627,6 @@ class TestWorkerPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             @staticmethod
             def submit(fn, *args):
                 done = Future()
@@ -662,6 +660,113 @@ class TestWorkerPool:
             assert got == i
             time.sleep(0.001)
             assert len(started) <= i + 2 * 2
+
+    def test_one_pool_serves_every_call(self, built, monkeypatch):
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: 2)
+        for count in (2, 50, 1, 3):
+            assert list(_map_indexed(lambda i: -i, count, 2)) == [-i for i in range(count)]
+        assert built == [2]
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: 3)
+        assert list(_map_indexed(lambda i: -i, 3, 3)) == [0, -1, -2]
+        assert built == [2, 3]  # a new worker count builds a new pool
+
+    def test_each_calling_thread_keeps_its_own_pool(self, monkeypatch):
+        # four callers of two workers each on a 2-CPU host, switching often;
+        # once the callers end, their pools are freed and the idle workers end
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: 2)
+        pools = {}
+
+        def caller(k):
+            got = [list(_map_indexed(lambda i: i * k, 20, 2)) for _ in range(3)]
+            pool = exponents._pools.pool
+            pools[k] = (id(pool), weakref.ref(pool))
+            return got
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                results = list(callers.map(caller, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[[i * k for i in range(20)]] * 3 for k in range(4)]
+        assert len({pool_id for pool_id, _ in pools.values()}) == 4
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= before
+        assert all(ref() is None for _, ref in pools.values())
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_starts_its_own_workers(self, monkeypatch):
+        # a child inherits its parent's pool but none of its workers; reusing
+        # that pool queued the child's calls where no thread took them
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: 2)
+        assert list(_map_indexed(lambda i: -i, 8, 2)) == [-i for i in range(8)]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if list(_map_indexed(lambda i: -i, 8, 2)) == [-i for i in range(8)] else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the child's threaded call did not return within 30 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    @pytest.mark.parametrize("stop", ["close", "raise"])
+    def test_stopping_early_cancels_the_calls_not_started(self, monkeypatch, stop):
+        # a consumer that stops (a failed --out write) used to wait for every
+        # call already queued; a call that raises stopped the same way. The
+        # calls still running are waited for, so none outlives the generator.
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: 2)
+        started, ended = [], []
+
+        def call(j):
+            started.append(j)
+            time.sleep(0.01 if j == 0 else 0.2)  # call 0 ends while 1 and 2 run
+            ended.append(j)
+            if stop == "raise" and j == 0:
+                raise ValueError("refused")
+            return j
+
+        calls = _map_indexed(call, 50, 2)
+        if stop == "close":
+            assert next(calls) == 0
+            calls.close()
+        else:
+            with pytest.raises(ValueError, match="refused"):
+                next(calls)
+        assert sorted(started) == sorted(ended) == [0, 1, 2]  # call 3 was queued, and no more
+
+    def test_the_tracer_leaves_no_threads(self, monkeypatch):
+        # each install and uninstall swaps the pool class, so each call builds a
+        # pool; the one it replaces is freed, and its idle workers end
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.spans import Tracer
+
+        monkeypatch.setattr(exponents, "_usable_cpus", lambda: 2)
+        kw = dict(n_samples=2 * MC_BLOCK, seed=3, threads=2)
+        expected = as_exponent_mc(P_REF, 1e-3, **kw)
+        before = threading.active_count()
+        for _ in range(5):
+            tracer = Tracer()
+            tracer.install()
+            try:
+                assert as_exponent_mc(P_REF, 1e-3, **kw) == expected
+            finally:
+                tracer.uninstall()
+            assert as_exponent_mc(P_REF, 1e-3, **kw) == expected
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= before
 
     def test_estimators_use_the_bound(self, built, monkeypatch):
         monkeypatch.setattr(exponents, "_usable_cpus", lambda: 64)

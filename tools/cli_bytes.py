@@ -109,6 +109,9 @@ MATRIX = [
         for fmt in ("csv", "json")
     ),
     "sweep-dt ms-exact --dts ,",
+    # two threads through every row: each row's blocks or paths on one pool
+    f"sweep-dt as-mc --samples 300000 --seed 3 {_SWEEP} --threads 2",
+    f"sweep-dt as-slope {_SLOPE} {_SWEEP} --threads 2",
     # refused once, before any row, as exponent refuses them
     "sweep-dt theta-as",
     "sweep-dt theta-as --epsilon 0 --theta 2",
@@ -151,6 +154,8 @@ MATRIX = [
     "verify --suite moments --samples 10",
     "verify --suite moments --dt 1e-300 --samples 1000",
     "verify --suite lemmas --threads 2",
+    # the noise rounds away against the step factors, so z cannot decide
+    "verify --suite closedform --sigma 1e-15",
     "verify --suite nope",
     # argparse's own refusals: no subcommand, an unknown one, an option before
     # the subcommand, an unknown option after it
