@@ -65,11 +65,11 @@ def _like(x: np.ndarray, value):
     return float(value) if x.ndim == 0 else value
 
 
-def _xi_nonnegative(gamma: float, x):
+def _xi_nonnegative(x, gamma: float):
     return -(x**4) / (4.0 * gamma**4)
 
 
-def _xi_negative(gamma: float, x):
+def _xi_negative(x, gamma: float):
     return 9.0 * x**3 / gamma**3
 
 
@@ -83,7 +83,8 @@ def xi_gamma(gamma: float, x):
     Continuous at 0 with value 0; defined for x > -2*gamma/3.
     """
     x = LogBoundDomain(gamma, BoundKind.LOWER).check(x)
-    return _like(x, np.where(x >= 0.0, _xi_nonnegative(gamma, x), _xi_negative(gamma, x)))
+    # Each branch is evaluated only where it applies.
+    return _like(x, np.piecewise(x, [x >= 0.0], [_xi_nonnegative, _xi_negative], gamma))
 
 
 def log_upper_surrogate(gamma: float, x):

@@ -9,19 +9,20 @@ run() checks its inputs before any suite runs, then returns one
 Only moments reads n_samples (--samples); its Gauss-Hermite check uses the
 rule of the quadrature estimators (exponents.QUAD_NODES nodes). lemmas does
 not read it, and closedform always runs 10^5 ten-step paths and does not
-read it either: it keeps one double per path, so following n_samples would
-make its memory grow with it. Its ratio to |Z_0|^2 does not depend on the
-initial datum, so no suite reads one.
+read it either: following n_samples (default 10^6) would make every verify
+call that runs it ten times slower. Its ratio to |Z_0|^2 does not depend on
+the initial datum, so no suite reads one.
 
-The sampling suites draw their samples a slice (_MC_CHUNK) at a time from one
-stream and reduce each slice before the next: moments merges the (count,
-mean, M2) of each slice in order, so its memory does not grow with n_samples,
-and closedform builds a slice of paths at a time. A statistic that overflows
-fails its check, with no numpy warning. At sigma = 0 every closed-form path is
-one number, which is compared with base^n within _ULPS_PER_FACTOR ulps per
-step factor instead of by a z-score. At tiny sigma the noise rounds away
-against the factors' deterministic part, and the paths take one or a few
-values, so a mean within that same budget passes whatever its z-score.
+The sampling suites draw their samples a slice (_MC_CHUNK draws) at a time
+from one stream, reduce each slice to (count, mean, M2) and merge those in
+slice order, so their memory does not grow with the sample count: moments
+reduces the noise and its square, closedform the squared-modulus ratios of
+a slice's paths. A statistic that overflows fails its check, with no numpy
+warning. One rule decides closedform: its mean passes within 3 standard
+errors of base^n, or within _ULPS_PER_FACTOR ulps per step factor of it.
+The second decides where the noise is 0 (sigma = 0) or rounds away against
+the factors' deterministic part (tiny sigma): the paths then take one or a
+few values, so a z-score measures only rounding.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-#: Rounding that the noise-free (sigma = 0) closed-form check allows per step
-#: factor, in units of the double precision epsilon.
+#: Rounding that the closed-form check allows its mean per step factor, in
+#: units of the double precision epsilon: at sigma = 0 it is all the spread.
 _ULPS_PER_FACTOR = 8
 
 
@@ -162,47 +163,38 @@ def _suite_closedform(*, p: ModelParams, dt: float, seed: int, **_) -> list[dict
     n_steps = 10
     n_paths = 10**5
     factor = _factor(p, dt)
-    base = 1.0 + factor.ms_base_m1()
     stream = RngStream(root_seed=seed, stream_id=0)
-    # Path i takes draws i*n_steps to (i+1)*n_steps - 1; paths are built in
-    # place, a chunk of rows at a time.
-    squared = np.empty(n_paths)
     rows = _MC_CHUNK // n_steps
-    for lo in range(0, n_paths, rows):
+
+    def chunk_moments(lo: int):
+        # Path i takes draws i*n_steps to (i+1)*n_steps - 1.
         z = stream.normals(min(rows, n_paths - lo) * n_steps).reshape(-1, n_steps)
         factors = factor.of_normals(z)
         factors *= factors
-        np.prod(factors, axis=1, out=squared[lo : lo + rows])
+        return _moments_in_place(np.prod(factors, axis=1))
+
+    # Drawn and reduced a chunk of paths at a time, from one stream: each
+    # chunk's squared-modulus ratios as (count, mean, M2), merged in order.
+    stats = functools.reduce(_merge, map(chunk_moments, range(0, n_paths, rows)))
     try:
-        ref = base**n_steps
+        ref = (1.0 + factor.ms_base_m1()) ** n_steps
     except OverflowError:  # base^n beyond the float range: no finite reference
         ref = math.inf
+    z = _z_score(stats, ref)
     rtol = _ULPS_PER_FACTOR * n_steps * sys.float_info.epsilon
-    if p.sigma == 0.0:
-        # Every path is one number, which can differ from base^n only by rounding.
-        value = float(squared[0])
-        passed = abs(value - ref) <= rtol * abs(ref)
-        detail = (
-            f"sigma = 0: E|Z_n|^2/|Z_0|^2 at n = {n_steps} is {value!r} on every path, "
-            f"against base^n = {ref!r} within relative {rtol:.3g}"
-        )
-    else:
-        stats = _moments_in_place(squared)
-        z = _z_score(stats, ref)
+    detail = f"E|Z_n|^2/|Z_0|^2 at n = {n_steps} "
+    if z <= 3.0 or not abs(stats[1] - ref) <= rtol * abs(ref):
         passed = z <= 3.0
-        detail = (
-            f"E|Z_n|^2/|Z_0|^2 at n = {n_steps} within 3 standard errors of base^n, "
-            f"z = {z:.3f} over {n_paths} paths"
+        detail += f"within 3 standard errors of base^n, z = {z:.3f} over {n_paths} paths"
+    else:
+        # Noise that rounds away against the factors' deterministic part (all
+        # of it at sigma = 0) leaves a spread below that rounding, so z cannot
+        # decide.
+        passed = True
+        detail += (
+            f"is {stats[1]!r} over {n_paths} paths, against base^n = {ref!r} within "
+            f"relative {rtol:.3g}, the rounding allowed at sigma = 0; z = {z:.3f}"
         )
-        if not passed and abs(stats[1] - ref) <= rtol * abs(ref):
-            # Noise that rounds away against the factors' deterministic part
-            # leaves a spread smaller than that rounding, so z cannot decide.
-            passed = True
-            detail = (
-                f"E|Z_n|^2/|Z_0|^2 at n = {n_steps} is {stats[1]!r} over {n_paths} paths, "
-                f"against base^n = {ref!r} within relative {rtol:.3g}, the rounding "
-                f"allowed at sigma = 0; z = {z:.3f}"
-            )
     return [_check("closedform.second_moment", passed, detail)]
 
 

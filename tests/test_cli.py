@@ -1205,10 +1205,13 @@ class TestVerifyCommand:
             (("--suite", "moments", "--samples", "1"), None),
             (("--suite", "moments", "--samples", "0"), None),
             (("--suite", "moments", "--sigma", "1e200"), "moments.composite_vs_mc"),
-            (
-                ("--suite", "closedform", "--lambda", "1e20", "--epsilon", "0", "--sigma", "1",
-                 "--dt", "0.5"),
-                "closedform.second_moment",
+            *(
+                (
+                    ("--suite", "closedform", "--lambda", "1e20", "--epsilon", "0", "--sigma",
+                     sigma, "--dt", "0.5"),
+                    "closedform.second_moment",
+                )
+                for sigma in ("1", "0")
             ),
         ],
     )
@@ -1229,17 +1232,11 @@ class TestVerifyCommand:
         "args, line",
         [
             (
-                ("--suite", "closedform", "--sigma", "0"),
-                "closedform.second_moment: PASS - sigma = 0: E|Z_n|^2/|Z_0|^2 at n = 10 is "
-                "1.2201900399479673 on every path, against base^n = 1.2201900399479668 within "
-                "relative 1.78e-14\n",
-            ),
-            (
                 ("--suite", "closedform", "--lambda", "-0.5", "--epsilon", "0", "--sigma", "0",
                  "--dt", "0.9"),
-                "closedform.second_moment: PASS - sigma = 0: E|Z_n|^2/|Z_0|^2 at n = 10 is "
-                "6.4158439152961835e-06 on every path, against base^n = 6.415843915296172e-06 "
-                "within relative 1.78e-14\n",
+                "closedform.second_moment: PASS - E|Z_n|^2/|Z_0|^2 at n = 10 is "
+                "6.415843915296182e-06 over 100000 paths, against base^n = 6.415843915296172e-06 "
+                "within relative 1.78e-14, the rounding allowed at sigma = 0; z = 1897.357\n",
             ),
             (
                 ("--suite", "moments", "--sigma", "0"),
@@ -1253,18 +1250,18 @@ class TestVerifyCommand:
                     "1.2201900399479673 over 100000 paths, against base^n = 1.2201900399479668 "
                     f"within relative 1.78e-14, the rounding allowed at sigma = 0; z = {z}\n",
                 )
-                for sigma, z in [("1e-15", "3165.825"), ("3e-16", "inf"), ("1e-20", "inf"),
-                                 ("1e-300", "inf"), ("1e-320", "inf")]
+                for sigma, z in [("0", "inf"), ("1e-15", "2331.026"), ("3e-16", "inf"),
+                                 ("1e-20", "inf"), ("1e-300", "inf"), ("1e-320", "inf")]
             ),
         ],
     )
     def test_noise_free_checks(self, capsys, args, line):
-        # At sigma = 0 a closed-form z-score is decided by rounding: the first
-        # case read z = 0 and the second z = 1897.357, a false FAIL. The noise
-        # is exactly 0 at sigma = 0, so its z is 0 by exact equality. At tiny
-        # sigma the noise rounds away against the step factors, so the paths
-        # take a few values (7 at 1e-15) or one: z read 3165.825 or inf, a
-        # false FAIL, while the mean is base^n to rounding.
+        # The moments noise is exactly 0 at sigma = 0, so its z is 0 by exact
+        # equality. A closed-form path at sigma = 0 is one number that differs
+        # from base^n by rounding, and at tiny sigma the noise rounds away
+        # against the step factors, so the paths take a few values (7 at
+        # 1e-15) or one: z reads 1897.357, 2331.026 or inf, a false FAIL, while
+        # the mean is base^n to rounding, which the one rule then reads.
         assert run_cli(capsys, "verify", *args) == (0, line, "")
 
     @pytest.mark.parametrize("dt, sigma", [pytest.param("1e-300", "4", id="1e-300"),
@@ -1288,8 +1285,8 @@ class TestVerifyCommand:
         got = run_cli(capsys, *args, "--config", str(cfg))
         assert got == run_cli(capsys, *args)
         assert got[1].startswith(
-            "closedform.second_moment: PASS - sigma = 0: E|Z_n|^2/|Z_0|^2 at n = 10 is "
-            "1.2201900399479673 on every path"
+            "closedform.second_moment: PASS - E|Z_n|^2/|Z_0|^2 at n = 10 is "
+            "1.2201900399479673 over 100000 paths"
         )
 
     def test_readme_call(self):
@@ -1380,6 +1377,24 @@ class TestVerifyCommand:
             tracemalloc.stop()
         assert all(check["passed"] for check in checks)
         assert peak <= 4 * 8 * _MC_CHUNK
+
+    def test_closedform_memory_is_bounded_by_a_chunk(self):
+        # reduced a chunk of paths at a time; keeping all 10^5 path products
+        # peaked at 6.1 chunks' worth of doubles
+        p = ModelParams(DEFAULTS["lam"], DEFAULTS["epsilon"], DEFAULTS["sigma"])
+
+        def closedform():
+            return verify._suite_closedform(p=p, dt=DEFAULTS["dt"], **_VERIFY_INPUTS)
+
+        closedform()  # first stream
+        tracemalloc.start()
+        try:
+            checks = closedform()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(check["passed"] for check in checks)
+        assert peak <= 3 * 8 * _MC_CHUNK
 
 
 #: One cheap run of each command that takes --seed.

@@ -154,8 +154,11 @@ MATRIX = [
     "verify --suite moments --samples 10",
     "verify --suite moments --dt 1e-300 --samples 1000",
     "verify --suite lemmas --threads 2",
-    # the noise rounds away against the step factors, so z cannot decide
+    # no noise, or noise that rounds away against the step factors: z cannot
+    # decide, and the rounding budget does
     "verify --suite closedform --sigma 1e-15",
+    "verify --suite closedform --sigma 0",
+    "verify --suite closedform --lambda -0.5 --epsilon 0 --sigma 0 --dt 0.9",
     "verify --suite nope",
     # argparse's own refusals: no subcommand, an unknown one, an option before
     # the subcommand, an unknown option after it
